@@ -48,8 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
+from . import diagnostics as dg
 from . import grid_ops as go
-from .grid_ops import ScalarField
+from .grid_ops import ScalarField, face_phi
 from .potential import SingularPotential
 
 log = logging.getLogger(__name__)
@@ -107,20 +108,7 @@ def chemical_potential(phi, kd, pot):
 
 def ch_energy(phi, kd, pot):
     """1/2 <a phi, phi> - 1/2 <phi, J*phi> + int F(phi)."""
-    p = phi.values
-    vol = phi.grid.cell_volume
-    nonlocal_part = 0.5 * np.sum(kd.a_field.values * p * p - p * kd.convolve_raw(p))
-    return float((nonlocal_part + np.sum(pot.f(p))) * vol)
-
-
-def face_phi(grid, p):
-    """Centered interpolation of a cell field onto faces.  Boundary faces
-    are left at zero: they only multiply the (zero) wall-normal velocity."""
-    fx = np.zeros((grid.nx + 1, grid.ny))
-    fy = np.zeros((grid.nx, grid.ny + 1))
-    fx[1:-1, :] = 0.5 * (p[1:, :] + p[:-1, :])
-    fy[:, 1:-1] = 0.5 * (p[:, 1:] + p[:, :-1])
-    return fx, fy
+    return dg.energy_terms(phi, None, kd, pot)[3]
 
 
 def convective_divergence(u, p):
@@ -218,29 +206,6 @@ def _dct_eigenvalues(grid):
     return lam
 
 
-def _cg_spd(apply_op, b, precond, rtol=1e-12, maxiter=2000):
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
-    for _ in range(maxiter):
-        ap = apply_op(p)
-        alpha = rz / float(np.vdot(p, ap))
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= rtol * bnorm:
-            return x
-        z = precond(r)
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return None
-
-
 def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
     """Advance one step.  u is a divergence-free VectorField or None."""
     if dt <= 0:
@@ -293,10 +258,12 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
             # inexact Newton: only resolve the linear model down to what the
             # outer tolerance actually needs this sweep
             rtol_cg = min(1e-2, max(0.3 * tol / rnorm, 1e-13))
-            delta = _cg_spd(mv, -residual, precond, rtol=rtol_cg)
-            if delta is None:
+            try:
+                delta, _ = go.cg(mv, -residual, precond, rtol=rtol_cg,
+                                 maxiter=2000)
+            except go.CGStall:
                 raise StepRejection("inner CG for the implicit update stalled",
-                                    dt / 2.0)
+                                    dt / 2.0) from None
             psi = psi + delta
             phi = imap.invert(psi, phi, dt)
         if not converged:
@@ -359,10 +326,9 @@ def ch_energy_identity_residual(states, u, kd, pot, dt):
     out = np.empty(len(states) - 1)
     for n in range(len(states) - 1):
         s1 = states[n + 1]
-        gx, gy = go.grad_arrays(s1.phi.grid, s1.mu.values)
-        gnorm2 = (np.sum(gx**2) + np.sum(gy**2)) * s1.phi.grid.cell_volume
         power = convective_power(u, s1.phi.values, s1.mu.values) if u is not None else 0.0
-        out[n] = (energies[n + 1] - energies[n]) / dt + gnorm2 - power
+        out[n] = dg.identity_residual(energies[n], energies[n + 1], dt, 0.0,
+                                      go.h1_seminorm(s1.mu) ** 2, power)
     return out
 
 

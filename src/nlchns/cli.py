@@ -1,4 +1,4 @@
-"""Command line front end: flat configs, presets, the coupled loop, reports.
+"""Command line front end: flat configs, presets, the run driver, reports.
 
 Subcommands
 -----------
@@ -26,16 +26,27 @@ snapshots.json   index of field snapshots with shape/spacing/time metadata
 *.fld            flat binary fields (fixed 48-byte header + row-major f64)
 manifest.json    resolved config, derived constants, tolerances, status
 
+Every command resolves its grid, kernel and potential through _physics.
+run and run-ch share one time loop, _run_series, over a small stepper
+(_Coupled or _Transport) that provides step, energy_terms, row and fields;
+eps-sweep keeps its own loop because it writes a Cauchy table, not a
+series, but steps through _Transport too.  These replace run_ch_only's
+loop, the _coupled_row/_ch_row row builders and the _build_* helpers.
+The implicit CH solve, the momentum solve and the Stokes eigenvalue all
+use the one conjugate-gradient loop, grid_ops.cg.
+
 The per-row ``identity_residual`` column is the discrete energy balance
-over the step ending at that row's time (first row: nan).  For coupled
-runs it is
+over the step ending at that row's time (first row: nan), evaluated by
+diagnostics.identity_residual on energies from diagnostics.energy_terms,
+the formulas diagnostics.energy_identity_residuals applies to a snapshot
+trajectory.  For coupled runs it is
 
     [E(n+1) - E(n)]/dt + 2||sqrt(nu(phi_n)) Du_(n+1)||^2
         + ||grad mu_(n+1)||^2 - <h(t_n), u_(n+1)>
 
 with the same frozen-coefficient convention the flow stepper uses; for
 transport-only runs the viscous and forcing terms are replaced by the
-convective power, matching ch_energy_identity_residual.
+convective power, matching ch_step.ch_energy_identity_residual.
 
 Exit codes: 0 success, 2 config rejection (stderr line
 ``error[<code>]: message``), 3 numerical failure mid-run.  On a mid-run
@@ -48,6 +59,8 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
+from itertools import chain
 
 import numpy as np
 
@@ -61,7 +74,6 @@ from .ch_step import (
     NEWTON_MAX_POINTWISE,
     SATURATION_GUARD,
     SCHEMES,
-    StepRejection,
     ch_step,
     chemical_potential,
     convective_power,
@@ -81,7 +93,6 @@ from .ns_step import (
     MOMENTUM_MAXITER,
     MOMENTUM_RTOL,
     NSError,
-    NSStepRejection,
     ViscositySpec,
     init_ns_state,
     stokes_lambda1,
@@ -253,11 +264,7 @@ def load_config(path=None, preset=None, seed=None):
 
 # ------------------------------------------------------- object assembly
 
-def _build_grid(cfg):
-    try:
-        return Grid(cfg["grid_nx"], cfg["grid_ny"], cfg["grid_lx"], cfg["grid_ly"])
-    except GridError as exc:
-        raise ConfigError("grid", str(exc)) from None
+Physics = namedtuple("Physics", "grid kd pspec pot")
 
 
 def _check_epsilon(eps):
@@ -268,43 +275,37 @@ def _check_epsilon(eps):
         )
 
 
-def _build_potential_spec(cfg, epsilon=None):
+def _physics(cfg, epsilon=None):
+    """The grid -> potential spec -> kernel -> beta -> potential chain every
+    command shares, then the scheme check; each rejection is a ConfigError.
+    epsilon overrides cfg["epsilon"].  epsilon > 0 is the working family;
+    epsilon = 0 is the true-singular mode whose evaluations must stay
+    inside (-1, 1)."""
+    try:
+        grid = Grid(cfg["grid_nx"], cfg["grid_ny"], cfg["grid_lx"], cfg["grid_ly"])
+    except GridError as exc:
+        raise ConfigError("grid", str(exc)) from None
     eps = cfg["epsilon"] if epsilon is None else epsilon
     _check_epsilon(eps)
     try:
-        return PotentialSpec(cfg["theta"], cfg["theta_c"], cfg["q"], eps)
+        spec = PotentialSpec(cfg["theta"], cfg["theta_c"], cfg["q"], eps)
     except PotentialError as exc:
         raise ConfigError("potential", str(exc)) from None
-
-
-def _build_potential(pspec):
-    """epsilon > 0 is the working family; epsilon = 0 is the true-singular
-    mode whose evaluations must stay inside (-1, 1)."""
-    try:
-        if pspec.epsilon == 0.0:
-            return SingularPotential(pspec)
-        return build_F_eps(pspec)
-    except PotentialError as exc:
-        raise ConfigError("potential", str(exc)) from None
-
-
-def _build_kernel(cfg, grid, pspec):
-    spec_err = None
     try:
         kspec = KernelSpec(cfg["kernel_family"], cfg["kernel_width"], cfg["kernel_j_l1"])
-        return build_kernel(kspec, grid, potential_spec=pspec)
+        kd = build_kernel(kspec, grid, potential_spec=spec)
     except KernelAssumptionError as exc:
-        spec_err = ConfigError("beta-margin", str(exc))
+        raise ConfigError("beta-margin", str(exc)) from None
     except KernelError as exc:
-        spec_err = ConfigError("kernel", str(exc))
-    raise spec_err
-
-
-def _build_viscosity(cfg):
+        raise ConfigError("kernel", str(exc)) from None
+    pspec = spec.with_beta(kd.beta)
     try:
-        return ViscositySpec(cfg["nu1"], cfg["nu2"])
-    except NSError as exc:
-        raise ConfigError("viscosity", str(exc)) from None
+        pot = SingularPotential(pspec) if eps == 0.0 else build_F_eps(pspec)
+    except PotentialError as exc:
+        raise ConfigError("potential", str(exc)) from None
+    if cfg["scheme"] not in SCHEMES:
+        raise ConfigError("parse", f"unknown scheme {cfg['scheme']!r}")
+    return Physics(grid, kd, pspec, pot)
 
 
 def _check_mean_cap(cfg, phi):
@@ -409,13 +410,11 @@ def _swirl(grid, amplitude):
 
 def _initial_velocity(cfg, grid):
     kind = cfg["init_u"]
+    if kind not in ("zero", "swirl"):
+        raise ConfigError("init", f"unknown init_u kind {kind!r}")
     if kind == "zero" or cfg["init_u_amplitude"] == 0.0:
-        if kind not in ("zero", "swirl"):
-            raise ConfigError("init", f"unknown init_u kind {kind!r}")
         return go.zero_vector(grid, "noslip")
-    if kind == "swirl":
-        return _swirl(grid, cfg["init_u_amplitude"])
-    raise ConfigError("init", f"unknown init_u kind {kind!r}")
+    return _swirl(grid, cfg["init_u_amplitude"])
 
 
 def _forcing_fn(cfg, grid):
@@ -468,6 +467,12 @@ def _fmt(value):
     return str(value)
 
 
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_series(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -500,49 +505,40 @@ class SnapshotWriter:
                      "lx": self.grid.lx, "ly": self.grid.ly},
             "snapshots": self.entries,
         }
-        with open(os.path.join(self.outdir, "snapshots.json"), "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(self.outdir, "snapshots.json"), doc)
 
 
-def _tolerances():
-    return {
-        "mass_defect_limit": MASS_DEFECT_LIMIT,
-        "saturation_guard": SATURATION_GUARD,
-        "newton_max_outer": NEWTON_MAX_OUTER,
-        "newton_max_pointwise": NEWTON_MAX_POINTWISE,
-        "div_tolerance": DIV_TOLERANCE,
-        "momentum_rtol": MOMENTUM_RTOL,
-        "momentum_maxiter": MOMENTUM_MAXITER,
-        "eps_max": EPS_MAX_DEFAULT,
-        "gaussian_cutoff_sigmas": GAUSSIAN_CUTOFF_SIGMAS,
-        "energy_prefix_tol": ENERGY_PREFIX_TOL,
-    }
-
-
-def _write_manifest(outdir, payload):
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _manifest(command, cfg, derived, status, error=None, outputs=None, wall_s=None):
-    return {
+def _finish(outdir, command, cfg, derived, t_start, outputs, error=None):
+    """Write manifest.json: resolved config, derived constants, tolerances
+    and status.  A run that failed (error set) then raises RunFailure."""
+    _write_json(os.path.join(outdir, "manifest.json"), {
         "format": "nlchns-manifest-1",
         "package_version": __version__,
         "command": command,
-        "status": status,
+        "status": "failed" if error else "completed",
         "error": error,
         "seed": cfg["seed"],
         "config": {k: cfg[k] for k in sorted(DEFAULTS)},
         "derived": derived,
-        "tolerances": _tolerances(),
-        "outputs": outputs or {},
+        "tolerances": {
+            "mass_defect_limit": MASS_DEFECT_LIMIT,
+            "saturation_guard": SATURATION_GUARD,
+            "newton_max_outer": NEWTON_MAX_OUTER,
+            "newton_max_pointwise": NEWTON_MAX_POINTWISE,
+            "div_tolerance": DIV_TOLERANCE,
+            "momentum_rtol": MOMENTUM_RTOL,
+            "momentum_maxiter": MOMENTUM_MAXITER,
+            "eps_max": EPS_MAX_DEFAULT,
+            "gaussian_cutoff_sigmas": GAUSSIAN_CUTOFF_SIGMAS,
+            "energy_prefix_tol": ENERGY_PREFIX_TOL,
+        },
+        "outputs": outputs,
         # informational only; excluded from determinism comparisons
-        "timing": {"wall_s": wall_s},
-    }
+        "timing": {"wall_s": time.perf_counter() - t_start},
+    })
+    if error:
+        raise RunFailure(error)
+    return EXIT_OK
 
 
 def _prepare_outdir(outdir):
@@ -554,8 +550,141 @@ def _prepare_outdir(outdir):
 
 # ------------------------------------------------------------- run loops
 
-def _derived_block(grid, kd, pot, pspec, extra=None):
-    out = {
+COUPLED_HEADER = (
+    "t", "mass", "max_abs_phi", "kinetic", "nonlocal", "potential", "total",
+    "grad_mu_sq", "visc_dissipation", "fprime_l1", "div_inf", "forcing_power",
+    "identity_residual",
+)
+
+CH_HEADER = (
+    "t", "mass", "max_abs_phi", "nonlocal", "potential", "total",
+    "grad_mu_sq", "fprime_l1", "conv_power", "identity_residual",
+)
+
+
+# what a run or sweep records as a failed run (exit 3) instead of raising
+RUN_FAILURES = (CHError, NSError, GridError, KernelError)
+
+
+def _power(h, vel):
+    return go.inner_vec(h, vel) if h is not None else 0.0
+
+
+class _Stepper:
+    """What _run_series needs of a run command: ``step(t)`` advances one dt,
+    ``energy_terms`` gives the state's diagnostics.energy_terms,
+    ``row(t, terms, prev_total)`` the series row (prev_total None before
+    the first step), ``fields`` the arrays to snapshot."""
+
+    def __init__(self, cfg, phys):
+        self.grid, self.kd, self.pot = phys.grid, phys.kd, phys.pot
+        self.dt, self.scheme = cfg["dt"], cfg["scheme"]
+        rng = np.random.default_rng(cfg["seed"])
+        self.ch = init_state(_initial_phi(cfg, self.grid, rng), self.kd, self.pot)
+
+
+class _Coupled(_Stepper):
+    """run: u advances on the frozen order parameter, then phi is
+    transported by the end-of-step velocity."""
+
+    command = "run"
+    header = COUPLED_HEADER
+
+    def __init__(self, cfg, phys):
+        try:
+            self.visc = ViscositySpec(cfg["nu1"], cfg["nu2"])
+        except NSError as exc:
+            raise ConfigError("viscosity", str(exc)) from None
+        self.forcing = _forcing_fn(cfg, phys.grid)
+        super().__init__(cfg, phys)
+        self.flow = init_ns_state(_initial_velocity(cfg, self.grid))
+        self.last = None  # (phi_n, h_n) of the step just taken
+
+    def step(self, t):
+        h = self.forcing(t)
+        flow = ns.ns_step(self.flow, self.ch.phi, self.ch.mu, h, self.visc, self.dt)
+        phi_n = self.ch.phi.values
+        self.ch = ch_step(self.ch, flow.u, self.dt, self.kd, self.pot, scheme=self.scheme)
+        self.flow = flow  # (phi, u) stays a coherent pair on failure
+        self.last = (phi_n, h)
+
+    def energy_terms(self):
+        return dg.energy_terms(self.ch.phi, self.flow.u, self.kd, self.pot)
+
+    def row(self, t, terms, prev_total):
+        """Instantaneous columns (viscous dissipation, forcing power) use the
+        row's own state; the residual is the balance over the step that
+        ended here, with coefficients frozen at phi_n as in the step."""
+        grid, ch, vel = self.grid, self.ch, self.flow.u
+        gm2 = go.h1_seminorm(ch.mu) ** 2
+        div_inf, residual = 0.0, float("nan")
+        if prev_total is not None:
+            phi_n, h_n = self.last
+            nu_c, nu_n = ns.viscosity_fields(grid, phi_n, self.visc)
+            diss = ns.dissipation(grid, nu_c, nu_n, vel.u, vel.v)
+            residual = dg.identity_residual(prev_total, terms[3], self.dt, diss,
+                                            gm2, _power(h_n, vel))
+            div_inf = float(np.max(np.abs(go.div_arrays(grid, vel.u, vel.v))))
+        nu_c, nu_n = ns.viscosity_fields(grid, ch.phi.values, self.visc)
+        return (t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))), *terms, gm2,
+                ns.dissipation(grid, nu_c, nu_n, vel.u, vel.v),
+                fprime_l1(ch.phi, self.pot), div_inf,
+                _power(self.forcing(t), vel), residual)
+
+    def fields(self):
+        return {"phi": self.ch.phi.values, "u": self.flow.u.u,
+                "v": self.flow.u.v, "p": self.flow.pressure.values}
+
+
+class _Transport(_Stepper):
+    """run-ch: phi transported by a prescribed divergence-free velocity."""
+
+    command = "run-ch"
+    header = CH_HEADER
+
+    def __init__(self, cfg, phys):
+        self.velocity = _velocity_fn(cfg, phys.grid)
+        super().__init__(cfg, phys)
+        self.u_n = None  # velocity of the step just taken
+
+    def step(self, t):
+        u = self.velocity(t)
+        self.ch = ch_step(self.ch, u, self.dt, self.kd, self.pot, scheme=self.scheme)
+        self.u_n = u
+
+    def energy_terms(self):
+        return dg.energy_terms(self.ch.phi, None, self.kd, self.pot)
+
+    def row(self, t, terms, prev_total):
+        """The balance over the step uses the new energy, the new mu and the
+        stepping velocity."""
+        ch = self.ch
+        gm2 = go.h1_seminorm(ch.mu) ** 2
+        power, residual = 0.0, float("nan")
+        if prev_total is not None:
+            power = convective_power(self.u_n, ch.phi.values, ch.mu.values)
+            residual = dg.identity_residual(prev_total, terms[3], self.dt, 0.0,
+                                            gm2, power)
+        return (t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))), *terms[1:], gm2,
+                fprime_l1(ch.phi, self.pot), power, residual)
+
+    def fields(self):
+        return {"phi": self.ch.phi.values}
+
+
+def _run_series(cfg, outdir, make_stepper):
+    """The time loop of run and run-ch.  Each step's energies are computed
+    once and feed both its row and the next row's residual.  On a numerical
+    failure the partial series, a final snapshot and a manifest with status
+    "failed" are written before RunFailure is raised."""
+    phys = _physics(cfg)
+    nsteps = _nsteps(cfg)
+    stepper = make_stepper(cfg, phys)
+
+    _prepare_outdir(outdir)
+    t_start = time.perf_counter()
+    grid, kd, pspec, pot = phys
+    derived = {
         "hx": grid.hx, "hy": grid.hy, "area": grid.area,
         "beta": kd.beta, "a_inf": kd.a_inf,
         "j_l1_discrete": kd.j_l1_discrete, "grad_j_l1_discrete": kd.grad_j_l1,
@@ -568,273 +697,77 @@ def _derived_block(grid, kd, pot, pspec, extra=None):
                   "advection and capillary force, incremental pressure "
                   "projection",
         },
+        "nsteps": nsteps, "mass0": stepper.ch.mass0,
     }
-    if extra:
-        out.update(extra)
-    return out
+    if nsteps == 0:
+        return _finish(outdir, stepper.command, cfg, derived, t_start,
+                       {"steps_completed": 0})
 
+    dt, every, snap_every = cfg["dt"], cfg["series_every"], cfg["snapshot_every"]
+    snapshots = SnapshotWriter(outdir, grid)
+    terms = stepper.energy_terms()
+    rows = [stepper.row(0.0, terms, None)]
+    snapshots.write(0, 0.0, stepper.fields())
 
-COUPLED_HEADER = (
-    "t", "mass", "max_abs_phi", "kinetic", "nonlocal", "potential", "total",
-    "grad_mu_sq", "visc_dissipation", "fprime_l1", "div_inf", "forcing_power",
-    "identity_residual",
-)
+    error, steps_done = None, 0
+    try:
+        for n in range(nsteps):
+            stepper.step(n * dt)
+            steps_done = n + 1
+            prev_total = terms[3]
+            terms = stepper.energy_terms()
+            if steps_done % every == 0 or steps_done == nsteps:
+                rows.append(stepper.row(steps_done * dt, terms, prev_total))
+            if snap_every and steps_done % snap_every == 0:
+                snapshots.write(steps_done, steps_done * dt, stepper.fields())
+    except RUN_FAILURES as exc:
+        error = f"{type(exc).__name__}: {exc}"
 
-
-def _coupled_row(t, ch, vel, kd, pot, visc, h_t, div_inf, residual):
-    """Series row plus the total energy it reports.  Instantaneous columns
-    (viscous dissipation, forcing power) use the row's own state; the
-    residual passed in is the balance over the step that ended here."""
-    kin = 0.5 * go.vector_l2(vel) ** 2
-    nl = dg.nonlocal_energy(ch.phi, kd)
-    pe = dg.potential_energy(ch.phi, pot)
-    nu_c, nu_n = ns.viscosity_fields(ch.phi.grid, ch.phi.values, visc)
-    diss = ns.dissipation(ch.phi.grid, nu_c, nu_n, vel.u, vel.v)
-    power = go.inner_vec(h_t, vel) if h_t is not None else 0.0
-    total = kin + nl + pe
-    return (
-        t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))),
-        kin, nl, pe, total, go.h1_seminorm(ch.mu) ** 2, diss,
-        fprime_l1(ch.phi, pot), div_inf, power, residual,
-    ), total
+    if steps_done and not (snap_every and steps_done % snap_every == 0):
+        snapshots.write(steps_done, steps_done * dt, stepper.fields())
+    _write_series(os.path.join(outdir, "series.csv"), stepper.header, rows)
+    snapshots.flush()
+    return _finish(outdir, stepper.command, cfg, derived, t_start,
+                   {"series": "series.csv", "snapshot_index": "snapshots.json",
+                    "steps_completed": steps_done, "series_rows": len(rows)},
+                   error)
 
 
 def run_coupled(cfg, outdir):
-    """Coupled integration: u advances on the frozen order parameter, then
-    phi is transported by the end-of-step velocity."""
-    grid = _build_grid(cfg)
-    pspec0 = _build_potential_spec(cfg)
-    kd = _build_kernel(cfg, grid, pspec0)
-    pspec = pspec0.with_beta(kd.beta)
-    pot = _build_potential(pspec)
-    visc = _build_viscosity(cfg)
-    if cfg["scheme"] not in SCHEMES:
-        raise ConfigError("parse", f"unknown scheme {cfg['scheme']!r}")
-    nsteps = _nsteps(cfg)
-    forcing = _forcing_fn(cfg, grid)
-    rng = np.random.default_rng(cfg["seed"])
-    phi0 = _initial_phi(cfg, grid, rng)
-
-    _prepare_outdir(outdir)
-    t_start = time.perf_counter()
-    derived = _derived_block(grid, kd, pot, pspec, extra={
-        "nsteps": nsteps, "mass0": phi0.mean(),
-    })
-    if nsteps == 0:
-        _write_manifest(outdir, _manifest(
-            "run", cfg, derived, "completed",
-            outputs={"steps_completed": 0},
-            wall_s=time.perf_counter() - t_start,
-        ))
-        return EXIT_OK
-
-    ch = init_state(phi0, kd, pot)
-    flow = init_ns_state(_initial_velocity(cfg, grid))
-    dt = cfg["dt"]
-    snapshots = SnapshotWriter(outdir, grid)
-    rows = []
-    h0 = forcing(0.0)
-    row, prev_total = _coupled_row(0.0, ch, flow.u, kd, pot, visc, h0,
-                                   0.0, float("nan"))
-    rows.append(row)
-    snapshots.write(0, 0.0, {"phi": ch.phi.values, "u": flow.u.u,
-                             "v": flow.u.v, "p": flow.pressure.values})
-
-    status, error = "completed", None
-    steps_done = 0
-    try:
-        for n in range(nsteps):
-            h_n = forcing(n * dt)
-            # coefficients frozen at phi_n enter both the step and the
-            # residual bookkeeping below
-            nu_c, nu_n = ns.viscosity_fields(grid, ch.phi.values, visc)
-            flow_new = ns.ns_step(flow, ch.phi, ch.mu, h_n, visc, dt)
-            ch = ch_step(ch, flow_new.u, dt, kd, pot, scheme=cfg["scheme"])
-            flow = flow_new  # (phi, u) stays a coherent pair on failure
-            steps_done = n + 1
-            t_next = (n + 1) * dt
-            vel = flow.u
-            kin = 0.5 * go.vector_l2(vel) ** 2
-            nl = dg.nonlocal_energy(ch.phi, kd)
-            pe = dg.potential_energy(ch.phi, pot)
-            total = kin + nl + pe
-            if (n + 1) % cfg["series_every"] == 0 or n + 1 == nsteps:
-                gm2 = go.h1_seminorm(ch.mu) ** 2
-                diss = ns.dissipation(grid, nu_c, nu_n, vel.u, vel.v)
-                power = go.inner_vec(h_n, vel) if h_n is not None else 0.0
-                residual = (total - prev_total) / dt + diss + gm2 - power
-                div_inf = float(np.max(np.abs(go.div_arrays(grid, vel.u, vel.v))))
-                h_next = forcing(t_next)
-                power_now = go.inner_vec(h_next, vel) if h_next is not None else 0.0
-                nu_c1, nu_n1 = ns.viscosity_fields(grid, ch.phi.values, visc)
-                rows.append((
-                    t_next, ch.phi.mean(),
-                    float(np.max(np.abs(ch.phi.values))),
-                    kin, nl, pe, total, gm2,
-                    ns.dissipation(grid, nu_c1, nu_n1, vel.u, vel.v),
-                    fprime_l1(ch.phi, pot), div_inf, power_now, residual,
-                ))
-            prev_total = total
-            if cfg["snapshot_every"] and (n + 1) % cfg["snapshot_every"] == 0:
-                snapshots.write(n + 1, t_next, {
-                    "phi": ch.phi.values, "u": flow.u.u, "v": flow.u.v,
-                    "p": flow.pressure.values,
-                })
-    except (CHError, NSError, GridError, KernelError) as exc:
-        status, error = "failed", f"{type(exc).__name__}: {exc}"
-
-    if steps_done and not (cfg["snapshot_every"]
-                           and steps_done % cfg["snapshot_every"] == 0):
-        snapshots.write(steps_done, steps_done * dt, {
-            "phi": ch.phi.values, "u": flow.u.u, "v": flow.u.v,
-            "p": flow.pressure.values,
-        })
-    _write_series(os.path.join(outdir, "series.csv"), COUPLED_HEADER, rows)
-    snapshots.flush()
-    _write_manifest(outdir, _manifest(
-        "run", cfg, derived, status, error=error,
-        outputs={"series": "series.csv", "snapshot_index": "snapshots.json",
-                 "steps_completed": steps_done, "series_rows": len(rows)},
-        wall_s=time.perf_counter() - t_start,
-    ))
-    if status == "failed":
-        raise RunFailure(error)
-    return EXIT_OK
-
-
-CH_HEADER = (
-    "t", "mass", "max_abs_phi", "nonlocal", "potential", "total",
-    "grad_mu_sq", "fprime_l1", "conv_power", "identity_residual",
-)
-
-
-def _ch_row(t, ch, kd, pot, power, residual):
-    nl = dg.nonlocal_energy(ch.phi, kd)
-    pe = dg.potential_energy(ch.phi, pot)
-    return (
-        t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))),
-        nl, pe, nl + pe, go.h1_seminorm(ch.mu) ** 2,
-        fprime_l1(ch.phi, pot), power, residual,
-    ), nl + pe
-
-
-def run_ch_only(cfg, outdir):
-    """Transport-only integration under a prescribed divergence-free field."""
-    grid = _build_grid(cfg)
-    pspec0 = _build_potential_spec(cfg)
-    kd = _build_kernel(cfg, grid, pspec0)
-    pspec = pspec0.with_beta(kd.beta)
-    pot = _build_potential(pspec)
-    if cfg["scheme"] not in SCHEMES:
-        raise ConfigError("parse", f"unknown scheme {cfg['scheme']!r}")
-    nsteps = _nsteps(cfg)
-    velocity = _velocity_fn(cfg, grid)
-    rng = np.random.default_rng(cfg["seed"])
-    phi0 = _initial_phi(cfg, grid, rng)
-
-    _prepare_outdir(outdir)
-    t_start = time.perf_counter()
-    derived = _derived_block(grid, kd, pot, pspec, extra={
-        "nsteps": nsteps, "mass0": phi0.mean(),
-    })
-    if nsteps == 0:
-        _write_manifest(outdir, _manifest(
-            "run-ch", cfg, derived, "completed",
-            outputs={"steps_completed": 0},
-            wall_s=time.perf_counter() - t_start,
-        ))
-        return EXIT_OK
-
-    ch = init_state(phi0, kd, pot)
-    dt = cfg["dt"]
-    snapshots = SnapshotWriter(outdir, grid)
-    rows = []
-    row, prev_total = _ch_row(0.0, ch, kd, pot, 0.0, float("nan"))
-    rows.append(row)
-    snapshots.write(0, 0.0, {"phi": ch.phi.values})
-
-    status, error = "completed", None
-    steps_done = 0
-    try:
-        for n in range(nsteps):
-            u_n = velocity(n * dt)
-            ch = ch_step(ch, u_n, dt, kd, pot, scheme=cfg["scheme"])
-            steps_done = n + 1
-            t_next = (n + 1) * dt
-            # balance over the step: new energy, new mu, stepping velocity
-            power = convective_power(u_n, ch.phi.values, ch.mu.values)
-            total = dg.nonlocal_energy(ch.phi, kd) + dg.potential_energy(ch.phi, pot)
-            residual = (total - prev_total) / dt \
-                + go.h1_seminorm(ch.mu) ** 2 - power
-            if (n + 1) % cfg["series_every"] == 0 or n + 1 == nsteps:
-                row, prev_total = _ch_row(t_next, ch, kd, pot, power, residual)
-                rows.append(row)
-            else:
-                prev_total = total
-            if cfg["snapshot_every"] and (n + 1) % cfg["snapshot_every"] == 0:
-                snapshots.write(n + 1, t_next, {"phi": ch.phi.values})
-    except (CHError, GridError, KernelError) as exc:
-        status, error = "failed", f"{type(exc).__name__}: {exc}"
-
-    if steps_done and not (cfg["snapshot_every"]
-                           and steps_done % cfg["snapshot_every"] == 0):
-        snapshots.write(steps_done, steps_done * dt, {"phi": ch.phi.values})
-    _write_series(os.path.join(outdir, "series.csv"), CH_HEADER, rows)
-    snapshots.flush()
-    _write_manifest(outdir, _manifest(
-        "run-ch", cfg, derived, status, error=error,
-        outputs={"series": "series.csv", "snapshot_index": "snapshots.json",
-                 "steps_completed": steps_done, "series_rows": len(rows)},
-        wall_s=time.perf_counter() - t_start,
-    ))
-    if status == "failed":
-        raise RunFailure(error)
-    return EXIT_OK
+    """Coupled Cahn-Hilliard / Navier-Stokes integration (see _Coupled)."""
+    return _run_series(cfg, outdir, _Coupled)
 
 
 def run_eps_sweep(cfg, outdir):
     """Rerun the same transport problem over a decreasing epsilon grid and
     tabulate the final-time differences between consecutive runs."""
     eps_values = _eps_list(cfg)
-    grid = _build_grid(cfg)
-    base_pspec = _build_potential_spec(cfg, epsilon=eps_values[0])
-    kd = _build_kernel(cfg, grid, base_pspec)
-    if cfg["scheme"] not in SCHEMES:
-        raise ConfigError("parse", f"unknown scheme {cfg['scheme']!r}")
     nsteps = _nsteps(cfg)
     if nsteps == 0:
         raise ConfigError("time", "eps-sweep needs a positive horizon")
-    velocity = _velocity_fn(cfg, grid)
-    dt = cfg["dt"]
+    first = _Transport(cfg, _physics(cfg, epsilon=eps_values[0]))
+    grid, kd, dt = first.grid, first.kd, cfg["dt"]
+    # only the first run is built before anything is written; the others
+    # when their turn comes, so setup and memory do not grow with eps_grid
+    runs = chain([first], (_Transport(cfg, _physics(cfg, epsilon=eps))
+                           for eps in eps_values[1:]))
 
     _prepare_outdir(outdir)
     t_start = time.perf_counter()
-    finals = []
-    potentials = []
-    status, error = "completed", None
+    finals, error = [], None
     try:
-        for eps in eps_values:
-            pspec = _build_potential_spec(cfg, epsilon=eps).with_beta(kd.beta)
-            pot = _build_potential(pspec)
-            potentials.append(pspec)
-            rng = np.random.default_rng(cfg["seed"])
-            ch = init_state(_initial_phi(cfg, grid, rng), kd, pot)
+        for eps, run in zip(eps_values, runs):
             for n in range(nsteps):
-                ch = ch_step(ch, velocity(n * dt), dt, kd, pot,
-                             scheme=cfg["scheme"])
-            finals.append(ch.phi.values.copy())
-            go.write_snapshot(
-                os.path.join(outdir, f"phi_eps_{eps:.6e}.fld"),
-                ch.phi.values, grid, time=nsteps * dt,
-            )
-    except (CHError, GridError, KernelError) as exc:
-        status, error = "failed", f"{type(exc).__name__}: {exc}"
+                run.step(n * dt)
+            finals.append(run.ch.phi.values)
+            go.write_snapshot(os.path.join(outdir, f"phi_eps_{eps:.6e}.fld"),
+                              finals[-1], grid, time=nsteps * dt)
+    except RUN_FAILURES as exc:
+        error = f"{type(exc).__name__}: {exc}"
 
-    rows = []
-    vol = grid.cell_volume
-    for i in range(len(finals) - 1):
-        diff = float(np.sqrt(np.sum((finals[i] - finals[i + 1]) ** 2) * vol))
-        rows.append((eps_values[i], eps_values[i + 1], diff))
+    rows = [(eps_values[i], eps_values[i + 1],
+             go.norm_l2(ScalarField(grid, finals[i] - finals[i + 1])))
+            for i in range(len(finals) - 1)]
     monotone = all(rows[i][2] > rows[i + 1][2] for i in range(len(rows) - 1))
     _write_series(os.path.join(outdir, "eps_sweep.csv"),
                   ("eps_coarse", "eps_fine", "l2_difference"), rows)
@@ -845,27 +778,12 @@ def run_eps_sweep(cfg, outdir):
         "monotone_decreasing": bool(monotone and len(rows) >= 2),
         "completed_runs": len(finals),
     }
-    _write_manifest(outdir, _manifest(
-        "eps-sweep", cfg, derived, status, error=error,
-        outputs={"table": "eps_sweep.csv", "completed_runs": len(finals)},
-        wall_s=time.perf_counter() - t_start,
-    ))
-    if status == "failed":
-        raise RunFailure(error)
-    return EXIT_OK
+    return _finish(outdir, "eps-sweep", cfg, derived, t_start,
+                   {"table": "eps_sweep.csv", "completed_runs": len(finals)},
+                   error)
 
 
 # -------------------------------------------------------------- diagnose
-
-def _load_series(path):
-    try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-    except OSError as exc:
-        raise ConfigError("io", f"cannot read series: {exc}") from None
-    if data.ndim == 0:
-        data = data.reshape(1)
-    return data
-
 
 def run_diagnose(rundir, outdir=None):
     """Audit a finished run directory: conservation, saturation, the energy
@@ -876,20 +794,18 @@ def run_diagnose(rundir, outdir=None):
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("io", f"cannot read manifest: {exc}") from None
-    if manifest.get("command") not in ("run", "run-ch"):
+    if not isinstance(manifest, dict) or \
+            manifest.get("command") not in ("run", "run-ch"):
         raise ConfigError("io", "diagnose needs a run or run-ch directory")
-    cfg = dict(DEFAULTS)
-    for key, raw in manifest["config"].items():
-        cfg[key] = _coerce(key, raw)
-
-    grid = _build_grid(cfg)
-    pspec0 = _build_potential_spec(cfg)
-    kd = _build_kernel(cfg, grid, pspec0)
-    pspec = pspec0.with_beta(kd.beta)
-    pot = _build_potential(pspec)
-    series = _load_series(os.path.join(rundir, "series.csv"))
+    cfg = load_config(path=manifest_path)
+    grid, kd, pspec, pot = _physics(cfg)
+    try:
+        series = np.atleast_1d(np.genfromtxt(
+            os.path.join(rundir, "series.csv"), delimiter=",", names=True))
+    except OSError as exc:
+        raise ConfigError("io", f"cannot read series: {exc}") from None
     coupled = manifest["command"] == "run"
 
     checks = {}
@@ -929,9 +845,12 @@ def run_diagnose(rundir, outdir=None):
         with open(index_path) as fh:
             index = json.load(fh)
         for entry in index["snapshots"]:
-            values, _meta = go.read_snapshot(
-                os.path.join(rundir, entry["phi"]["file"]))
-            phi = ScalarField(grid, values)
+            try:
+                values, _meta = go.read_snapshot(
+                    os.path.join(rundir, entry["phi"]["file"]))
+                phi = ScalarField(grid, values)
+            except (OSError, GridError) as exc:
+                raise ConfigError("io", f"bad snapshot: {exc}") from None
             mu = chemical_potential(phi, kd, pot)
             res = dg.gradient_bound_check(phi, mu, kd, pspec.c0)
             margin = res["lhs"] - res["rhs"]
@@ -970,9 +889,7 @@ def run_diagnose(rundir, outdir=None):
         "all_passed": all(c.get("passed", True) for c in checks.values()),
     }
     _prepare_outdir(outdir)
-    with open(os.path.join(outdir, "diagnose.json"), "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "diagnose.json"), report)
     if bound_rows:
         _write_series(os.path.join(outdir, "gradient_bound.csv"),
                       ("t", "grad_mu_sq", "comparison_rhs", "margin"),
@@ -986,18 +903,14 @@ def run_diagnose(rundir, outdir=None):
 # --------------------------------------------------------------- reports
 
 def run_kernel_report(cfg, outdir=None):
-    grid = _build_grid(cfg)
-    pspec = _build_potential_spec(cfg)
-    kd = _build_kernel(cfg, grid, pspec)
+    grid, kd, pspec, _ = _physics(cfg)
     report = kd.report(potential_spec=pspec)
     report["grid"] = {"nx": grid.nx, "ny": grid.ny, "lx": grid.lx, "ly": grid.ly}
     report["width_cells"] = cfg["kernel_width"] / grid.hx
-    text = json.dumps(report, indent=1, sort_keys=True)
     if outdir:
         _prepare_outdir(outdir)
-        with open(os.path.join(outdir, "kernel_report.json"), "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(os.path.join(outdir, "kernel_report.json"), report)
+    print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_OK
 
 
@@ -1008,15 +921,11 @@ def run_potential_table(cfg, outdir=None):
     if any(eps <= 0.0 for eps in eps_values):
         raise ConfigError("epsilon-range",
                           "potential-table needs strictly positive epsilon")
-    grid = _build_grid(cfg)
-    pspec0 = _build_potential_spec(cfg, epsilon=eps_values[0])
-    kd = _build_kernel(cfg, grid, pspec0)
     rows = []
     c_q = None
     scan = np.linspace(-0.999, 0.999, 4001)
     for eps in eps_values:
-        pspec = _build_potential_spec(cfg, epsilon=eps).with_beta(kd.beta)
-        pot = _build_potential(pspec)
+        _, _, pspec, pot = _physics(cfg, epsilon=eps)
         if c_q is None:
             c_q = pot.c_q
         d_q = exhibit_dq(pot, c_q=c_q)
@@ -1077,7 +986,7 @@ def main(argv=None):
         if args.command == "run":
             return run_coupled(cfg, args.out)
         if args.command == "run-ch":
-            return run_ch_only(cfg, args.out)
+            return _run_series(cfg, args.out, _Transport)
         if args.command == "eps-sweep":
             return run_eps_sweep(cfg, args.out)
         if args.command == "kernel-report":
@@ -1087,9 +996,6 @@ def main(argv=None):
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RunFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (StepRejection, NSStepRejection) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -20,8 +20,11 @@ the start-of-step force with the end-of-step velocity:
           + ||grad mu_{n+1}||^2 - <h_n, u_{n+1}>
 
 For the exact time discretization the residual is O(dt) on smooth data,
-and its cumulative integral stays nonnegative up to roundoff (the scheme
-dissipates at least as much as the identity claims).
+and its cumulative integral stays nonpositive up to roundoff (the scheme
+dissipates at least as much as the identity claims).  energy_terms and
+identity_residual are the one energy formula and the one residual formula:
+the run series, the post-hoc residuals here and the transport-only
+residual in ch_step all evaluate them, in the same float order.
 
 Trajectory distance: a sum of five nonnegative terms, each a norm of the
 difference (or the square root of a gap), so symmetry and the triangle
@@ -96,9 +99,19 @@ def potential_energy(phi, feps):
     return float(np.sum(feps.f(phi.values))) * phi.grid.cell_volume
 
 
-def total_energy(phi, vel, kernel, feps):
-    kin = 0.0 if vel is None else 0.5 * go.vector_l2(vel) ** 2
-    return kin + nonlocal_energy(phi, kernel) + potential_energy(phi, feps)
+def energy_terms(phi, vel, kernel, feps):
+    """(kinetic, nonlocal, potential, total) of a state; vel None means no
+    flow (kinetic 0)."""
+    kin = 0.0 if vel is None else ns_step.kinetic_energy(vel)
+    nl = nonlocal_energy(phi, kernel)
+    pot = potential_energy(phi, feps)
+    return kin, nl, pot, kin + nl + pot
+
+
+def identity_residual(e0, e1, dt, visc_dissipation, grad_mu_sq, power):
+    """r_n of the module docstring from its parts: the energies at both ends
+    of the step and the step's dissipation and forcing (or transport) power."""
+    return (e1 - e0) / dt + visc_dissipation + grad_mu_sq - power
 
 
 def energy_report(t, phi, vel, kernel, feps, visc=None, mu=None,
@@ -106,9 +119,7 @@ def energy_report(t, phi, vel, kernel, feps, visc=None, mu=None,
     """Snapshot energy budget.  Dissipation fields use the state's own
     coefficients nu(phi); the identity residual (a pairwise quantity) is
     passed in by whoever computed it."""
-    kinetic = 0.0 if vel is None else 0.5 * go.vector_l2(vel) ** 2
-    nl = nonlocal_energy(phi, kernel)
-    pot = potential_energy(phi, feps)
+    kinetic, nl, pot, total = energy_terms(phi, vel, kernel, feps)
     diss_v = 0.0
     if visc is not None and vel is not None:
         nu_c, nu_n = ns_step.viscosity_fields(phi.grid, phi.values, visc)
@@ -120,7 +131,7 @@ def energy_report(t, phi, vel, kernel, feps, visc=None, mu=None,
     if forcing is not None and vel is not None:
         power = go.inner_vec(forcing, vel)
     return EnergyReport(t=float(t), kinetic=float(kinetic), nonlocal_=nl,
-                        potential=pot, total=float(kinetic + nl + pot),
+                        potential=pot, total=float(total),
                         dissipation_visc=diss_v, dissipation_mu=diss_m,
                         forcing=power, identity_residual=identity_residual)
 
@@ -198,12 +209,10 @@ def translate(traj, t_shift, tol=1e-9):
 
 # ------------------------------------------------------- energy identity
 
-def energy_identity_residuals(traj, kernel, feps, visc, forcings=None,
-                              mus=None):
+def energy_identity_residuals(traj, kernel, feps, visc, forcings=None):
     """Residual series r_n, n = 0 .. n_snapshots - 2, per the module
-    docstring.  mus overrides the chemical potentials (list of arrays);
-    otherwise they are recomputed from phi, matching the stepper.
-    forcings: optional list of VectorFields at the step starts."""
+    docstring, with chemical potentials recomputed from phi as the stepper
+    does.  forcings: optional list of VectorFields at the step starts."""
     from .ch_step import chemical_potential
 
     n = traj.n_snapshots
@@ -211,14 +220,10 @@ def energy_identity_residuals(traj, kernel, feps, visc, forcings=None,
         raise DiagnosticsError("need at least two snapshots for residuals")
     energies = np.empty(n)
     for k in range(n):
-        energies[k] = total_energy(traj.phi(k), traj.vel(k), kernel, feps)
+        energies[k] = energy_terms(traj.phi(k), traj.vel(k), kernel, feps)[3]
     out = np.empty(n - 1)
     for k in range(n - 1):
-        phi_next = traj.phi(k + 1)
-        if mus is not None:
-            mu_next = ScalarField(traj.grid, mus[k + 1])
-        else:
-            mu_next = chemical_potential(phi_next, kernel, feps)
+        mu_next = chemical_potential(traj.phi(k + 1), kernel, feps)
         nu_c, nu_n = ns_step.viscosity_fields(traj.grid, traj.phis[k], visc)
         diss_v = ns_step.dissipation(traj.grid, nu_c, nu_n,
                                      traj.us[k + 1], traj.vs[k + 1])
@@ -226,8 +231,8 @@ def energy_identity_residuals(traj, kernel, feps, visc, forcings=None,
         power = 0.0
         if forcings is not None and forcings[k] is not None:
             power = go.inner_vec(forcings[k], traj.vel(k + 1))
-        out[k] = (energies[k + 1] - energies[k]) / traj.dt \
-            + diss_v + diss_m - power
+        out[k] = identity_residual(energies[k], energies[k + 1], traj.dt,
+                                   diss_v, diss_m, power)
     return out
 
 
@@ -313,11 +318,9 @@ def gradient_bound_check(phi, mu, kernel, c0):
 def fprime_l1_series(traj, feps):
     """||F'(phi(t))||_{L1} along the trajectory; boundedness of this series
     is the practical sign that the singular derivative stays integrable."""
-    out = np.empty(traj.n_snapshots)
-    for k in range(traj.n_snapshots):
-        out[k] = float(np.sum(np.abs(feps.fprime(traj.phis[k])))) \
-            * traj.grid.cell_volume
-    return out
+    from .ch_step import fprime_l1
+
+    return np.array([fprime_l1(traj.phi(k), feps) for k in range(traj.n_snapshots)])
 
 
 # ------------------------------------------------------ trajectory metric
@@ -359,18 +362,15 @@ def trajectory_metric(a, b, feps):
     du = a.us - b.us
     dv = a.vs - b.vs
     dphi = a.phis - b.phis
-    vol = grid.cell_volume
 
     sup_state = 0.0
     vnorm_sq = np.empty(n)
     pot_gap = 0.0
     for k in range(n):
-        u_l2 = np.sqrt((np.sum(du[k] ** 2) + np.sum(dv[k] ** 2)) * vol)
-        phi_lp = float((np.sum(np.abs(dphi[k]) ** p_exp) * vol)
-                       ** (1.0 / p_exp))
-        sup_state = max(sup_state, u_l2 + phi_lp)
         w = VectorField(grid, du[k], dv[k], bc="noslip")
         f = ScalarField(grid, dphi[k], bc="neumann")
+        u_l2 = go.vector_l2(w)
+        sup_state = max(sup_state, u_l2 + go.norm_lp(f, p_exp))
         vnorm_sq[k] = (u_l2**2 + go.vector_h1_seminorm(w) ** 2
                        + go.norm_l2(f) ** 2 + go.h1_seminorm(f) ** 2)
         gap = abs(potential_energy(a.phi(k), feps)

@@ -25,9 +25,8 @@ conjugate gradients with mean re-projection every iteration (tolerance
 cached LU factorization of the pinned singular system, which is exact.
 """
 
-import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -175,6 +174,16 @@ def div_arrays(grid, u, v):
     return (u[1:, :] - u[:-1, :]) / grid.hx + (v[:, 1:] - v[:, :-1]) / grid.hy
 
 
+def face_phi(grid, p):
+    """Centered interpolation of a cell field onto faces.  Boundary faces
+    are left at zero: they only multiply the (zero) wall-normal velocity."""
+    fx = np.zeros((grid.nx + 1, grid.ny))
+    fy = np.zeros((grid.nx, grid.ny + 1))
+    fx[1:-1, :] = 0.5 * (p[1:, :] + p[:-1, :])
+    fy[:, 1:-1] = 0.5 * (p[:, 1:] + p[:, :-1])
+    return fx, fy
+
+
 def laplace_arrays(grid, f):
     gx, gy = grad_arrays(grid, f)
     return div_arrays(grid, gx, gy)
@@ -266,40 +275,63 @@ def solve_neumann_direct(grid, rhs):
     return p - p.mean()
 
 
-def cg_zero_mean(apply_op, b, rtol=1e-12, maxiter=None, x0=None):
-    """Conjugate gradients on the zero-mean subspace.
+class CGStall(GridError):
+    """Conjugate gradients stopped short of its tolerance."""
 
-    The operator must be SPD on that subspace; iterates, residuals and the
-    right-hand side are re-projected (mean subtracted) every iteration so
-    float drift cannot leak into the constant kernel direction.
-    """
-    b = b - b.mean()
+
+def remove_mean(w):
+    return w - w.mean()
+
+
+def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None):
+    """Preconditioned conjugate gradients for A x = b with A symmetric
+    positive definite (on the range of project), on arrays of any fixed
+    shape.  precond applies an SPD approximation of A^-1 (None: plain CG).
+    Without x0 the iteration starts at zero and skips applying A to it.
+    project, an orthogonal projector such as remove_mean, is applied to b,
+    x0, each A p, each residual and the result, so roundoff cannot drift
+    into its complement.  Stops at ||r|| <= rtol ||b||; returns (x, iters).
+    Raises CGStall after maxiter iterations (default 20 * b.size) or on a
+    non-positive curvature p.Ap."""
+    keep = project or (lambda w: w)
+    b = keep(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    x = np.zeros_like(b) if x0 is None else x0 - x0.mean()
-    r = b - apply_op(x)
-    r -= r.mean()
-    p = r.copy()
-    rs = float(np.vdot(r, r))
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = keep(np.array(x0, dtype=float))
+        r = keep(b - apply(x))
+    tol = rtol * bnorm
+    rr = float(np.vdot(r, r))
+    if np.sqrt(rr) <= tol:
+        return x, 0
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    rz = rr if precond is None else float(np.vdot(r, z))
     if maxiter is None:
         maxiter = 20 * b.size
     for it in range(1, maxiter + 1):
-        ap = apply_op(p)
-        ap -= ap.mean()
-        alpha = rs / float(np.vdot(p, ap))
+        ap = keep(apply(p))
+        pap = float(np.vdot(p, ap))
+        if not pap > 0.0:
+            raise CGStall(f"CG met a non-positive curvature {pap:.3g} at "
+                          f"iteration {it}")
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        r -= r.mean()
-        rs_new = float(np.vdot(r, r))
-        if np.sqrt(rs_new) <= rtol * bnorm:
-            x -= x.mean()
-            return x, it
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise GridError(
-        f"zero-mean CG failed to reach rtol={rtol} in {maxiter} iterations "
-        f"(residual {np.sqrt(rs) / bnorm:.3g} relative)"
+        r = keep(r)
+        rr = float(np.vdot(r, r))
+        if np.sqrt(rr) <= tol:
+            return keep(x), it
+        z = r if precond is None else precond(r)
+        rz_new = rr if precond is None else float(np.vdot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise CGStall(
+        f"CG failed to reach rtol={rtol} in {maxiter} iterations "
+        f"(residual {np.sqrt(rr) / bnorm:.3g} relative)"
     )
 
 
@@ -313,7 +345,7 @@ def inverse_neumann(f, rtol=1e-12):
             f"inverse_neumann needs zero-mean input, got mean {vals.mean():.3g}"
         )
     ws = workspace(grid)
-    x, _ = cg_zero_mean(ws.apply_A, vals, rtol=rtol)
+    x, _ = cg(ws.apply_A, vals, rtol=rtol, project=remove_mean)
     return ScalarField(grid, x, bc="neumann")
 
 
@@ -384,7 +416,7 @@ def norms(f, p=4):
             "Linf": float(max(np.abs(f.u).max(), np.abs(f.v).max())),
         }
     out = {
-        "L2": float(np.sqrt(np.sum(f.values**2) * f.grid.cell_volume)),
+        "L2": norm_l2(f),
         "H1_seminorm": h1_seminorm(f),
         "Lp": norm_lp(f, p),
         "Linf": norm_linf(f),
@@ -405,7 +437,7 @@ def poincare_constant(grid, n_iter=60, seed=0, rtol=1e-10):
     x -= x.mean()
     lam = 0.0
     for _ in range(n_iter):
-        y, _ = cg_zero_mean(ws.apply_A, x, rtol=rtol)
+        y, _ = cg(ws.apply_A, x, rtol=rtol, project=remove_mean)
         lam = np.linalg.norm(y) / np.linalg.norm(x)
         x = y / np.linalg.norm(y)
     return float(np.sqrt(lam))
@@ -427,12 +459,21 @@ def write_snapshot(path, arr, grid, time=0.0):
 
 
 def read_snapshot(path):
+    """Inverse of write_snapshot; GridError on a wrong magic, a short header
+    or a payload whose size does not match the header's shape."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise GridError(f"not a field snapshot: {path}")
-        n0, n1, hx, hy, time = struct.unpack("<qqddd", fh.read(40))
-        data = np.frombuffer(fh.read(8 * n0 * n1), dtype=float).reshape(n0, n1)
+        blob = fh.read()
+    if blob[:8] != _MAGIC:
+        raise GridError(f"not a field snapshot: {path}")
+    if len(blob) < 48:
+        raise GridError(f"snapshot header truncated at {len(blob)} bytes: {path}")
+    n0, n1, hx, hy, time = struct.unpack_from("<qqddd", blob, 8)
+    if n0 < 0 or n1 < 0 or len(blob) - 48 != 8 * n0 * n1:
+        raise GridError(
+            f"snapshot payload of {len(blob) - 48} bytes does not match shape "
+            f"({n0}, {n1}): {path}"
+        )
+    data = np.frombuffer(blob, dtype=float, offset=48).reshape(n0, n1)
     return data.copy(), {"hx": hx, "hy": hy, "time": time}
 
 

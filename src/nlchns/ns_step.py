@@ -97,31 +97,13 @@ def cell_to_corner(grid, c):
 
 def strain_forward(grid, u, v):
     """ux, vy at cells; shear s = uy + vx at corners (no-slip ghosts)."""
-    ux = (u[1:, :] - u[:-1, :]) / grid.hx
-    vy = (v[:, 1:] - v[:, :-1]) / grid.hy
-    uy = _forward_uy(grid, u)
-    vx = _forward_vx(grid, v)
+    ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
     return ux, vy, uy + vx
 
 
-def _forward_uy(grid, u):
-    uy = np.zeros((grid.nx + 1, grid.ny + 1))
-    uy[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / grid.hy
-    uy[:, 0] = 2.0 * u[:, 0] / grid.hy
-    uy[:, -1] = -2.0 * u[:, -1] / grid.hy
-    return uy
-
-
-def _forward_vx(grid, v):
-    vx = np.zeros((grid.nx + 1, grid.ny + 1))
-    vx[1:-1, :] = (v[1:, :] - v[:-1, :]) / grid.hx
-    vx[0, :] = 2.0 * v[0, :] / grid.hx
-    vx[-1, :] = -2.0 * v[-1, :] / grid.hx
-    return vx
-
-
 def _scatter_uy(grid, r):
-    """Exact transpose of _forward_uy (corner field r back to u faces)."""
+    """Exact transpose of the uy block of go.mac_component_gradients
+    (corner field r back to u faces)."""
     au = np.zeros((grid.nx + 1, grid.ny))
     au[:, 1:] += r[:, 1:-1] / grid.hy
     au[:, :-1] -= r[:, 1:-1] / grid.hy
@@ -194,10 +176,7 @@ def grad_form_apply(grid, u, v):
     """Componentwise stiffness with the same wall convention as the strain:
     <A w, w> = sum(ux^2 + uy^2 + vx^2 + vy^2) vol exactly (the squared
     velocity gradient seminorm).  Used for the Stokes eigenvalue."""
-    ux = (u[1:, :] - u[:-1, :]) / grid.hx
-    vy = (v[:, 1:] - v[:, :-1]) / grid.hy
-    uy = _forward_uy(grid, u)
-    vx = _forward_vx(grid, v)
+    ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
     au = _scatter_ux(grid, ux) + _scatter_uy(grid, uy)
     av = _scatter_vy(grid, vy) + _scatter_vx(grid, vx)
     return _zero_normal(au, av)
@@ -232,13 +211,9 @@ def advective_tendency(grid, u, v):
 def capillary_force(phi, mu):
     """-phi grad(mu) at faces, with phi face-averaged exactly as in the
     transport flux, so <force, v> = <mu, div(phi_face v)> discretely."""
-    grid = phi.grid
-    gx, gy = go.grad_arrays(grid, mu.values)
-    fx = np.zeros_like(gx)
-    fy = np.zeros_like(gy)
-    fx[1:-1, :] = -0.5 * (phi.values[1:, :] + phi.values[:-1, :]) * gx[1:-1, :]
-    fy[:, 1:-1] = -0.5 * (phi.values[:, 1:] + phi.values[:, :-1]) * gy[:, 1:-1]
-    return VectorField(grid, fx, fy, bc="none")
+    fx, fy = go.face_phi(phi.grid, phi.values)
+    gx, gy = go.grad_arrays(phi.grid, mu.values)
+    return VectorField(phi.grid, -fx * gx, -fy * gy, bc="none")
 
 
 # ------------------------------------------------------------ projection
@@ -261,46 +236,34 @@ def project(grid, u, v, dt, pressure):
 
 # --------------------------------------------------------------- CG solve
 
+def _pack(u, v):
+    return np.concatenate((u.ravel(), v.ravel()))
+
+
+def _unpack(grid, w):
+    """Views of a packed vector as the MAC (u, v) pair."""
+    split = (grid.nx + 1) * grid.ny
+    return (w[:split].reshape(grid.nx + 1, grid.ny),
+            w[split:].reshape(grid.nx, grid.ny + 1))
+
+
 def _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0):
-    """CG on the coupled SPD system (I + dt A) w = b, warm-started at the
-    previous velocity.  Returns (u, v, iterations) or None on stall."""
+    """CG on the coupled SPD system (I + dt A) w = b, with u and v packed
+    into one vector, warm-started at the previous velocity.  Returns
+    (u, v, iterations) or None on stall."""
 
-    def mv(pu, pv):
-        au, av = viscous_apply(grid, nu_c, nu_n, pu, pv)
-        return pu + dt * au, pv + dt * av
+    def mv(w):
+        u, v = _unpack(grid, w)
+        au, av = viscous_apply(grid, nu_c, nu_n, u, v)
+        return _pack(u + dt * au, v + dt * av)
 
-    bu = bu.copy()
-    bv = bv.copy()
-    _zero_normal(bu, bv)
-    u = u0.copy()
-    v = v0.copy()
-    au, av = mv(u, v)
-    ru = bu - au
-    rv = bv - av
-    bnorm = np.sqrt(np.sum(bu**2) + np.sum(bv**2))
-    tol = MOMENTUM_RTOL * max(bnorm, 1e-300)
-    rs = np.sum(ru**2) + np.sum(rv**2)
-    if np.sqrt(rs) <= tol:
-        return u, v, 0
-    pu = ru.copy()
-    pv = rv.copy()
-    for it in range(1, MOMENTUM_MAXITER + 1):
-        apu, apv = mv(pu, pv)
-        denom = np.sum(pu * apu) + np.sum(pv * apv)
-        if denom <= 0.0:
-            return None
-        alpha = rs / denom
-        u += alpha * pu
-        v += alpha * pv
-        ru -= alpha * apu
-        rv -= alpha * apv
-        rs_new = np.sum(ru**2) + np.sum(rv**2)
-        if np.sqrt(rs_new) <= tol:
-            return u, v, it
-        pu = ru + (rs_new / rs) * pu
-        pv = rv + (rs_new / rs) * pv
-        rs = rs_new
-    return None
+    b = _pack(*_zero_normal(bu.copy(), bv.copy()))
+    try:
+        w, iters = go.cg(mv, b, rtol=MOMENTUM_RTOL, maxiter=MOMENTUM_MAXITER,
+                         x0=_pack(u0, v0))
+    except go.CGStall:
+        return None
+    return (*_unpack(grid, w), iters)
 
 
 # -------------------------------------------------------------- the step
@@ -394,50 +357,27 @@ def project_divfree(grid, u, v):
     return _zero_normal(out_u, out_v)
 
 
-def _stiffness_solve(grid, bu, bv, rtol=1e-10, maxiter=20000):
-    """CG for the projected componentwise stiffness: P A P z = P b.
-    Iterates are re-projected each step to hold the div-free constraint."""
+def _stiffness_solve(grid, b, rtol=1e-10, maxiter=20000):
+    """CG for the projected componentwise stiffness P A P z = P b on packed
+    vectors; the operator re-projects, holding the div-free constraint."""
 
-    def mv(pu, pv):
-        au, av = grad_form_apply(grid, pu, pv)
-        return project_divfree(grid, au, av)
+    def mv(w):
+        au, av = grad_form_apply(grid, *_unpack(grid, w))
+        return _pack(*project_divfree(grid, au, av))
 
-    bu, bv = project_divfree(grid, bu.copy(), bv.copy())
-    zu = np.zeros_like(bu)
-    zv = np.zeros_like(bv)
-    ru = bu.copy()
-    rv = bv.copy()
-    bnorm = np.sqrt(np.sum(bu**2) + np.sum(bv**2))
-    if bnorm == 0.0:
-        return zu, zv
-    rs = np.sum(ru**2) + np.sum(rv**2)
-    pu = ru.copy()
-    pv = rv.copy()
-    for _ in range(maxiter):
-        apu, apv = mv(pu, pv)
-        denom = np.sum(pu * apu) + np.sum(pv * apv)
-        if denom <= 0.0:
-            break
-        alpha = rs / denom
-        zu += alpha * pu
-        zv += alpha * pv
-        ru -= alpha * apu
-        rv -= alpha * apv
-        rs_new = np.sum(ru**2) + np.sum(rv**2)
-        if np.sqrt(rs_new) <= rtol * bnorm:
-            return zu, zv
-        pu = ru + (rs_new / rs) * pu
-        pv = rv + (rs_new / rs) * pv
-        rs = rs_new
-    raise NSError("projected stiffness solve did not converge")
+    try:
+        z, _ = go.cg(mv, _pack(*project_divfree(grid, *_unpack(grid, b))),
+                     rtol=rtol, maxiter=maxiter)
+    except go.CGStall:
+        raise NSError("projected stiffness solve did not converge") from None
+    return z
 
 
 def stiffness_dual_norm(grid, wu, wv):
     """Dual gradient-seminorm of (wu, wv) over solenoidal test fields:
     sqrt(<P w, S^-1 P w>) with S the projected componentwise stiffness."""
-    ru, rv = project_divfree(grid, wu.copy(), wv.copy())
-    zu, zv = _stiffness_solve(grid, ru, rv)
-    val = (np.sum(ru * zu) + np.sum(rv * zv)) * grid.cell_volume
+    r = _pack(*project_divfree(grid, wu, wv))
+    val = float(np.vdot(r, _stiffness_solve(grid, r))) * grid.cell_volume
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -451,22 +391,16 @@ def stokes_lambda1(grid, tol=1e-10, maxiter=200):
     rng = np.random.default_rng(1234)
     u = rng.standard_normal((grid.nx + 1, grid.ny))
     v = rng.standard_normal((grid.nx, grid.ny + 1))
-    _zero_normal(u, v)
-    u, v = project_divfree(grid, u, v)
+    w = _pack(*project_divfree(grid, *_zero_normal(u, v)))
     lam = None
     for _ in range(maxiter):
-        nrm = np.sqrt(np.sum(u**2) + np.sum(v**2))
+        nrm = np.linalg.norm(w)
         if nrm == 0.0:
             raise NSError("eigen iteration collapsed to zero")
-        u /= nrm
-        v /= nrm
-        zu, zv = _stiffness_solve(grid, u, v, rtol=1e-12)
-        au, av = grad_form_apply(grid, zu, zv)
-        num = np.sum(zu * au) + np.sum(zv * av)
-        den = np.sum(zu**2) + np.sum(zv**2)
-        lam_new = num / den
+        z = _stiffness_solve(grid, w / nrm, rtol=1e-12)
+        az = _pack(*grad_form_apply(grid, *_unpack(grid, z)))
+        lam_new = np.vdot(z, az) / np.vdot(z, z)
         if lam is not None and abs(lam_new - lam) <= tol * abs(lam_new):
             return float(lam_new)
-        lam = lam_new
-        u, v = zu, zv
+        lam, w = lam_new, z
     return float(lam)

@@ -3,6 +3,7 @@ exit codes, and the reporting subcommands."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 from nlchns import cli
+from nlchns import diagnostics as dg
 from nlchns import grid_ops as go
 from nlchns.cli import ConfigError, DEFAULTS, load_config, parse_config_text
+from nlchns.ns_step import ViscositySpec
 
 
 def write_cfg(path, text):
@@ -131,6 +134,47 @@ class TestRejectionCodes:
         assert "error[io]:" in capsys.readouterr().err
 
 
+def _manifest_edit(edit):
+    def corrupt(rundir):
+        path = rundir / "manifest.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
+def _snapshot_edit(edit):
+    def corrupt(rundir):
+        path = rundir / "phi_00000005.fld"
+        path.write_bytes(edit(path.read_bytes()))
+    return corrupt
+
+
+class TestMalformedRunDirectory:
+    """diagnose on a damaged run directory exits 2 with error[<code>]."""
+
+    CASES = [
+        ("unknown-config-key",
+         _manifest_edit(lambda doc: doc["config"].update(bogus=1)), "parse"),
+        ("missing-config", _manifest_edit(lambda doc: doc.pop("config")),
+         "parse"),
+        ("truncated-payload", _snapshot_edit(lambda b: b[:-8]), "io"),
+        ("short-header", _snapshot_edit(lambda b: b[:30]), "io"),
+        ("wrong-magic", _snapshot_edit(lambda b: b"NOTAFLD1" + b[8:]), "io"),
+    ]
+
+    @pytest.mark.parametrize("name,corrupt,code", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_exit_2_with_code(self, coupled_run, tmp_path, capsys, name,
+                              corrupt, code):
+        rundir = tmp_path / "run"
+        shutil.copytree(coupled_run["out"], rundir)
+        corrupt(rundir)
+        rc = cli.main(["diagnose", str(rundir), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert f"error[{code}]:" in capsys.readouterr().err
+
+
 class TestRunOutputs:
     def test_outputs_exist(self, coupled_run):
         out = coupled_run["out"]
@@ -183,6 +227,29 @@ class TestRunOutputs:
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+class TestResidualCrossCheck:
+    def test_series_residual_equals_snapshot_residuals(self, tmp_path):
+        """The series column and the post-hoc residual of the snapshot
+        trajectory evaluate the same formula on the same states."""
+        cfg_path = write_cfg(tmp_path / "c.cfg", FAST_COUPLED.replace(
+            "snapshot_every = 5", "snapshot_every = 1\nseries_every = 1"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        cfg = load_config(cfg_path)
+        phys = cli._physics(cfg)
+        index = json.loads((out / "snapshots.json").read_text())["snapshots"]
+        fields = {name: np.stack([
+            go.read_snapshot(str(out / e[name]["file"]))[0] for e in index])
+            for name in ("phi", "u", "v")}
+        traj = dg.Trajectory(phys.grid, cfg["dt"], fields["phi"],
+                             fields["u"], fields["v"])
+        visc = ViscositySpec(cfg["nu1"], cfg["nu2"])
+        ours = dg.energy_identity_residuals(traj, phys.kd, phys.pot, visc)
+        d = np.genfromtxt(out / "series.csv", delimiter=",", names=True)
+        assert len(index) == len(d) == 11
+        assert np.array_equal(d["identity_residual"][1:], ours)
 
 
 class TestDeterminism:

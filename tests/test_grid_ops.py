@@ -208,14 +208,51 @@ class TestNeumannInverse:
         p_cg = go.inverse_neumann(f).values
         assert np.allclose(p_lu, p_cg, rtol=1e-9, atol=1e-11)
 
-    def test_cg_reports_failure(self):
-        def op(x):
-            return 1e-8 * x  # badly scaled: cannot converge in 2 iterations
-
+    @pytest.mark.parametrize("project", [None, go.remove_mean],
+                             ids=["plain", "zero-mean"])
+    def test_cg_reports_failure(self, project):
         b = rng(0).standard_normal(64)
         b -= b.mean()
-        with pytest.raises(go.GridError, match="CG"):
-            go.cg_zero_mean(lambda x: np.roll(x, 1) + x * 2.0, b, maxiter=2)
+        with pytest.raises(go.CGStall, match="CG"):
+            go.cg(lambda x: np.roll(x, 1) + x * 2.0, b, maxiter=2,
+                  project=project)
+
+    def test_cg_warm_start_at_solution_takes_no_iteration(self):
+        g = go.Grid(16, 12)
+        f, lam = neumann_eigenfield(g, 2, 1)
+        ws = go.workspace(g)
+        x, iters = go.cg(ws.apply_A, f.values, x0=f.values / lam,
+                         project=go.remove_mean)
+        assert iters == 0
+        assert np.array_equal(x, f.values / lam - (f.values / lam).mean())
+
+    def test_cg_projected_solution_has_zero_mean(self):
+        g = go.Grid(24, 20, lx=1.2, ly=0.8)
+        f = random_scalar(g, seed=16, zero_mean=True)
+        ws = go.workspace(g)
+        x0 = rng(17).standard_normal((g.nx, g.ny)) + 3.0
+        x, iters = go.cg(ws.apply_A, f.values, x0=x0, project=go.remove_mean)
+        assert iters > 0
+        assert abs(x.mean()) <= 1e-15 * np.abs(x).max()
+        resid = np.linalg.norm(ws.apply_A(x) - f.values)
+        assert resid <= 1e-10 * np.linalg.norm(f.values)
+
+    def test_cg_preconditioned_agrees_with_plain(self):
+        # SPD diag(w) + A, preconditioned by the exact inverse of its
+        # diagonal: both paths must land on the same solution
+        g = go.Grid(16, 16)
+        ws = go.workspace(g)
+        w = 1.0 + rng(18).random((g.nx, g.ny))
+        b = rng(19).standard_normal((g.nx, g.ny))
+
+        def op(x):
+            return w * x + 1e-3 * ws.apply_A(x)
+
+        diag = w + 1e-3 * ws.diag
+        x_plain, n_plain = go.cg(op, b, rtol=1e-13)
+        x_pre, n_pre = go.cg(op, b, precond=lambda r: r / diag, rtol=1e-13)
+        assert n_pre <= n_plain
+        assert np.allclose(x_pre, x_plain, rtol=1e-11, atol=1e-13)
 
 
 class TestRefinement:
@@ -334,6 +371,17 @@ class TestSnapshotIO:
         go.write_snapshot(path, w.u, g, time=0.5)
         data, _ = go.read_snapshot(path)
         assert np.array_equal(data, w.u)
+
+    @pytest.mark.parametrize("cut", [20, 48 + 8 * 7, 48 + 8 * 121],
+                             ids=["short-header", "short-payload", "long-payload"])
+    def test_wrong_size_rejected(self, tmp_path, cut):
+        g = go.Grid(12, 10)
+        path = tmp_path / "phi.fld"
+        go.write_snapshot(path, random_scalar(g, seed=20).values, g)
+        blob = path.read_bytes()
+        path.write_bytes((blob + b"\x00" * 8)[:cut])
+        with pytest.raises(go.GridError, match="snapshot"):
+            go.read_snapshot(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.fld"

@@ -82,9 +82,7 @@ class TestViscousOperator:
         u, v = random_interior(grid, 7)
         q_cell = rng.standard_normal((grid.nx, grid.ny))
         r_corner = rng.standard_normal((grid.nx + 1, grid.ny + 1))
-        ux, vy, s = ns.strain_forward(grid, u, v)
-        uy = ns._forward_uy(grid, u)
-        vx = ns._forward_vx(grid, v)
+        ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
         pairs = [
             (np.sum(ns._scatter_ux(grid, q_cell) * u), np.sum(q_cell * ux)),
             (np.sum(ns._scatter_vy(grid, q_cell) * v), np.sum(q_cell * vy)),
