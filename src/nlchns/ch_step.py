@@ -83,26 +83,38 @@ class StabilityError(CHError):
 class CHState:
     phi: ScalarField
     mu: ScalarField
+    conv: np.ndarray  # J*phi, computed once per accepted state
     t: float
     mass0: float
     saturated: bool = False  # |phi| reached 1 somewhere (monitor, not error)
+
+
+def _accepted_state(phi, kd, pot, t, mass0, saturated):
+    """The state at phi: J*phi is convolved here, once, and reused by mu,
+    the next step's explicit term and the energy of the series row."""
+    conv = kd.convolve_raw(phi.values)
+    mu = chemical_potential(phi, kd, pot, conv)
+    return CHState(phi=phi, mu=mu, conv=conv, t=t, mass0=mass0,
+                   saturated=saturated)
 
 
 def init_state(phi, kd, pot, t=0.0):
     mass = phi.mean()
     if abs(mass) >= 1.0:
         raise CHError(f"mean of phi must lie strictly inside (-1, 1), got {mass:.6g}")
-    mu = chemical_potential(phi, kd, pot)
     sat = bool(np.max(np.abs(phi.values)) >= 1.0)
-    return CHState(phi=phi, mu=mu, t=t, mass0=mass, saturated=sat)
+    return _accepted_state(phi, kd, pot, t, mass, sat)
 
 
-def chemical_potential(phi, kd, pot):
-    """mu = a phi - J*phi + F'(phi), nodewise on the cells."""
+def chemical_potential(phi, kd, pot, conv=None):
+    """mu = a phi - J*phi + F'(phi), nodewise on the cells.  conv, when
+    given, is J*phi already computed for these values."""
     p = phi.values
     if not np.all(np.isfinite(p)):
         raise CHError("phi contains non-finite entries")
-    vals = kd.a_field.values * p - kd.convolve_raw(p) + pot.fprime(p)
+    if conv is None:
+        conv = kd.convolve_raw(p)
+    vals = kd.a_field.values * p - conv + pot.fprime(p)
     return ScalarField(phi.grid, vals, bc="neumann")
 
 
@@ -189,23 +201,6 @@ class ImplicitMap:
                             dt_for_reject / 2.0)
 
 
-_dct_eig_cache = {}
-
-
-def _dct_eigenvalues(grid):
-    """Eigenvalues of the discrete Neumann Laplacian A on the DCT-II basis,
-    which diagonalizes the cell-centered no-flux stencil exactly."""
-    lam = _dct_eig_cache.get(grid.key())
-    if lam is None:
-        kx = np.arange(grid.nx)
-        ky = np.arange(grid.ny)
-        lx = (4.0 / grid.hx**2) * np.sin(kx * np.pi / (2 * grid.nx)) ** 2
-        ly = (4.0 / grid.hy**2) * np.sin(ky * np.pi / (2 * grid.ny)) ** 2
-        lam = lx[:, None] + ly[None, :]
-        _dct_eig_cache[grid.key()] = lam
-    return lam
-
-
 def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
     """Advance one step.  u is a divergence-free VectorField or None."""
     if dt <= 0:
@@ -217,7 +212,7 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
     if not np.all(np.isfinite(p0)):
         raise CHError("phi contains non-finite entries")
 
-    conv0 = kd.convolve_raw(p0)
+    conv0 = state.conv
     adv = convective_divergence(u, p0) if u is not None else 0.0
 
     if scheme == "explicit":
@@ -231,7 +226,7 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
     else:
         b = p0 - dt * adv - dt * go.laplace_arrays(grid, conv0)
         imap = ImplicitMap(kd.a_field.values, pot)
-        lam = _dct_eigenvalues(grid)
+        lam = go.workspace(grid).eig  # A = -laplace on the DCT-II basis
         scale = max(1.0, float(np.max(np.abs(b))))
         tol = 1e-13 * np.sqrt(b.size) * scale
 
@@ -296,10 +291,8 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
         log.warning("phi reached |phi| >= 1 at t = %.6g (monitor flag set)",
                     state.t + dt)
 
-    phi1 = ScalarField(grid, p1, bc="neumann")
-    mu1 = chemical_potential(phi1, kd, pot)
-    return CHState(phi=phi1, mu=mu1, t=state.t + dt, mass0=state.mass0,
-                   saturated=saturated or state.saturated)
+    return _accepted_state(ScalarField(grid, p1, bc="neumann"), kd, pot,
+                           state.t + dt, state.mass0, saturated or state.saturated)
 
 
 def explicit_dt_bound(grid, kd, pot, phi_peak):

@@ -609,7 +609,8 @@ class _Coupled(_Stepper):
         self.last = (phi_n, h)
 
     def energy_terms(self):
-        return dg.energy_terms(self.ch.phi, self.flow.u, self.kd, self.pot)
+        return dg.energy_terms(self.ch.phi, self.flow.u, self.kd, self.pot,
+                               self.ch.conv)
 
     def row(self, t, terms, prev_total):
         """Instantaneous columns (viscous dissipation, forcing power) use the
@@ -653,7 +654,7 @@ class _Transport(_Stepper):
         self.u_n = u
 
     def energy_terms(self):
-        return dg.energy_terms(self.ch.phi, None, self.kd, self.pot)
+        return dg.energy_terms(self.ch.phi, None, self.kd, self.pot, self.ch.conv)
 
     def row(self, t, terms, prev_total):
         """The balance over the step uses the new energy, the new mu and the
@@ -869,17 +870,24 @@ def run_diagnose(rundir, outdir=None):
     if forced:
         checks["dissipative_envelope"] = {"status": "skipped (forced run)"}
     else:
-        lam1 = stokes_lambda1(grid) if coupled else None
-        k = min(0.5, cfg["nu1"] * lam1) if coupled else 0.5
-        floor = float(pot.f(np.array(mass[0]))) * grid.area
-        envelope = dg.dissipative_estimate_check(
-            series["t"], series["total"], k, floor)
-        checks["dissipative_envelope"] = {
-            "k": k, "floor": floor, "lambda1": lam1,
-            "status": envelope["status"], "K": envelope["K"],
-            "first_violation": envelope["first_violation"],
-            "passed": envelope["status"] in ("satisfied", "inconclusive"),
-        }
+        try:
+            lam1 = stokes_lambda1(grid) if coupled else None
+        except NSError as exc:
+            checks["dissipative_envelope"] = {
+                "status": "error", "error": f"{type(exc).__name__}: {exc}",
+                "passed": False,
+            }
+        else:
+            k = min(0.5, cfg["nu1"] * lam1) if coupled else 0.5
+            floor = float(pot.f(np.array(mass[0]))) * grid.area
+            envelope = dg.dissipative_estimate_check(
+                series["t"], series["total"], k, floor)
+            checks["dissipative_envelope"] = {
+                "k": k, "floor": floor, "lambda1": lam1,
+                "status": envelope["status"], "K": envelope["K"],
+                "first_violation": envelope["first_violation"],
+                "passed": envelope["status"] in ("satisfied", "inconclusive"),
+            }
 
     report = {
         "rundir": os.path.abspath(rundir),

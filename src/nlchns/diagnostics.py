@@ -72,10 +72,12 @@ class EnergyReport:
     identity_residual: float
 
 
-def nonlocal_energy(phi, kernel):
-    """1/4 iint J(x-y)(phi(x)-phi(y))^2 via the convolution form."""
+def nonlocal_energy(phi, kernel, conv=None):
+    """1/4 iint J(x-y)(phi(x)-phi(y))^2 via the convolution form.  conv,
+    when given, is J*phi already computed for these values."""
     p = phi.values
-    conv = kernel.convolve_raw(p)
+    if conv is None:
+        conv = kernel.convolve_raw(p)
     val = 0.5 * float(np.sum(p * (kernel.a_field.values * p - conv))) \
         * phi.grid.cell_volume
     return val
@@ -99,11 +101,11 @@ def potential_energy(phi, feps):
     return float(np.sum(feps.f(phi.values))) * phi.grid.cell_volume
 
 
-def energy_terms(phi, vel, kernel, feps):
+def energy_terms(phi, vel, kernel, feps, conv=None):
     """(kinetic, nonlocal, potential, total) of a state; vel None means no
-    flow (kinetic 0)."""
+    flow (kinetic 0).  conv: J*phi if already computed (CHState.conv)."""
     kin = 0.0 if vel is None else ns_step.kinetic_energy(vel)
-    nl = nonlocal_energy(phi, kernel)
+    nl = nonlocal_energy(phi, kernel, conv)
     pot = potential_energy(phi, feps)
     return kin, nl, pot, kin + nl + pot
 

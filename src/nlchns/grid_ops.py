@@ -18,19 +18,25 @@ With mirror-ghost no-flux for scalars, the discrete identities
     <grad f, v>             = -<f, div v>              (v normal = 0 on walls)
 
 hold exactly in floating point up to roundoff, which is what the energy
-bookkeeping downstream relies on.  The Neumann Laplacian A = -laplace is
-assembled sparse once per grid and shared: the zero-mean inverse N uses
-conjugate gradients with mean re-projection every iteration (tolerance
-1e-12 by default, contract 1e-10), and the pressure projection uses a
-cached LU factorization of the pinned singular system, which is exact.
+bookkeeping downstream relies on.
+
+The Neumann Laplacian A = -laplace is diagonalized exactly by the
+orthonormal DCT-II: its eigenvectors are cos(k pi (i + 1/2) / n) per axis,
+with eigenvalues (4/hx^2) sin^2(kx pi / 2nx) + (4/hy^2) sin^2(ky pi / 2ny).
+Every Neumann Poisson solve (the pressure and Leray projections, the
+zero-mean inverse N and the V0' norm) is therefore one direct transform
+pair, O(N log N) and exact to roundoff: the staggered-grid direct method of
+Schumann & Sweet, J. Comput. Phys. 75 (1988).  The per-grid workspace holds
+the eigenvalue table, shared with the DCT preconditioner of the implicit CH
+solve, and the assembled sparse A as an independent stencil.
 """
 
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 
 class GridError(Exception):
@@ -222,21 +228,20 @@ def inner_vec(a, b):
 # --------------------------------------------------- Neumann Laplacian and N
 
 class _NeumannWorkspace:
-    """Per-grid sparse A = -laplace, pinned LU, scratch for solvers."""
+    """Per-grid DCT-II eigenvalues of A = -laplace and the sparse A itself."""
 
     def __init__(self, grid):
         self.grid = grid
         nx, ny = grid.nx, grid.ny
+        lx = (4.0 / grid.hx**2) * np.sin(np.arange(nx) * np.pi / (2 * nx)) ** 2
+        ly = (4.0 / grid.hy**2) * np.sin(np.arange(ny) * np.pi / (2 * ny)) ** 2
+        self.eig = lx[:, None] + ly[None, :]  # eig[0, 0] = 0: the constants
         ax = _neumann_1d(nx, grid.hx)
         ay = _neumann_1d(ny, grid.hy)
         ix = sparse.identity(nx, format="csr")
         iy = sparse.identity(ny, format="csr")
         self.A = (sparse.kron(ax, iy) + sparse.kron(ix, ay)).tocsr()
         self.diag = self.A.diagonal().reshape(nx, ny)
-        pinned = self.A.tolil()
-        pinned[0, :] = 0.0
-        pinned[0, 0] = 1.0
-        self.lu = splu(pinned.tocsc())
 
     def apply_A(self, f):
         nx, ny = self.grid.nx, self.grid.ny
@@ -263,16 +268,16 @@ def workspace(grid):
 
 
 def solve_neumann_direct(grid, rhs):
-    """Particular solution of -laplace p = rhs (compatible rhs), zero mean.
+    """Zero-mean solution p of -laplace p = rhs for a compatible (zero-mean)
+    rhs; the mean of rhs, the component A cannot reach, is dropped.
 
-    Exact up to LU roundoff: the pinned row's equation is implied by the
-    others because both the row sums of A and the rhs sum vanish.
+    One DCT-II pair: transform, divide by the eigenvalues, zero the
+    constant mode, transform back.
     """
-    ws = workspace(grid)
-    b = np.asarray(rhs, dtype=float).reshape(grid.nx * grid.ny).copy()
-    b[0] = 0.0
-    p = ws.lu.solve(b).reshape(grid.nx, grid.ny)
-    return p - p.mean()
+    eig = workspace(grid).eig
+    coef = sfft.dctn(rhs, type=2, norm="ortho")
+    coef = np.divide(coef, eig, out=np.zeros_like(coef), where=eig > 0.0)
+    return sfft.idctn(coef, type=2, norm="ortho")
 
 
 class CGStall(GridError):
@@ -335,18 +340,15 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None):
     )
 
 
-def inverse_neumann(f, rtol=1e-12):
+def inverse_neumann(f):
     """N f: the zero-mean solution of -laplace(Nf) = f for zero-mean f."""
-    grid = f.grid
     vals = f.values
     scale = np.linalg.norm(vals) / np.sqrt(vals.size)
     if abs(vals.mean()) > 1e-10 * max(scale, 1e-300):
         raise MeanError(
             f"inverse_neumann needs zero-mean input, got mean {vals.mean():.3g}"
         )
-    ws = workspace(grid)
-    x, _ = cg(ws.apply_A, vals, rtol=rtol, project=remove_mean)
-    return ScalarField(grid, x, bc="neumann")
+    return ScalarField(f.grid, solve_neumann_direct(f.grid, vals), bc="neumann")
 
 
 # ------------------------------------------------------------------- norms
@@ -370,8 +372,8 @@ def h1_seminorm(f):
     return float(np.sqrt((np.sum(gx**2) + np.sum(gy**2)) * f.grid.cell_volume))
 
 
-def v0prime_norm(f, rtol=1e-12):
-    nf = inverse_neumann(f, rtol=rtol)
+def v0prime_norm(f):
+    nf = inverse_neumann(f)
     val = inner(f, nf)
     return float(np.sqrt(max(val, 0.0)))
 
@@ -427,20 +429,12 @@ def norms(f, p=4):
     return out
 
 
-def poincare_constant(grid, n_iter=60, seed=0, rtol=1e-10):
-    """Estimate the Poincare-Wirtinger constant sup ||f|| / ||grad f|| over
-    zero-mean f: power iteration on N gives 1/lambda_2 of the Neumann
-    Laplacian, and C_P = lambda_2^(-1/2)."""
-    rng = np.random.default_rng(seed)
-    ws = workspace(grid)
-    x = rng.standard_normal((grid.nx, grid.ny))
-    x -= x.mean()
-    lam = 0.0
-    for _ in range(n_iter):
-        y, _ = cg(ws.apply_A, x, rtol=rtol, project=remove_mean)
-        lam = np.linalg.norm(y) / np.linalg.norm(x)
-        x = y / np.linalg.norm(y)
-    return float(np.sqrt(lam))
+def poincare_constant(grid):
+    """The Poincare-Wirtinger constant sup ||f|| / ||grad f|| over zero-mean
+    f, in closed form: lambda_2^(-1/2) with lambda_2 the smallest nonzero
+    eigenvalue of the Neumann Laplacian, min(eig[1, 0], eig[0, 1])."""
+    eig = workspace(grid).eig
+    return float(1.0 / np.sqrt(min(eig[1, 0], eig[0, 1])))
 
 
 # ------------------------------------------------------------------ field IO

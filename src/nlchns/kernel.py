@@ -8,9 +8,11 @@ an amplitude normalization fixing the whole-plane L1 mass:
 
 The convolution is restricted to the domain: (J*phi)(x) = sum_y h^2
 J(x - y) phi(y) over cells y, no periodic wraparound.  It is evaluated with
-zero-padded real FFTs against a tabulated displacement table J(x_i - y_k),
-which makes the fast path bit-identical to a fixed-quadrature direct sum up
-to FFT roundoff.  The coefficient field a(x) = (J * 1)(x) is produced by the
+real FFTs against a tabulated displacement table J(x_i - y_k), 2n - 1
+entries per axis, zero-padded to next_fast_len(2n - 1): the smallest
+length at which the circular wrap misses the n restricted outputs.  This
+makes the fast path equal to a fixed-quadrature direct sum up to FFT
+roundoff.  The coefficient field a(x) = (J * 1)(x) is produced by the
 same code path at build time, so the constant-state identity
 
     a c - J * c + F'(c) = F'(c)
@@ -162,9 +164,12 @@ def build_kernel(spec, grid, potential_spec=None):
     rad = np.hypot(dx[:, None], dy[None, :])
     jtab = spec.profile(rad)
 
+    # the linear convolution has 3n-2 entries per axis; at a circular length
+    # L >= 2n-1 the one that wraps onto output index k >= n-1 is k + L >=
+    # 3n-2, past the last, so the slice [n-1, 2n-1) is alias-free
     fshape = (
-        sfft.next_fast_len(3 * grid.nx - 2),
-        sfft.next_fast_len(3 * grid.ny - 2),
+        sfft.next_fast_len(2 * grid.nx - 1),
+        sfft.next_fast_len(2 * grid.ny - 1),
     )
     jhat = sfft.rfft2(jtab, fshape)
 

@@ -21,8 +21,10 @@ scalar transport flux, which makes <-phi grad mu, v> = <mu, div(phi v)>
 an exact discrete integration by parts.
 
 Projection is incremental pressure-correction: the Neumann Poisson solve
-uses the cached pinned LU, so the post-step divergence sits at the LU
-roundoff floor (audited against 1e-10, observed around 1e-13).
+is the exact DCT-II solve of grid_ops, so the post-step divergence sits at
+its roundoff floor (audited against 1e-10, observed around 1e-13).  The
+same solve is the Leray projection inside the Stokes eigenvalue's
+projected stiffness CG.
 """
 
 from dataclasses import dataclass
@@ -387,7 +389,8 @@ def stokes_lambda1(grid, tol=1e-10, maxiter=200):
     """Smallest eigenvalue of the divergence-free constrained stiffness:
     the best constant in ||grad u||^2 >= lambda1 ||u||^2 over solenoidal
     no-slip fields.  Inverse power iteration; each inverse application is
-    a projected CG solve."""
+    a projected CG solve.  Raises NSError when successive estimates still
+    differ by more than tol (relative) after maxiter iterations."""
     rng = np.random.default_rng(1234)
     u = rng.standard_normal((grid.nx + 1, grid.ny))
     v = rng.standard_normal((grid.nx, grid.ny + 1))
@@ -403,4 +406,5 @@ def stokes_lambda1(grid, tol=1e-10, maxiter=200):
         if lam is not None and abs(lam_new - lam) <= tol * abs(lam_new):
             return float(lam_new)
         lam, w = lam_new, z
-    return float(lam)
+    raise NSError(f"Stokes eigenvalue iteration did not converge to tol={tol:.3g} "
+                  f"in {maxiter} iterations (last estimate {lam:.10g})")

@@ -6,6 +6,8 @@ Richardson refinement for the energy-identity residual, and an explicit
 forward-Euler scheme as an independent integrator cross-check.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,31 @@ class TestFixedPointAndMass:
         g, kd, pot, _ = setup32
         with pytest.raises(ch.CHError, match="mean"):
             ch.init_state(ScalarField(g, np.full((32, 32), 1.25)), kd, pot)
+
+
+class TestConvolutionCache:
+    """CHState.conv is the J*phi of its own phi, bit for bit, whichever
+    path built the state."""
+
+    @pytest.mark.parametrize("scheme", ch.SCHEMES)
+    def test_conv_is_fresh_convolution_of_phi(self, setup32, scheme):
+        g, kd, pot, _ = setup32
+        u = swirl(g, amp=0.2)
+        st = ch.init_state(spinodal_phi(g, seed=3, mean=0.1), kd, pot)
+        assert np.array_equal(st.conv, kd.convolve_raw(st.phi.values))
+        dt = 2e-3 if scheme != "explicit" else 0.5 * ch.explicit_dt_bound(g, kd, pot, 0.2)
+        for n in range(4):
+            if n == 2:
+                # a recorded mass 1e-13 off the mean of phi forces a nonzero
+                # uniform mass-defect shift in this step
+                st = dataclasses.replace(st, mass0=st.mass0 + 1e-13)
+            mean_before = st.phi.mean()
+            st = ch.ch_step(st, u, dt, kd, pot, scheme=scheme)
+            assert np.array_equal(st.conv, kd.convolve_raw(st.phi.values))
+            assert np.array_equal(st.mu.values,
+                                  ch.chemical_potential(st.phi, kd, pot).values)
+            if n == 2:
+                assert abs(st.phi.mean() - mean_before) >= 0.9e-13
 
 
 class TestEnergyMonotonicity:

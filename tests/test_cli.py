@@ -13,6 +13,7 @@ import pytest
 from nlchns import cli
 from nlchns import diagnostics as dg
 from nlchns import grid_ops as go
+from nlchns import ns_step
 from nlchns.cli import ConfigError, DEFAULTS, load_config, parse_config_text
 from nlchns.ns_step import ViscositySpec
 
@@ -387,6 +388,21 @@ class TestDiagnose:
         assert checks["gradient_bound"]["passed"]
         assert checks["energy_direction"]["max_prefix"] <= 1e-8
         assert (out / "gradient_bound.csv").exists()
+
+    def test_unconverged_lambda1_fails_envelope(self, coupled_run, capsys,
+                                                monkeypatch):
+        # three inverse-power iterations cannot settle lambda1 to 1e-10
+        monkeypatch.setattr(cli, "stokes_lambda1",
+                            lambda grid: ns_step.stokes_lambda1(grid, maxiter=3))
+        out = coupled_run["base"] / "diag-unconverged"
+        rc = cli.main(["diagnose", str(coupled_run["out"]), "--out", str(out)])
+        assert rc == 0
+        assert "dissipative_envelope: FAIL" in capsys.readouterr().out
+        rep = json.loads((out / "diagnose.json").read_text())
+        envelope = rep["checks"]["dissipative_envelope"]
+        assert envelope["passed"] is False and rep["all_passed"] is False
+        assert envelope["status"] == "error"
+        assert "did not converge" in envelope["error"]
 
     def test_missing_rundir_exits_2(self, tmp_path, capsys):
         rc = cli.main(["diagnose", str(tmp_path / "nope")])

@@ -201,12 +201,31 @@ class TestNeumannInverse:
         with pytest.raises(go.MeanError):
             go.inverse_neumann(f)
 
-    def test_direct_solver_agrees_with_cg(self):
-        g = go.Grid(16, 12)
+    @pytest.mark.parametrize("shape", [(9, 14, 1.3, 0.7), (31, 20, 2.0, 0.5),
+                                       (256, 256, 1.0, 1.0)],
+                             ids=["9x14", "31x20", "256x256"])
+    def test_direct_solve_residual_against_assembled_stencil(self, shape):
+        # odd, non-square, anisotropic grids and a large one: the DCT solve
+        # must invert the independently assembled sparse A
+        g = go.Grid(*shape)
         f = random_scalar(g, seed=11, zero_mean=True)
-        p_lu = go.solve_neumann_direct(g, f.values)
-        p_cg = go.inverse_neumann(f).values
-        assert np.allclose(p_lu, p_cg, rtol=1e-9, atol=1e-11)
+        p = go.solve_neumann_direct(g, f.values)
+        ws = go.workspace(g)
+        resid = np.linalg.norm(ws.A @ p.ravel() - f.values.ravel())
+        assert resid <= 1e-12 * np.linalg.norm(f.values)
+        assert abs(p.mean()) <= 1e-15 * np.abs(p).max()
+
+    @pytest.mark.parametrize("shape,k", [((9, 14, 1.3, 0.7), (4, 3)),
+                                         ((31, 20, 2.0, 0.5), (1, 7))],
+                             ids=["9x14", "31x20"])
+    def test_direct_solve_exact_on_eigenfield(self, shape, k):
+        g = go.Grid(*shape)
+        f, lam = neumann_eigenfield(g, *k)
+        p = go.solve_neumann_direct(g, f.values)
+        # roundoff in the other modes is divided by eigenvalues down to the
+        # smallest nonzero one, so that one sets the error scale
+        lam_min = min(neumann_eigenfield(g, 1, 0)[1], neumann_eigenfield(g, 0, 1)[1])
+        assert np.max(np.abs(p - f.values / lam)) <= 1e-14 / lam_min
 
     @pytest.mark.parametrize("project", [None, go.remove_mean],
                              ids=["plain", "zero-mean"])
@@ -275,13 +294,13 @@ class TestRefinement:
             (4.0 / g.hx**2) * np.sin(np.pi / (2 * g.nx)) ** 2,
             (4.0 / g.hy**2) * np.sin(np.pi / (2 * g.ny)) ** 2,
         )
-        est = go.poincare_constant(g, n_iter=80)
+        est = go.poincare_constant(g)
         assert est == pytest.approx(1.0 / np.sqrt(lam2), rel=1e-8)
 
     def test_poincare_converges_to_continuum(self):
         # continuum value L/pi for the slowest direction
         g = go.Grid(64, 8, lx=2.0, ly=0.25)
-        est = go.poincare_constant(g, n_iter=80)
+        est = go.poincare_constant(g)
         assert est == pytest.approx(2.0 / np.pi, rel=5e-4)
 
 

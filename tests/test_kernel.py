@@ -142,6 +142,23 @@ class TestBuildAndConvolve:
         got = kd.convolve_raw(f)
         assert np.max(np.abs(got - want)) <= 1e-10
 
+    @pytest.mark.parametrize("family,width,shape", [
+        ("gaussian", 0.4, (11, 17, 1.1, 1.7)),
+        ("compact-mollifier", 2.5, (9, 13, 0.9, 1.95)),
+    ])
+    def test_full_domain_support_does_not_alias(self, family, width, shape):
+        # the support radius exceeds the box diagonal, so every entry of the
+        # displacement table carries weight and an FFT shorter than 2n - 1
+        # on an axis would wrap some of it onto the restricted output
+        g = Grid(*shape)
+        assert KernelSpec(family, width).support_radius > np.hypot(g.lx, g.ly)
+        kd = build_kernel(KernelSpec(family, width, j_l1=1.3), g)
+        assert kd._fshape[0] >= 2 * g.nx - 1 and kd._fshape[1] >= 2 * g.ny - 1
+        f = np.random.default_rng(3).standard_normal((g.nx, g.ny))
+        want = direct_convolve(family, width, 1.3, g, f)
+        got = kd.convolve_raw(f)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.abs(want).max(), 1.0)
+
     def test_jtab_even(self):
         g = Grid(24, 16, lx=1.2, ly=0.8)
         kd = build_kernel(KernelSpec("compact-mollifier", 0.3), g)

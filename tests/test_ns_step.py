@@ -429,6 +429,11 @@ class TestStokesEigenvalue:
         computed = ns.stokes_lambda1(grid, tol=1e-11)
         assert computed == pytest.approx(oracle, rel=1e-6)
 
+    def test_unconverged_iteration_raises(self):
+        # a 1e-10 relative settle takes far more than three outer iterations
+        with pytest.raises(ns.NSError, match="did not converge"):
+            ns.stokes_lambda1(Grid(16, 16, 1.0, 1.0), maxiter=3)
+
     def test_continuum_square_value(self):
         # first Stokes eigenvalue of the unit square is about 52.3447
         grid = Grid(32, 32, 1.0, 1.0)
