@@ -221,8 +221,8 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
             raise StabilityError(
                 f"explicit step dt = {dt:.3g} exceeds diffusive bound {bound:.3g}"
             )
-        mu0 = kd.a_field.values * p0 - conv0 + pot.fprime(p0)
-        p1 = p0 - dt * adv + dt * go.laplace_arrays(grid, mu0)
+        # state.mu is a p0 - conv0 + F'(p0), stored when p0 was accepted
+        p1 = p0 - dt * adv + dt * go.laplace_arrays(grid, state.mu.values)
     else:
         b = p0 - dt * adv - dt * go.laplace_arrays(grid, conv0)
         imap = ImplicitMap(kd.a_field.values, pot)

@@ -22,9 +22,16 @@ an exact discrete integration by parts.
 
 Projection is incremental pressure-correction: the Neumann Poisson solve
 is the exact DCT-II solve of grid_ops, so the post-step divergence sits at
-its roundoff floor (audited against 1e-10, observed around 1e-13).  The
-same solve is the Leray projection inside the Stokes eigenvalue's
-projected stiffness CG.
+its roundoff floor (audited against 1e-10, observed around 1e-13).
+
+The Stokes eigenvalue and the momentum residual's dual norm both need the
+inverse of the componentwise stiffness A (grad_form_apply) restricted to
+solenoidal fields.  That is the Stokes problem A z + grad p = b, div z = 0,
+solved by CG on the pressure Schur complement S p = -div(A^-1 grad p).  A
+itself is inverted exactly by fast diagonalisation: each velocity block is
+a sum of two 1D tridiagonal stiffnesses, whose eigenbases are cached per
+grid.  S is spectrally equivalent to the identity on zero-mean pressures
+(the MAC pair is inf-sup stable), so the CG count does not grow with n.
 """
 
 from dataclasses import dataclass
@@ -184,6 +191,60 @@ def grad_form_apply(grid, u, v):
     return _zero_normal(au, av)
 
 
+def _stiffness_1d(n, h, end):
+    """Eigenpairs of the 1D stiffness tridiag(-1, 2, -1) / h^2 on n nodes
+    with both end diagonal entries set to end."""
+    t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    t[0, 0] = t[-1, -1] = end
+    return np.linalg.eigh(t / h**2)
+
+
+def _tensor_basis(kx, ky):
+    """(Qx, Qy, eigenvalue table) of Kx (x) I + I (x) Ky."""
+    (lam_x, qx), (lam_y, qy) = kx, ky
+    return qx, qy, lam_x[:, None] + lam_y[None, :]
+
+
+_grad_form_bases = {}
+
+
+def _grad_form_basis(grid):
+    """Per-grid eigenbases of the u and v blocks of grad_form_apply.
+
+    On its interior faces each block is a tensor sum of two 1D stiffnesses.
+    The wall-normal factor is the Dirichlet tridiagonal on the n-1 interior
+    faces.  The tangential factor lives on the n cell rows; its end entries
+    are 5, 1 from the interior difference plus 4 from the no-slip shear
+    2 u / h scattered back with its own 2 / h.  That is not a sine basis,
+    so every factor is diagonalised with eigh."""
+    basis = _grad_form_bases.get(grid.key())
+    if basis is None:
+        nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+        basis = (_tensor_basis(_stiffness_1d(nx - 1, hx, 2.0),
+                               _stiffness_1d(ny, hy, 5.0)),
+                 _tensor_basis(_stiffness_1d(nx, hx, 5.0),
+                               _stiffness_1d(ny - 1, hy, 2.0)))
+        _grad_form_bases[grid.key()] = basis
+    return basis
+
+
+def _tensor_solve(basis, f):
+    qx, qy, lam = basis
+    return qx @ ((qx.T @ f @ qy) / lam) @ qy.T
+
+
+def grad_form_inverse(grid, fu, fv):
+    """Exact inverse of grad_form_apply on the interior faces: returns (u, v)
+    with zero normal faces and grad_form_apply(u, v) = (fu, fv) there.
+    Boundary normal entries of fu, fv are ignored."""
+    basis_u, basis_v = _grad_form_basis(grid)
+    u = np.zeros((grid.nx + 1, grid.ny))
+    v = np.zeros((grid.nx, grid.ny + 1))
+    u[1:-1, :] = _tensor_solve(basis_u, fu[1:-1, :])
+    v[:, 1:-1] = _tensor_solve(basis_v, fv[:, 1:-1])
+    return u, v
+
+
 # ------------------------------------------------------------- advection
 
 def advective_tendency(grid, u, v):
@@ -332,7 +393,7 @@ def momentum_residual(grid, ns0, ns1, phi, mu, forcing, visc):
     r(w) = <(u1 - u0)/dt + adv(u0) - cap - h, w> + <2 nu Du1, Dw>
     for solenoidal w (the pressure gradient drops out).  The splitting
     error makes this O(dt).  Returned in the gradient-seminorm dual norm,
-    computed by a projected stiffness solve."""
+    computed by a Stokes solve."""
     dt = ns1.t - ns0.t
     u0, v0 = ns0.u.u, ns0.u.v
     u1, v1 = ns1.u.u, ns1.u.v
@@ -360,25 +421,34 @@ def project_divfree(grid, u, v):
 
 
 def _stiffness_solve(grid, b, rtol=1e-10, maxiter=20000):
-    """CG for the projected componentwise stiffness P A P z = P b on packed
-    vectors; the operator re-projects, holding the div-free constraint."""
+    """Solenoidal z with P A z = P b, on packed vectors: the Stokes problem
+    A z + grad p = b, div z = 0 for the componentwise stiffness A.
 
-    def mv(w):
-        au, av = grad_form_apply(grid, *_unpack(grid, w))
-        return _pack(*project_divfree(grid, au, av))
+    CG on the pressure Schur complement S p = -div(A^-1 grad p), with the
+    constants (its null space) projected out, then z = A^-1 (b - grad p)
+    and one Leray projection that pins div z to roundoff."""
+    bu, bv = _unpack(grid, b)
 
+    def schur(p):
+        gx, gy = go.grad_arrays(grid, p)
+        return -go.div_arrays(grid, *grad_form_inverse(grid, gx, gy))
+
+    rhs = -go.div_arrays(grid, *grad_form_inverse(grid, bu, bv))
     try:
-        z, _ = go.cg(mv, _pack(*project_divfree(grid, *_unpack(grid, b))),
-                     rtol=rtol, maxiter=maxiter)
+        p, _ = go.cg(schur, rhs, rtol=rtol, maxiter=maxiter,
+                     project=go.remove_mean)
     except go.CGStall:
-        raise NSError("projected stiffness solve did not converge") from None
-    return z
+        raise NSError("Stokes pressure solve did not converge") from None
+    gx, gy = go.grad_arrays(grid, p)
+    zu, zv = grad_form_inverse(grid, bu - gx, bv - gy)
+    return _pack(*project_divfree(grid, zu, zv))
 
 
 def stiffness_dual_norm(grid, wu, wv):
     """Dual gradient-seminorm of (wu, wv) over solenoidal test fields:
-    sqrt(<P w, S^-1 P w>) with S the projected componentwise stiffness."""
-    r = _pack(*project_divfree(grid, wu, wv))
+    sqrt(<P w, z>) with z the Stokes solution of _stiffness_solve for w.
+    z is solenoidal, so <P w, z> = <w, z> and w needs no projection."""
+    r = _pack(wu, wv)
     val = float(np.vdot(r, _stiffness_solve(grid, r))) * grid.cell_volume
     return float(np.sqrt(max(val, 0.0)))
 
@@ -389,8 +459,9 @@ def stokes_lambda1(grid, tol=1e-10, maxiter=200):
     """Smallest eigenvalue of the divergence-free constrained stiffness:
     the best constant in ||grad u||^2 >= lambda1 ||u||^2 over solenoidal
     no-slip fields.  Inverse power iteration; each inverse application is
-    a projected CG solve.  Raises NSError when successive estimates still
-    differ by more than tol (relative) after maxiter iterations."""
+    one Stokes solve (_stiffness_solve: a pressure Schur-complement CG over
+    the exact stiffness inverse).  Raises NSError when successive estimates
+    still differ by more than tol (relative) after maxiter iterations."""
     rng = np.random.default_rng(1234)
     u = rng.standard_normal((grid.nx + 1, grid.ny))
     v = rng.standard_normal((grid.nx, grid.ny + 1))

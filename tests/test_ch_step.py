@@ -242,6 +242,33 @@ class TestExplicitCrossCheck:
             gaps.append(go.norm_l2(ScalarField(g, se.phi.values - si.phi.values)))
         assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.25)
 
+    def test_explicit_step_reuses_stored_mu(self, setup32, monkeypatch):
+        # the step reads state.mu instead of re-evaluating a p - J*p + F'(p):
+        # same values bit for bit, and F' runs once per step (for the new
+        # state's mu) rather than twice
+        g, kd, pot, _ = setup32
+        u = swirl(g)
+        st = ch.init_state(spinodal_phi(g, seed=5, amp=0.05), kd, pot)
+        dt = 0.5 * ch.explicit_dt_bound(g, kd, pot, 0.2)
+        calls = []
+        fprime = type(pot).fprime
+
+        def counting(self, x):
+            calls.append(1)
+            return fprime(self, x)
+
+        monkeypatch.setattr(type(pot), "fprime", counting)
+        for _ in range(3):
+            p0 = st.phi.values
+            mu0 = kd.a_field.values * p0 - kd.convolve_raw(p0) + fprime(pot, p0)
+            want = p0 - dt * ch.convective_divergence(u, p0) \
+                + dt * go.laplace_arrays(g, mu0)
+            want = want + (st.mass0 - float(want.mean()))
+            calls.clear()
+            st = ch.ch_step(st, u, dt, kd, pot, scheme="explicit")
+            assert np.array_equal(st.phi.values, want)
+            assert len(calls) == 1
+
 
 class TestSingularMode:
     def test_spinodal_run_stays_inside(self, setup32):

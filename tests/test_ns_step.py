@@ -377,10 +377,11 @@ class TestMomentumResidual:
         assert 1.5 <= ratio2 <= 2.6
 
 
-def assembled_stokes_lambda1(grid):
+def divfree_stiffness(grid):
     """Dense oracle from scratch: build the gradient quadratic form and the
-    divergence constraint by explicit slicing, restrict to the divergence
-    null space, and take the smallest generalized eigenvalue."""
+    divergence constraint by explicit slicing.  Returns an orthonormal
+    basis of the divergence null space on the interior faces and the
+    quadratic form sum |grad|^2 (plain sums, no cell volume)."""
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     nu = (nx - 1) * ny  # interior u faces
     nv = nx * (ny - 1)
@@ -415,11 +416,91 @@ def assembled_stokes_lambda1(grid):
         divm[:, k] = (ux + vy).ravel()
     # quadratic form sum |grad|^2 as sum of squared forward maps
     quad = sum(store.T @ store for store in images)
+    return scipy.linalg.null_space(divm), quad
 
-    null = scipy.linalg.null_space(divm)
-    reduced = null.T @ quad @ null
-    vals = scipy.linalg.eigvalsh(reduced)
-    return float(vals[0])
+
+def assembled_stokes_lambda1(grid):
+    """Smallest eigenvalue of the stiffness restricted to the divergence
+    null space."""
+    null, quad = divfree_stiffness(grid)
+    return float(scipy.linalg.eigvalsh(null.T @ quad @ null)[0])
+
+
+def assembled_dual_norm(grid, u, v):
+    """sqrt(<w, N (N^T K N)^-1 N^T w> vol) over the same null-space basis N."""
+    null, quad = divfree_stiffness(grid)
+    x = np.concatenate((u[1:-1, :].ravel(), v[:, 1:-1].ravel()))
+    y = null.T @ x
+    val = y @ scipy.linalg.solve(null.T @ quad @ null, y, assume_a="pos")
+    return float(np.sqrt(val * grid.cell_volume))
+
+
+def interior_error(grid, got, want):
+    """Relative max error over the interior faces of two MAC pairs."""
+    du = got[0][1:-1, :] - want[0][1:-1, :]
+    dv = got[1][:, 1:-1] - want[1][:, 1:-1]
+    scale = max(np.abs(want[0]).max(), np.abs(want[1]).max())
+    return max(np.abs(du).max(), np.abs(dv).max()) / scale
+
+
+class TestStiffnessInverse:
+    @pytest.mark.parametrize("grid", [Grid(9, 14, 1.0, 1.7),
+                                      Grid(31, 20, 2.0, 1.0), Grid(64, 64)],
+                             ids=lambda g: f"{g.nx}x{g.ny}")
+    def test_inverse_round_trip(self, grid):
+        fu, fv = random_interior(grid, 41)
+        u, v = ns.grad_form_inverse(grid, fu, fv)
+        assert np.all(u[0] == 0.0) and np.all(u[-1] == 0.0)
+        assert np.all(v[:, 0] == 0.0) and np.all(v[:, -1] == 0.0)
+        assert interior_error(grid, ns.grad_form_apply(grid, u, v),
+                              (fu, fv)) <= 1e-12
+
+
+class TestStokesSolve:
+    def test_dual_norm_matches_assembled_oracle(self):
+        grid = Grid(9, 12, 1.0, 1.4)
+        u, v = random_interior(grid, 47)
+        oracle = assembled_dual_norm(grid, u, v)
+        assert ns.stiffness_dual_norm(grid, u, v) == pytest.approx(oracle,
+                                                                   rel=1e-8)
+
+    def test_gradient_fields_have_zero_dual_norm(self):
+        # grad q is orthogonal to every solenoidal test field
+        grid = Grid(16, 12, 1.0, 0.8)
+        q = np.random.default_rng(53).standard_normal((grid.nx, grid.ny))
+        gx, gy = go.grad_arrays(grid, q)
+        u, v = random_interior(grid, 59)
+        base = ns.stiffness_dual_norm(grid, u, v)
+        assert ns.stiffness_dual_norm(grid, gx, gy) <= 1e-6 * base
+        assert ns.stiffness_dual_norm(grid, u + gx, v + gy) == pytest.approx(
+            base, rel=1e-9)
+
+    def test_solution_is_solenoidal(self):
+        # the Schur CG alone leaves div z near its rtol (1e-10 by default);
+        # the closing Leray projection pins it to roundoff
+        grid = Grid(32, 24, 1.0, 1.3)
+        u, v = random_interior(grid, 61)
+        z = ns._stiffness_solve(grid, ns._pack(u, v))
+        zu, zv = ns._unpack(grid, z)
+        div = go.div_arrays(grid, zu, zv)
+        scale = max(np.abs(zu).max(), np.abs(zv).max()) / min(grid.hx, grid.hy)
+        assert np.abs(div).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_schur_iterations_mesh_independent(self, n, monkeypatch):
+        # the Schur complement is spectrally equivalent to the identity on
+        # zero-mean pressures, so its CG count must not grow with n
+        counts = []
+        cg = go.cg
+
+        def counting(*args, **kwargs):
+            x, iters = cg(*args, **kwargs)
+            counts.append(iters)
+            return x, iters
+
+        monkeypatch.setattr(go, "cg", counting)
+        ns.stokes_lambda1(Grid(n, n, 1.0, 1.0))
+        assert counts and max(counts) <= 30
 
 
 class TestStokesEigenvalue:
@@ -428,6 +509,12 @@ class TestStokesEigenvalue:
         oracle = assembled_stokes_lambda1(grid)
         computed = ns.stokes_lambda1(grid, tol=1e-11)
         assert computed == pytest.approx(oracle, rel=1e-6)
+
+    def test_matches_assembled_oracle_on_anisotropic_grid(self):
+        grid = Grid(8, 11, 1.0, 1.3)
+        oracle = assembled_stokes_lambda1(grid)
+        assert ns.stokes_lambda1(grid, tol=1e-12) == pytest.approx(oracle,
+                                                                   rel=1e-9)
 
     def test_unconverged_iteration_raises(self):
         # a 1e-10 relative settle takes far more than three outer iterations
