@@ -51,7 +51,6 @@ from scipy import fft as sfft
 from . import diagnostics as dg
 from . import grid_ops as go
 from .grid_ops import ScalarField, face_phi
-from .potential import SingularPotential
 
 log = logging.getLogger(__name__)
 
@@ -147,7 +146,6 @@ class ImplicitMap:
     def __init__(self, a_vals, pot):
         self.a = a_vals
         self.pot = pot
-        self.singular = isinstance(pot, SingularPotential)
 
     def m(self, x):
         return self.a * x + self.pot.fprime(x)
@@ -161,7 +159,7 @@ class ImplicitMap:
         Keeps a bracket per node and falls back to bisection whenever a
         Newton step leaves it, so monotonicity of m guarantees convergence.
         """
-        if self.singular:
+        if self.pot.singular:
             lo = np.full(psi.shape, -1.0 + 1e-14)
             hi = np.full(psi.shape, 1.0 - 1e-14)
             if np.any(self.m(hi) < psi) or np.any(self.m(lo) > psi):
@@ -271,7 +269,7 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
     if not np.all(np.isfinite(p1)):
         raise CHError("step produced non-finite phi")
 
-    if isinstance(pot, SingularPotential):
+    if pot.singular:
         peak = float(np.max(np.abs(p1)))
         if peak >= SATURATION_GUARD:
             raise CHError(
@@ -287,7 +285,7 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
     p1 = p1 + defect
 
     saturated = bool(np.max(np.abs(p1)) >= 1.0)
-    if saturated and not state.saturated and not isinstance(pot, SingularPotential):
+    if saturated and not state.saturated and not pot.singular:
         log.warning("phi reached |phi| >= 1 at t = %.6g (monitor flag set)",
                     state.t + dt)
 
@@ -299,7 +297,7 @@ def explicit_dt_bound(grid, kd, pot, phi_peak):
     """Diffusive bound dt <= h^2 / (4 (a_inf + max F'')) over the reachable
     range of phi, padded a little so near-threshold states stay honest."""
     span = phi_peak * 1.05 + 0.05
-    if isinstance(pot, SingularPotential):
+    if pot.singular:
         span = min(span, 1.0 - 1e-12)
     s = np.linspace(-span, span, 2001)
     fpp_max = float(np.max(pot.fsecond(s)))

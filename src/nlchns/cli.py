@@ -30,8 +30,7 @@ Every command resolves its grid, kernel and potential through _physics.
 run and run-ch share one time loop, _run_series, over a small stepper
 (_Coupled or _Transport) that provides step, energy_terms, row and fields;
 eps-sweep keeps its own loop because it writes a Cauchy table, not a
-series, but steps through _Transport too.  These replace run_ch_only's
-loop, the _coupled_row/_ch_row row builders and the _build_* helpers.
+series, but steps through _Transport too.
 The implicit CH solve, the momentum solve and the Stokes eigenvalue all
 use the one conjugate-gradient loop, grid_ops.cg.
 
@@ -56,6 +55,7 @@ status "failed" are flushed before exiting.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -203,9 +203,12 @@ def _coerce(key, raw):
                 raise ValueError(f"{raw!r} is not an integer")
             return out
         if isinstance(default, float):
-            return float(raw)
+            out = float(raw)
+            if not math.isfinite(out):
+                raise ValueError(f"{out} is not finite")
+            return out
         return str(raw).strip()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("parse", f"bad value for {key}: {exc}") from None
 
 
@@ -256,9 +259,9 @@ def load_config(path=None, preset=None, seed=None):
         else:
             cfg.update(parse_config_text(text))
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("parse", f"seed must be nonnegative, got {seed}")
         cfg["seed"] = int(seed)
+    if cfg["seed"] < 0:
+        raise ConfigError("parse", f"seed must be nonnegative, got {cfg['seed']}")
     return cfg
 
 
@@ -417,6 +420,12 @@ def _initial_velocity(cfg, grid):
     return _swirl(grid, cfg["init_u_amplitude"])
 
 
+def _cos_in_time(field, omega):
+    """field scaled by cos(omega t), as a callable of time."""
+    return lambda t: VectorField(field.grid, np.cos(omega * t) * field.u,
+                                 np.cos(omega * t) * field.v, field.bc)
+
+
 def _forcing_fn(cfg, grid):
     """Body force as a callable of time (None means unforced)."""
     kind = cfg["forcing"]
@@ -427,14 +436,11 @@ def _forcing_fn(cfg, grid):
     bv = np.zeros((grid.nx, grid.ny + 1))
     bu[1:-1, :] = fx
     bv[:, 1:-1] = fy
+    steady = VectorField(grid, bu, bv, bc="none")
     if kind == "steady":
-        steady = VectorField(grid, bu, bv, bc="none")
         return lambda t: steady
     if kind == "time-periodic":
-        omega = cfg["forcing_omega"]
-        return lambda t: VectorField(
-            grid, np.cos(omega * t) * bu, np.cos(omega * t) * bv, bc="none"
-        )
+        return _cos_in_time(steady, cfg["forcing_omega"])
     raise ConfigError("parse", f"unknown forcing kind {kind!r}")
 
 
@@ -451,11 +457,8 @@ def _velocity_fn(cfg, grid):
         period = cfg["velocity_period"]
         if period <= 0.0:
             raise ConfigError("parse", f"velocity_period must be positive, got {period}")
-        base = _swirl(grid, cfg["velocity_amplitude"])
-        omega = 2.0 * np.pi / period
-        return lambda t: VectorField(
-            grid, np.cos(omega * t) * base.u, np.cos(omega * t) * base.v, "noslip"
-        )
+        return _cos_in_time(_swirl(grid, cfg["velocity_amplitude"]),
+                            2.0 * np.pi / period)
     raise ConfigError("parse", f"unknown velocity kind {kind!r}")
 
 
@@ -805,9 +808,13 @@ def run_diagnose(rundir, outdir=None):
     try:
         series = np.atleast_1d(np.genfromtxt(
             os.path.join(rundir, "series.csv"), delimiter=",", names=True))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("io", f"cannot read series: {exc}") from None
     coupled = manifest["command"] == "run"
+    header = COUPLED_HEADER if coupled else CH_HEADER
+    if series.dtype.names != header or not series.size:
+        raise ConfigError("io", "series.csv needs the header "
+                                f"{','.join(header)} and at least one row")
 
     checks = {}
     mass = series["mass"]
@@ -843,21 +850,25 @@ def run_diagnose(rundir, outdir=None):
     worst = np.inf
     index_path = os.path.join(rundir, "snapshots.json")
     if os.path.exists(index_path):
-        with open(index_path) as fh:
-            index = json.load(fh)
-        for entry in index["snapshots"]:
+        try:
+            with open(index_path) as fh:
+                entries = list(json.load(fh)["snapshots"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError("io", f"bad snapshot index: {exc}") from None
+        for entry in entries:
             try:
+                t = entry["t"]
                 values, _meta = go.read_snapshot(
                     os.path.join(rundir, entry["phi"]["file"]))
                 phi = ScalarField(grid, values)
-            except (OSError, GridError) as exc:
+            except (OSError, GridError, KeyError, TypeError) as exc:
                 raise ConfigError("io", f"bad snapshot: {exc}") from None
             mu = chemical_potential(phi, kd, pot)
             res = dg.gradient_bound_check(phi, mu, kd, pspec.c0)
             margin = res["lhs"] - res["rhs"]
             worst = min(worst, margin)
             bound_ok = bound_ok and res["satisfied"]
-            bound_rows.append((entry["t"], res["lhs"], res["rhs"], margin))
+            bound_rows.append((t, res["lhs"], res["rhs"], margin))
         checks["gradient_bound"] = {
             "snapshots": len(bound_rows),
             "min_margin": float(worst) if bound_rows else None,

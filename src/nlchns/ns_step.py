@@ -60,7 +60,6 @@ class NSStepRejection(NSError):
 class ViscositySpec:
     nu1: float
     nu2: float
-    profile: object = None  # optional callable s -> nu(s), clipped to bounds
 
     def __post_init__(self):
         if not (0.0 < self.nu1 <= self.nu2):
@@ -69,14 +68,11 @@ class ViscositySpec:
             )
 
     def at(self, s):
-        """nu(s), clipped into [nu1, nu2]; default affine blend in s."""
+        """nu(s): the affine blend in s, clipped into [nu1, nu2]."""
         s = np.asarray(s, dtype=float)
-        if self.profile is None:
-            vals = self.nu1 + (self.nu2 - self.nu1) * 0.5 * (1.0 + s)
-        else:
-            vals = np.asarray(self.profile(s), dtype=float)
+        vals = self.nu1 + (self.nu2 - self.nu1) * 0.5 * (1.0 + s)
         if not np.all(np.isfinite(vals)):
-            raise NSError("viscosity profile produced non-finite values")
+            raise NSError("viscosity produced non-finite values")
         return np.clip(vals, self.nu1, self.nu2)
 
 

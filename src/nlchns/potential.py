@@ -24,6 +24,11 @@ with constants (alpha, alpha_star, c0, c_q) computed here in closed form
 and d_q exhibited by scan.  `verify_potential_lemmas` re-checks every one
 of these inequalities by dense sampling and returns a structured report.
 
+LogPotential writes F, F', F'' and the convex split G = F - (alpha_star/2)
+s^2 once over a subclass's f1(s, k): SingularPotential (eps = 0, raises at
+|s| >= 1) or RegularizedPotential (eps > 0, from build_F_eps).  The two
+agree bit for bit on |s| <= 1 - eps; ``pot.singular`` tells them apart.
+
 Conventions: q is a positive integer, K = 2 + 2q is the matched smoothness
 order, and beta (the lower bound of the kernel coefficient field a(x)) is
 injected by the kernel module when the potential is used inside mu.
@@ -126,17 +131,6 @@ class PotentialSpec:
         return PotentialSpec(self.theta, self.theta_c, self.q, self.epsilon, beta)
 
 
-def _check_domain(s):
-    s = np.asarray(s, dtype=float)
-    if np.any(np.abs(s) >= 1.0):
-        flat = np.atleast_1d(s)
-        val = float(flat[np.abs(flat) >= 1.0][0])
-        raise PotentialDomainError(
-            f"singular potential evaluated at or beyond +-1 (s={val!r})"
-        )
-    return s
-
-
 def eval_F1_derivative(spec, k, s):
     """k-th derivative of the convex logarithmic part, closed form.
 
@@ -145,7 +139,11 @@ def eval_F1_derivative(spec, k, s):
     """
     if not (0 <= k <= spec.order):
         raise PotentialError(f"derivative order k={k} outside 0..{spec.order}")
-    s = _check_domain(s)
+    s = np.asarray(s, dtype=float)
+    outside = np.abs(s) >= 1.0
+    if np.any(outside):
+        raise PotentialDomainError(f"singular potential evaluated at or beyond "
+                                   f"+-1 (s={float(s[outside][0])!r})")
     th = spec.theta
     if k == 0:
         out = 0.5 * th * ((1 + s) * np.log1p(s) + (1 - s) * np.log1p(-s))
@@ -157,65 +155,67 @@ def eval_F1_derivative(spec, k, s):
     return out if np.ndim(out) else float(out)
 
 
-def eval_F(spec, s):
-    s = _check_domain(s)
-    out = eval_F1_derivative(spec, 0, s) - 0.5 * spec.theta_c * s**2
-    return out if np.ndim(out) else float(out)
+class LogPotential:
+    """F = F1 + F2 and G = F - (alpha_star/2) s^2 with their derivatives,
+    over the k-th derivative f1(s, k) of F1 that a subclass supplies."""
+
+    singular = False
+
+    def __init__(self, spec, eps):
+        self.spec = spec
+        self.eps = float(eps)
+        self.q = spec.q
+        self.order = spec.order  # K = 2 + 2q
+        self.alpha = spec.alpha
+        self.alpha_star = spec.alpha_star
+
+    def f(self, s):
+        s_arr = np.asarray(s, dtype=float)
+        out = self.f1(s, 0) - 0.5 * self.spec.theta_c * s_arr**2
+        return float(out) if np.ndim(s) == 0 else out
+
+    def fprime(self, s):
+        s_arr = np.asarray(s, dtype=float)
+        out = self.f1(s, 1) - self.spec.theta_c * s_arr
+        return float(out) if np.ndim(s) == 0 else out
+
+    def fsecond(self, s):
+        out = self.f1(s, 2) - self.spec.theta_c
+        return float(out) if np.ndim(s) == 0 else out
+
+    def g(self, s):
+        """Convex part of the split F = G + (alpha_star/2) s^2."""
+        s_arr = np.asarray(s, dtype=float)
+        out = self.f(s) - 0.5 * self.alpha_star * s_arr**2
+        return float(out) if np.ndim(s) == 0 else out
+
+    def gprime(self, s):
+        s_arr = np.asarray(s, dtype=float)
+        out = self.fprime(s) - self.alpha_star * s_arr
+        return float(out) if np.ndim(s) == 0 else out
+
+    def gsecond(self, s):
+        out = self.fsecond(s) - self.alpha_star
+        return float(out) if np.ndim(s) == 0 else out
 
 
-def eval_F_prime(spec, s):
-    s = _check_domain(s)
-    out = spec.theta * np.arctanh(s) - spec.theta_c * s
-    return out if np.ndim(out) else float(out)
-
-
-def eval_F_second(spec, s):
-    s = _check_domain(s)
-    out = spec.theta / (1 - s**2) - spec.theta_c
-    return out if np.ndim(out) else float(out)
-
-
-class SingularPotential:
+class SingularPotential(LogPotential):
     """The unregularized F, for eps = 0 diagnostics runs.
 
     Evaluation at |s| >= 1 raises rather than clamps: a solver escaping
     (-1,1) must surface as a hard error, not silent saturation.
     """
 
+    singular = True
+
     def __init__(self, spec):
-        self.spec = spec
-        self.eps = 0.0
-        self.q = spec.q
-        self.order = spec.order
-        self.alpha = spec.alpha
-        self.alpha_star = spec.alpha_star
+        super().__init__(spec, 0.0)
 
     def f1(self, s, k=0):
         return eval_F1_derivative(self.spec, k, s)
 
-    def f(self, s):
-        return eval_F(self.spec, s)
 
-    def fprime(self, s):
-        return eval_F_prime(self.spec, s)
-
-    def fsecond(self, s):
-        return eval_F_second(self.spec, s)
-
-    def g(self, s):
-        s = _check_domain(s)
-        return self.f(s) - 0.5 * self.alpha_star * np.asarray(s, dtype=float) ** 2
-
-    def gprime(self, s):
-        s = _check_domain(s)
-        return self.fprime(s) - self.alpha_star * np.asarray(s, dtype=float)
-
-    def gsecond(self, s):
-        s = _check_domain(s)
-        return self.fsecond(s) - self.alpha_star
-
-
-class RegularizedPotential:
+class RegularizedPotential(LogPotential):
     """F_eps = F1_eps + F2: log core with degree-(2+2q) polynomial tails.
 
     The tails are the Taylor polynomials of F1 about +-(1-eps); mirror
@@ -234,13 +234,8 @@ class RegularizedPotential:
                 f"epsilon={spec.epsilon} exceeds eps_max={eps_max}; lemma "
                 f"premises are only certified on (0, {eps_max}]"
             )
-        self.spec = spec
-        self.eps = float(spec.epsilon)
+        super().__init__(spec, spec.epsilon)
         self.eps_max = float(eps_max)
-        self.q = spec.q
-        self.order = spec.order  # K = 2 + 2q
-        self.alpha = spec.alpha
-        self.alpha_star = spec.alpha_star
         self.knot = 1.0 - self.eps
 
         K = self.order
@@ -320,60 +315,10 @@ class RegularizedPotential:
             out[left] = (-1.0) ** k * np.polynomial.polynomial.polyval(t, coeffs)
         return float(out[0]) if scalar else out
 
-    def f(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        out = self.f1(s, 0) - 0.5 * self.spec.theta_c * s_arr**2
-        return float(out) if np.ndim(s) == 0 else out
-
-    def fprime(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        out = self.f1(s, 1) - self.spec.theta_c * s_arr
-        return float(out) if np.ndim(s) == 0 else out
-
-    def fsecond(self, s):
-        out = self.f1(s, 2) - self.spec.theta_c
-        return float(out) if np.ndim(s) == 0 else out
-
-    def g(self, s):
-        """Convex part of the split F_eps = G_eps + (alpha_star/2) s^2."""
-        s_arr = np.asarray(s, dtype=float)
-        out = self.f(s) - 0.5 * self.alpha_star * s_arr**2
-        return float(out) if np.ndim(s) == 0 else out
-
-    def gprime(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        out = self.fprime(s) - self.alpha_star * s_arr
-        return float(out) if np.ndim(s) == 0 else out
-
-    def gsecond(self, s):
-        out = self.fsecond(s) - self.alpha_star
-        return float(out) if np.ndim(s) == 0 else out
-
 
 def build_F_eps(spec, eps_max=EPS_MAX_DEFAULT):
     """Construct the regularized family, gating the lemma premises."""
     return RegularizedPotential(spec, eps_max=eps_max)
-
-
-class ConvexPart:
-    """Callable view of G_eps with first and second derivatives."""
-
-    def __init__(self, pot):
-        self._pot = pot
-
-    def __call__(self, s):
-        return self._pot.g(s)
-
-    def prime(self, s):
-        return self._pot.gprime(s)
-
-    def second(self, s):
-        return self._pot.gsecond(s)
-
-
-def convex_split(pot):
-    """Return (G_eps, alpha_star) with F_eps(s) = G_eps(s) + (alpha_star/2) s^2."""
-    return ConvexPart(pot), pot.alpha_star
 
 
 def exhibit_dq(pot, c_q=None, s_range=3.0, n_scan=200_001, margin=1e-6):

@@ -89,6 +89,14 @@ class TestConfigParsing:
         cfg = load_config(str(p))
         assert cfg["grid_nx"] == 16 and cfg["horizon"] == 0.5
 
+    @pytest.mark.parametrize("key", ["dt", "grid_nx"])
+    def test_nonfinite_manifest_value_rejected(self, tmp_path, key):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({"config": dict(DEFAULTS, **{key: float("inf")})}))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(p))
+        assert err.value.code == "parse"
+
     def test_manifest_without_config_block(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text("{}")
@@ -113,6 +121,12 @@ class TestRejectionCodes:
         ("scheme = leapfrog", "parse"),
         ("init = vortex-sheet", "init"),
         ("eps_grid = 1e-2,5e-2", "epsilon-range"),
+        # non-finite floats, and a negative seed from a config file
+        ("dt = nan", "parse"),
+        ("horizon = inf", "parse"),
+        ("init_amplitude = inf", "parse"),
+        ("grid_lx = nan", "parse"),
+        ("seed = -1", "parse"),
     ]
 
     @pytest.mark.parametrize("text,code", CASES, ids=[c for _, c in CASES])
@@ -144,6 +158,31 @@ def _manifest_edit(edit):
     return corrupt
 
 
+def _index_edit(edit):
+    def corrupt(rundir):
+        path = rundir / "snapshots.json"
+        path.write_text(edit(path.read_text()))
+    return corrupt
+
+
+def _drop_first_phi(text):
+    doc = json.loads(text)
+    del doc["snapshots"][0]["phi"]
+    return json.dumps(doc)
+
+
+def _drop_mass_column(rundir):
+    path = rundir / "series.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    col = rows[0].index("mass")
+    path.write_text("".join(",".join(r[:col] + r[col + 1:]) + "\n" for r in rows))
+
+
+def _keep_series_header(rundir):
+    path = rundir / "series.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
 def _snapshot_edit(edit):
     def corrupt(rundir):
         path = rundir / "phi_00000005.fld"
@@ -162,6 +201,10 @@ class TestMalformedRunDirectory:
         ("truncated-payload", _snapshot_edit(lambda b: b[:-8]), "io"),
         ("short-header", _snapshot_edit(lambda b: b[:30]), "io"),
         ("wrong-magic", _snapshot_edit(lambda b: b"NOTAFLD1" + b[8:]), "io"),
+        ("index-not-json", _index_edit(lambda text: text[:-5]), "io"),
+        ("entry-without-phi", _index_edit(_drop_first_phi), "io"),
+        ("series-without-mass", _drop_mass_column, "io"),
+        ("series-header-only", _keep_series_header, "io"),
     ]
 
     @pytest.mark.parametrize("name,corrupt,code", CASES,

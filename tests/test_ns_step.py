@@ -57,17 +57,9 @@ class TestViscositySpec:
         assert visc.at(-3.0) == 0.5
         assert visc.at(3.0) == 1.5
 
-    def test_custom_profile_clipped_to_bounds(self):
-        visc = ns.ViscositySpec(0.5, 1.5, profile=lambda s: 10.0 * s)
-        s = np.linspace(-1.0, 1.0, 41)
-        vals = visc.at(s)
-        assert np.all(vals >= 0.5) and np.all(vals <= 1.5)
-
-    def test_nonfinite_profile_rejected(self):
-        visc = ns.ViscositySpec(0.5, 1.5,
-                                profile=lambda s: np.full_like(s, np.nan))
+    def test_nonfinite_state_rejected(self):
         with pytest.raises(ns.NSError):
-            visc.at(np.array([1.0]))
+            ns.ViscositySpec(0.5, 1.5).at(np.array([np.nan]))
 
 
 class TestViscousOperator:

@@ -15,18 +15,13 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from nlchns.potential import (
-    ConvexPart,
     PotentialBuildError,
     PotentialDomainError,
     PotentialSpec,
     RegularizedPotential,
     SingularPotential,
     build_F_eps,
-    convex_split,
-    eval_F,
     eval_F1_derivative,
-    eval_F_prime,
-    eval_F_second,
     exhibit_dq,
     verify_potential_lemmas,
 )
@@ -56,9 +51,10 @@ class TestSingularClosedForms:
         assert eval_F1_derivative(spec, 0, 0.0) == 0.0
         assert eval_F1_derivative(spec, 1, 0.0) == 0.0
         assert eval_F1_derivative(spec, 2, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert eval_F(spec, 0.0) == 0.0
-        assert eval_F_prime(spec, 0.0) == 0.0
-        assert eval_F_second(spec, 0.0) == pytest.approx(-1.0, abs=1e-15)
+        pot = SingularPotential(spec)
+        assert pot.f(0.0) == 0.0
+        assert pot.fprime(0.0) == 0.0
+        assert pot.fsecond(0.0) == pytest.approx(-1.0, abs=1e-15)
 
     @pytest.mark.parametrize("theta", [1.0, 2.0, 0.7])
     def test_against_sympy_oracle(self, theta):
@@ -87,13 +83,14 @@ class TestSingularClosedForms:
         s = mp.mpf(9) / 10
         want = mp.mpf(1) / 2 * ((1 + s) * mp.log(1 + s) + (1 - s) * mp.log(1 - s)) - s**2
         spec = PotentialSpec(theta=1.0, theta_c=2.0)
-        assert eval_F(spec, 0.9) == pytest.approx(float(want), rel=1e-14)
+        assert SingularPotential(spec).f(0.9) == pytest.approx(float(want), rel=1e-14)
         # frozen reference from the same oracle
         assert float(want) == pytest.approx(-0.31536806278592733, abs=1e-16)
 
     def test_fprime_diverges_toward_one(self):
         spec = PotentialSpec(theta=1.0, theta_c=2.0)
-        vals = [abs(eval_F_prime(spec, 1 - 10.0 ** (-k))) for k in range(2, 13)]
+        pot = SingularPotential(spec)
+        vals = [abs(pot.fprime(1 - 10.0 ** (-k))) for k in range(2, 13)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 10.0
 
@@ -101,7 +98,7 @@ class TestSingularClosedForms:
     def test_domain_errors(self, s):
         spec = PotentialSpec(theta=1.0, theta_c=2.0)
         with pytest.raises(PotentialDomainError):
-            eval_F(spec, s)
+            SingularPotential(spec).f(s)
         with pytest.raises(PotentialDomainError):
             eval_F1_derivative(spec, 1, s)
 
@@ -139,7 +136,7 @@ class TestSpecValidation:
         assert spec.alpha_star == -1.0
         assert spec.c0 == pytest.approx(0.5)
         assert spec.s0 == 0.0
-        assert eval_F_prime(spec, spec.s0) == 0.0
+        assert SingularPotential(spec).fprime(spec.s0) == 0.0
 
 
 class TestRegularizedFamily:
@@ -218,7 +215,7 @@ class TestRegularizedFamily:
         # strictly decreasing while nonzero
         for s in (0.95, 0.99, 0.999):
             spec0 = PotentialSpec(theta=1.0, theta_c=2.0, q=1)
-            want = eval_F(spec0, s)
+            want = SingularPotential(spec0).f(s)
             gaps = []
             for eps in EPS_GRID:
                 pot = build_F_eps(PotentialSpec(1.0, 2.0, 1, eps))
@@ -266,27 +263,23 @@ class TestComparisonLemmas:
 class TestConvexSplit:
     def test_definitional_identity(self):
         pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.05))
-        g, a_star = convex_split(pot)
-        assert isinstance(g, ConvexPart)
         s = np.linspace(-3, 3, 1000)
         np.testing.assert_allclose(
-            g(s) + 0.5 * a_star * s**2, pot.f(s), rtol=1e-14, atol=1e-14
+            pot.g(s) + 0.5 * pot.alpha_star * s**2, pot.f(s), rtol=1e-14, atol=1e-14
         )
 
     def test_gsecond_zero_at_origin(self):
         pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.05))
-        g, _ = convex_split(pot)
-        assert g.second(0.0) == pytest.approx(0.0, abs=1e-14)
+        assert pot.gsecond(0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_gsecond_nonnegative_everywhere(self):
         pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=2, epsilon=0.03))
-        g, _ = convex_split(pot)
         s = np.linspace(-3, 3, 40001)
-        assert np.min(g.second(s)) >= -1e-13
+        assert np.min(pot.gsecond(s)) >= -1e-13
 
     def test_midpoint_convexity_random_triples(self):
         pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.05))
-        g, _ = convex_split(pot)
+        g = pot.g
         rng = np.random.default_rng(11)
         a = rng.uniform(-2.5, 2.5, 500)
         b = rng.uniform(-2.5, 2.5, 500)
@@ -318,9 +311,24 @@ def test_second_derivative_floor_property(s, eps):
 def test_singular_potential_wrapper():
     spec = PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.0)
     pot = SingularPotential(spec)
+    assert pot.singular
+    assert not build_F_eps(PotentialSpec(1.0, 2.0, 1, 0.05)).singular
     assert pot.f(0.0) == 0.0
+    # F''(s) = theta / (1 - s^2) - theta_c
     assert pot.gsecond(0.5) == pytest.approx(
-        eval_F_second(spec, 0.5) - spec.alpha_star
+        spec.theta / (1 - 0.5**2) - spec.theta_c - spec.alpha_star
     )
     with pytest.raises(PotentialDomainError):
         pot.fprime(1.0)
+
+
+@pytest.mark.parametrize("q,eps", [(1, 0.1), (1, 1e-3), (2, 0.05)])
+def test_singular_and_regularized_share_the_core(q, eps):
+    # on |s| <= 1 - eps both classes run the same formulas on the same
+    # f1 floats, so every method agrees bit for bit
+    spec = PotentialSpec(theta=1.0, theta_c=2.0, q=q, epsilon=eps)
+    sing, reg = SingularPotential(spec), build_F_eps(spec)
+    s = np.linspace(-(1 - eps), 1 - eps, 2001)
+    for name in ("f", "fprime", "fsecond", "g", "gprime", "gsecond"):
+        assert np.array_equal(getattr(sing, name)(s), getattr(reg, name)(s)), name
+        assert getattr(sing, name)(0.3) == getattr(reg, name)(0.3), name
