@@ -196,11 +196,11 @@ def _coerce(key, raw):
     default = DEFAULTS[key]
     try:
         if isinstance(default, int) and not isinstance(default, bool):
-            if isinstance(raw, str):
-                return int(raw.strip())
-            out = int(raw)
-            if out != raw:
+            out = int(raw.strip()) if isinstance(raw, str) else int(raw)
+            if out != raw and not isinstance(raw, str):
                 raise ValueError(f"{raw!r} is not an integer")
+            if key == "seed" and out < 0:
+                raise ValueError(f"must be nonnegative, got {out}")
             return out
         if isinstance(default, float):
             out = float(raw)
@@ -249,20 +249,25 @@ def load_config(path=None, preset=None, seed=None):
                 doc = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ConfigError("parse", f"bad manifest json: {exc}") from None
-            items = doc.get("config")
-            if not isinstance(items, dict):
-                raise ConfigError("parse", "manifest has no config block")
-            for key, raw in items.items():
-                if key not in DEFAULTS:
-                    raise ConfigError("parse", f"unknown key {key!r} in manifest")
-                cfg[key] = _coerce(key, raw)
+            _apply_manifest(cfg, doc)
         else:
             cfg.update(parse_config_text(text))
     if seed is not None:
-        cfg["seed"] = int(seed)
-    if cfg["seed"] < 0:
-        raise ConfigError("parse", f"seed must be nonnegative, got {cfg['seed']}")
+        cfg["seed"] = _coerce("seed", seed)
     return cfg
+
+
+def _apply_manifest(cfg, doc):
+    """Overlay the config block of a parsed manifest document onto cfg."""
+    items = doc.get("config")
+    if not isinstance(items, dict):
+        raise ConfigError("parse", "manifest has no config block")
+    for key, raw in items.items():
+        if key not in DEFAULTS:
+            raise ConfigError("parse", f"unknown key {key!r} in manifest")
+        cfg[key] = _coerce(key, raw)
+    return cfg
+
 
 
 # ------------------------------------------------------- object assembly
@@ -296,12 +301,15 @@ def _physics(cfg, epsilon=None):
         raise ConfigError("potential", str(exc)) from None
     try:
         kspec = KernelSpec(cfg["kernel_family"], cfg["kernel_width"], cfg["kernel_j_l1"])
-        kd = build_kernel(kspec, grid, potential_spec=spec)
+        kd = build_kernel(kspec, grid)
     except KernelAssumptionError as exc:
         raise ConfigError("beta-margin", str(exc)) from None
     except KernelError as exc:
         raise ConfigError("kernel", str(exc)) from None
-    pspec = spec.with_beta(kd.beta)
+    try:
+        pspec = spec.with_beta(kd.beta)
+    except PotentialError as exc:
+        raise ConfigError("beta-margin", str(exc)) from None
     try:
         pot = SingularPotential(pspec) if eps == 0.0 else build_F_eps(pspec)
     except PotentialError as exc:
@@ -803,7 +811,7 @@ def run_diagnose(rundir, outdir=None):
     if not isinstance(manifest, dict) or \
             manifest.get("command") not in ("run", "run-ch"):
         raise ConfigError("io", "diagnose needs a run or run-ch directory")
-    cfg = load_config(path=manifest_path)
+    cfg = _apply_manifest(dict(DEFAULTS), manifest)
     grid, kd, pspec, pot = _physics(cfg)
     try:
         series = np.atleast_1d(np.genfromtxt(

@@ -7,8 +7,8 @@ Energy of a state (phi, u):
 
 The nonlocal quadratic term is evaluated through the convolution,
 (1/2)<a phi, phi> - (1/2)<phi, J*phi>, which agrees with the double sum
-identically because both use the same kernel table and cell quadrature;
-a direct O(N^2) evaluation is kept here as a cross-check oracle.
+identically because both use the same kernel table and cell quadrature
+(the tests hold a direct O(N^2) double sum as the cross-check oracle).
 
 The identity residual follows the stepper's conventions: viscous
 dissipation is evaluated with coefficients frozen at the start-of-step
@@ -59,19 +59,6 @@ class DiagnosticsError(Exception):
 
 # ---------------------------------------------------------------- energy
 
-@dataclass
-class EnergyReport:
-    t: float
-    kinetic: float
-    nonlocal_: float
-    potential: float
-    total: float
-    dissipation_visc: float
-    dissipation_mu: float
-    forcing: float
-    identity_residual: float
-
-
 def nonlocal_energy(phi, kernel, conv=None):
     """1/4 iint J(x-y)(phi(x)-phi(y))^2 via the convolution form.  conv,
     when given, is J*phi already computed for these values."""
@@ -81,20 +68,6 @@ def nonlocal_energy(phi, kernel, conv=None):
     val = 0.5 * float(np.sum(p * (kernel.a_field.values * p - conv))) \
         * phi.grid.cell_volume
     return val
-
-
-def nonlocal_energy_direct(phi, kernel):
-    """O(N^2) double-sum reference; keep to small grids."""
-    grid = phi.grid
-    nx, ny = grid.nx, grid.ny
-    p = phi.values
-    jt = kernel.Jtab
-    total = 0.0
-    for i in range(nx):
-        for j in range(ny):
-            block = jt[nx - 1 - i:2 * nx - 1 - i, ny - 1 - j:2 * ny - 1 - j]
-            total += np.sum(block * (p[i, j] - p) ** 2)
-    return 0.25 * total * grid.cell_volume ** 2
 
 
 def potential_energy(phi, feps):
@@ -114,28 +87,6 @@ def identity_residual(e0, e1, dt, visc_dissipation, grad_mu_sq, power):
     """r_n of the module docstring from its parts: the energies at both ends
     of the step and the step's dissipation and forcing (or transport) power."""
     return (e1 - e0) / dt + visc_dissipation + grad_mu_sq - power
-
-
-def energy_report(t, phi, vel, kernel, feps, visc=None, mu=None,
-                  forcing=None, identity_residual=float("nan")):
-    """Snapshot energy budget.  Dissipation fields use the state's own
-    coefficients nu(phi); the identity residual (a pairwise quantity) is
-    passed in by whoever computed it."""
-    kinetic, nl, pot, total = energy_terms(phi, vel, kernel, feps)
-    diss_v = 0.0
-    if visc is not None and vel is not None:
-        nu_c, nu_n = ns_step.viscosity_fields(phi.grid, phi.values, visc)
-        diss_v = ns_step.dissipation(phi.grid, nu_c, nu_n, vel.u, vel.v)
-    diss_m = 0.0
-    if mu is not None:
-        diss_m = go.h1_seminorm(mu) ** 2
-    power = 0.0
-    if forcing is not None and vel is not None:
-        power = go.inner_vec(forcing, vel)
-    return EnergyReport(t=float(t), kinetic=float(kinetic), nonlocal_=nl,
-                        potential=pot, total=float(total),
-                        dissipation_visc=diss_v, dissipation_mu=diss_m,
-                        forcing=power, identity_residual=identity_residual)
 
 
 # ------------------------------------------------------------ trajectory
@@ -238,10 +189,6 @@ def energy_identity_residuals(traj, kernel, feps, visc, forcings=None):
     return out
 
 
-def cumulative_residual(residuals, dt):
-    return float(np.sum(residuals) * dt)
-
-
 def running_cumulative(residuals, dt):
     """Prefix sums of r_n dt.  The continuum energy balance caps these at
     zero (energy is never gained beyond the forcing account); an implicit
@@ -315,14 +262,6 @@ def gradient_bound_check(phi, mu, kernel, c0):
     scale = max(abs(lhs), abs(rhs), 1.0)
     return {"lhs": lhs, "rhs": rhs,
             "satisfied": bool(lhs >= rhs - 1e-12 * scale)}
-
-
-def fprime_l1_series(traj, feps):
-    """||F'(phi(t))||_{L1} along the trajectory; boundedness of this series
-    is the practical sign that the singular derivative stays integrable."""
-    from .ch_step import fprime_l1
-
-    return np.array([fprime_l1(traj.phi(k), feps) for k in range(traj.n_snapshots)])
 
 
 # ------------------------------------------------------ trajectory metric

@@ -28,7 +28,7 @@ zero-mean inverse N and the V0' norm) is therefore one direct transform
 pair, O(N log N) and exact to roundoff: the staggered-grid direct method of
 Schumann & Sweet, J. Comput. Phys. 75 (1988).  The per-grid workspace holds
 the eigenvalue table, shared with the DCT preconditioner of the implicit CH
-solve, and the assembled sparse A as an independent stencil.
+solve.
 """
 
 import struct
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import sparse
 
 
 class GridError(Exception):
@@ -228,32 +227,13 @@ def inner_vec(a, b):
 # --------------------------------------------------- Neumann Laplacian and N
 
 class _NeumannWorkspace:
-    """Per-grid DCT-II eigenvalues of A = -laplace and the sparse A itself."""
+    """Per-grid DCT-II eigenvalues of A = -laplace."""
 
     def __init__(self, grid):
-        self.grid = grid
         nx, ny = grid.nx, grid.ny
         lx = (4.0 / grid.hx**2) * np.sin(np.arange(nx) * np.pi / (2 * nx)) ** 2
         ly = (4.0 / grid.hy**2) * np.sin(np.arange(ny) * np.pi / (2 * ny)) ** 2
         self.eig = lx[:, None] + ly[None, :]  # eig[0, 0] = 0: the constants
-        ax = _neumann_1d(nx, grid.hx)
-        ay = _neumann_1d(ny, grid.hy)
-        ix = sparse.identity(nx, format="csr")
-        iy = sparse.identity(ny, format="csr")
-        self.A = (sparse.kron(ax, iy) + sparse.kron(ix, ay)).tocsr()
-        self.diag = self.A.diagonal().reshape(nx, ny)
-
-    def apply_A(self, f):
-        nx, ny = self.grid.nx, self.grid.ny
-        return (self.A @ f.reshape(nx * ny)).reshape(nx, ny)
-
-
-def _neumann_1d(n, h):
-    main = np.full(n, 2.0)
-    main[0] = main[-1] = 1.0
-    return sparse.diags(
-        [np.full(n - 1, -1.0), main, np.full(n - 1, -1.0)], [-1, 0, 1]
-    ) / h**2
 
 
 _workspaces = {}
@@ -409,34 +389,6 @@ def vector_h1_seminorm(w):
     return float(np.sqrt(total * vol))
 
 
-def norms(f, p=4):
-    """Norm bundle used by the diagnostics; V0' included when f is zero-mean."""
-    if isinstance(f, VectorField):
-        return {
-            "L2": vector_l2(f),
-            "H1_seminorm": vector_h1_seminorm(f),
-            "Linf": float(max(np.abs(f.u).max(), np.abs(f.v).max())),
-        }
-    out = {
-        "L2": norm_l2(f),
-        "H1_seminorm": h1_seminorm(f),
-        "Lp": norm_lp(f, p),
-        "Linf": norm_linf(f),
-    }
-    scale = out["L2"] / np.sqrt(f.grid.area) if out["L2"] > 0 else 0.0
-    if abs(f.values.mean()) <= 1e-10 * max(scale, 1e-300):
-        out["V0prime"] = v0prime_norm(f)
-    return out
-
-
-def poincare_constant(grid):
-    """The Poincare-Wirtinger constant sup ||f|| / ||grad f|| over zero-mean
-    f, in closed form: lambda_2^(-1/2) with lambda_2 the smallest nonzero
-    eigenvalue of the Neumann Laplacian, min(eig[1, 0], eig[0, 1])."""
-    eig = workspace(grid).eig
-    return float(1.0 / np.sqrt(min(eig[1, 0], eig[0, 1])))
-
-
 # ------------------------------------------------------------------ field IO
 
 _MAGIC = b"NLCHFLD1"
@@ -467,14 +419,11 @@ def read_snapshot(path):
             f"snapshot payload of {len(blob) - 48} bytes does not match shape "
             f"({n0}, {n1}): {path}"
         )
-    data = np.frombuffer(blob, dtype=float, offset=48).reshape(n0, n1)
+    try:
+        data = np.frombuffer(blob, dtype=float, offset=48).reshape(n0, n1)
+    except ValueError:  # an empty payload with one extent past numpy's limit
+        raise GridError(f"snapshot shape ({n0}, {n1}) is too large: {path}") from None
     return data.copy(), {"hx": hx, "hy": hy, "time": time}
-
-
-def write_field_csv(path, f):
-    x, y = f.grid.cell_mesh()
-    out = np.column_stack([x.ravel(), y.ravel(), f.values.ravel()])
-    np.savetxt(path, out, delimiter=",", header="x,y,value", comments="")
 
 
 def velocity_from_streamfunction(grid, psi):

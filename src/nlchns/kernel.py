@@ -45,7 +45,7 @@ class KernelResolutionError(KernelError):
 
 
 class KernelAssumptionError(KernelError):
-    """Coefficient floor beta incompatible with the paired potential."""
+    """Coefficient field a = J * 1 not positive: beta = min a <= 0."""
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,9 @@ class KernelSpec:
             raise KernelError(
                 f"unknown kernel family {self.family!r}, expected one of {FAMILIES}"
             )
-        if not (self.width > 0):
-            raise KernelError(f"kernel width must be positive, got {self.width}")
+        if not (self.width > 0 and np.isfinite(self.width * self.width)):
+            raise KernelError(f"kernel width must be positive and its square "
+                              f"finite, got {self.width}")
         if not (self.j_l1 > 0):
             raise KernelError(f"L1 normalization must be positive, got {self.j_l1}")
 
@@ -146,12 +147,14 @@ def _displacements(n, h):
     return np.arange(-(n - 1), n) * h
 
 
-def build_kernel(spec, grid, potential_spec=None):
+def build_kernel(spec, grid):
     """Tabulate J on the displacement lattice, build the FFT plan, compute
     a(x) = (J * 1)(x) through that plan, and freeze the derived scalars.
 
-    potential_spec, when given, gates the pairing requirement
-    beta > theta_c - theta and raises with the offending margin.
+    Raises KernelError if a overflows and KernelAssumptionError unless
+    beta = min a > 0.  The pairing
+    premise beta > theta_c - theta belongs to the potential: it is checked
+    by PotentialSpec.with_beta(kd.beta).
     """
     h = max(grid.hx, grid.hy)
     if spec.width < 2.0 * h:
@@ -181,8 +184,11 @@ def build_kernel(spec, grid, potential_spec=None):
         _fshape=fshape, _jhat=jhat,
     )
 
-    ones = np.ones((grid.nx, grid.ny))
-    a_vals = kd.convolve_raw(ones)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        a_vals = kd.convolve_raw(np.ones((grid.nx, grid.ny)))
+    if not np.all(np.isfinite(a_vals)):
+        raise KernelError(f"coefficient field a = J * 1 overflows for width "
+                          f"{spec.width:.6g} and L1 mass {spec.j_l1:.6g}")
     kd.a_field = ScalarField(grid, a_vals, bc="none")
     kd.beta = float(a_vals.min())
     kd.a_inf = float(a_vals.max())
@@ -194,15 +200,6 @@ def build_kernel(spec, grid, potential_spec=None):
     kd.tv_x = _directional_tv(spec, grid, axis=0)
     kd.tv_y = _directional_tv(spec, grid, axis=1)
     kd.grad_j_l1 = max(kd.tv_x, kd.tv_y)
-
-    if potential_spec is not None:
-        margin = kd.beta - (potential_spec.theta_c - potential_spec.theta)
-        if margin <= 0.0:
-            raise KernelAssumptionError(
-                f"kernel floor beta = {kd.beta:.6g} must exceed theta_c - theta "
-                f"= {potential_spec.theta_c - potential_spec.theta:.6g} "
-                f"(margin {margin:.6g})"
-            )
     return kd
 
 

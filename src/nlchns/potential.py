@@ -35,7 +35,6 @@ injected by the kernel module when the potential is used inside mu.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,23 +359,10 @@ class LemmaReport:
     d_q_by_eps: dict
     checks: dict = field(default_factory=dict)  # name -> samples checked
     violations: list = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self):
         return not self.violations
-
-    def summary_lines(self):
-        lines = [
-            f"c_q = {self.c_q:.6g}, d_q = {self.d_q:.6g} "
-            f"(per-eps {', '.join(f'{e:g}:{d:.4g}' for e, d in self.d_q_by_eps.items())})"
-        ]
-        for name, n in self.checks.items():
-            bad = sum(1 for v in self.violations if v.name == name)
-            lines.append(f"{'PASS' if bad == 0 else 'FAIL'} {name}: "
-                         f"{bad} violations / {n} samples")
-        lines.append(f"elapsed {self.elapsed:.2f}s")
-        return lines
 
 
 def verify_potential_lemmas(spec, samples=100_000,
@@ -389,7 +375,6 @@ def verify_potential_lemmas(spec, samples=100_000,
     whole eps grid.  Violations are returned as structured records, never
     silently dropped.
     """
-    t0 = time.time()
     if spec.beta is None:
         raise PotentialBuildError("verify_potential_lemmas needs spec.beta for "
                                   "the convexity-shift check")
@@ -450,5 +435,4 @@ def verify_potential_lemmas(spec, samples=100_000,
         tol = slack * (1 + d1_sing)
         record("abs_f1eps_prime_le", eps, lhs > d1_sing + tol, s_open, lhs, d1_sing)
 
-    report.elapsed = time.time() - t0
     return report

@@ -1,6 +1,8 @@
 """Command line contract: config handling, run outputs, determinism,
 exit codes, and the reporting subcommands."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nlchns import cli
 from nlchns import diagnostics as dg
@@ -136,6 +139,15 @@ class TestRejectionCodes:
         rc = cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"error[{code}]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["1e200", "1e300"])
+    @pytest.mark.parametrize("cmd", ["run", "kernel-report"])
+    def test_huge_kernel_width(self, tmp_path, capsys, cmd, width):
+        # finite, but its square overflows inside the kernel profile
+        cfg = write_cfg(tmp_path / "w.cfg", f"kernel_width = {width}\n")
+        rc = cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error[kernel]:" in capsys.readouterr().err
 
     def test_missing_out_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -486,6 +498,75 @@ class TestReports:
         rc = cli.main(["potential-table", "--config", cfg])
         assert rc == 2
         assert "error[epsilon-range]:" in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+CONFIG_KEYS = st.sampled_from(sorted(DEFAULTS)) | st.text(max_size=8)
+CONFIG_LINES = st.lists(
+    st.tuples(CONFIG_KEYS, st.text(max_size=16)).map(" = ".join)
+    | st.text(max_size=24),
+    max_size=6,
+).map("\n".join)
+ODD_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, 1e-300, 1e-12, 0.05, 0.5, 1.0, 2.0, 1e12, 1e200,
+    1e300, 1.7976931348623157e308, -1.0, -1e300,
+]) | st.floats(allow_nan=False, allow_infinity=False)
+REPORT_KEYS = ("kernel_width", "kernel_j_l1", "theta", "theta_c", "epsilon",
+               "grid_lx", "grid_ly")
+
+
+class TestProperties:
+    """Hypothesis: odd input is a typed config or a ConfigError, and the
+    report commands exit 0 or 2, never with a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text() | CONFIG_LINES)
+    def test_parse_config_text(self, text):
+        try:
+            out = parse_config_text(text)
+        except ConfigError as exc:
+            assert exc.code == "parse"
+        else:
+            assert set(out) <= set(DEFAULTS)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(block=st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=6)
+           | JSON_VALUES)
+    def test_manifest_reload(self, tmp_path, block):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "run", "config": block}))
+        try:
+            cfg = load_config(str(path))
+        except ConfigError as exc:
+            assert exc.code == "parse"
+        else:
+            assert set(cfg) == set(DEFAULTS)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cmd=st.sampled_from(["kernel-report", "potential-table"]),
+           values=st.dictionaries(st.sampled_from(REPORT_KEYS), ODD_FLOATS,
+                                  max_size=2),
+           q=st.sampled_from([1, 1, 1, 2, 2, 0, 10**6]))
+    @example(cmd="kernel-report", values={"kernel_width": 1e300}, q=1)
+    @example(cmd="potential-table", values={"kernel_width": 1e300}, q=1)
+    def test_reports_exit_0_or_2(self, tmp_path, cmd, values, q):
+        # at most two keys off their defaults, so most draws reach the
+        # kernel and potential builds instead of the first rejection
+        lines = ["grid_nx = 32", "grid_ny = 32", f"q = {q}",
+                 "eps_grid = 1e-1,1e-2"]
+        lines += [f"{key} = {val!r}" for key, val in values.items()]
+        cfg = write_cfg(tmp_path / "odd.cfg", "\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main([cmd, "--config", cfg])
+        assert rc in (0, 2)
 
 
 class TestConsoleEntry:

@@ -7,9 +7,9 @@ import pytest
 from nlchns import diagnostics as dg
 from nlchns import grid_ops as go
 from nlchns import ns_step
-from nlchns.ch_step import (CHState, ch_energy_identity_residual,
-                            chemical_potential, ch_step, init_state)
-from nlchns.grid_ops import Grid, ScalarField, VectorField
+from nlchns.ch_step import (ch_energy_identity_residual, chemical_potential,
+                            ch_step, init_state)
+from nlchns.grid_ops import Grid, ScalarField
 from nlchns.kernel import KernelSpec, build_kernel
 from nlchns.potential import PotentialSpec, build_F_eps
 
@@ -18,6 +18,20 @@ KD = build_kernel(KernelSpec("gaussian", 0.15, 4.0), GRID)
 SPEC = PotentialSpec(1.0, 2.0, 1, 1e-2).with_beta(KD.beta)
 FEPS = build_F_eps(SPEC)
 VISC = ns_step.ViscositySpec(0.05, 0.2)
+
+
+def nonlocal_energy_direct(phi, kernel):
+    """O(N^2) double-sum reference; keep to small grids."""
+    grid = phi.grid
+    nx, ny = grid.nx, grid.ny
+    p = phi.values
+    jt = kernel.Jtab
+    total = 0.0
+    for i in range(nx):
+        for j in range(ny):
+            block = jt[nx - 1 - i:2 * nx - 1 - i, ny - 1 - j:2 * ny - 1 - j]
+            total += np.sum(block * (p[i, j] - p) ** 2)
+    return 0.25 * total * grid.cell_volume ** 2
 
 
 def smooth_field(grid, seed, amplitude=0.4):
@@ -89,7 +103,7 @@ class TestEnergyPieces:
             rng = np.random.default_rng(seed)
             phi = ScalarField(grid, rng.uniform(-0.9, 0.9, (n, n)))
             fast = dg.nonlocal_energy(phi, kd)
-            direct = dg.nonlocal_energy_direct(phi, kd)
+            direct = nonlocal_energy_direct(phi, kd)
             assert abs(fast - direct) <= 1e-11 * max(abs(direct), 1.0)
 
     def test_nonlocal_nonnegative_and_zero_on_constants(self):
@@ -100,24 +114,6 @@ class TestEnergyPieces:
             assert val >= -1e-12 * max(abs(val), 1.0)
         const = ScalarField(GRID, np.full((16, 16), 0.4))
         assert abs(dg.nonlocal_energy(const, KD)) <= 1e-13
-
-    def test_report_totals_and_fields(self):
-        phi = smooth_field(GRID, 3)
-        vel = smooth_velocity(GRID, 4)
-        mu = chemical_potential(phi, KD, FEPS)
-        forcing = VectorField(GRID, 0.1 * np.ones((17, 16)),
-                              np.zeros((16, 17)), bc="none")
-        forcing.u[0, :] = forcing.u[-1, :] = 0.0
-        rep = dg.energy_report(0.5, phi, vel, KD, FEPS, visc=VISC, mu=mu,
-                               forcing=forcing)
-        assert rep.total == rep.kinetic + rep.nonlocal_ + rep.potential
-        assert rep.kinetic == pytest.approx(0.5 * go.vector_l2(vel) ** 2)
-        assert rep.potential == pytest.approx(
-            float(np.sum(FEPS.f(phi.values))) * GRID.cell_volume)
-        assert rep.dissipation_mu == pytest.approx(go.h1_seminorm(mu) ** 2)
-        assert rep.forcing == pytest.approx(go.inner_vec(forcing, vel))
-        assert rep.dissipation_visc > 0.0
-        assert np.isnan(rep.identity_residual)
 
     def test_constant_state_potential_energy(self):
         const = ScalarField(GRID, np.full((16, 16), 0.3))
@@ -185,7 +181,7 @@ class TestEnergyIdentity:
         prefixes = dg.running_cumulative(res, traj.dt)
         assert prefixes.max() <= 1e-8
         # and the defect itself is O(dt), not runaway
-        assert abs(dg.cumulative_residual(res, traj.dt)) <= 1.0 * traj.dt
+        assert abs(prefixes[-1]) <= 1.0 * traj.dt
 
     def test_residual_first_order_under_refinement(self):
         start = relaxed_start(GRID, KD, FEPS)
@@ -265,15 +261,6 @@ class TestGradientBoundAndSeries:
             mu = chemical_potential(phi, KD, FEPS)
             res = dg.gradient_bound_check(phi, mu, KD, SPEC.c0)
             assert res["satisfied"], f"violated at snapshot {k}: {res}"
-
-    def test_fprime_series_matches_direct_sum(self):
-        traj = run_coupled_snapshots(GRID, KD, SPEC, FEPS, 3, 2e-3)
-        series = dg.fprime_l1_series(traj, FEPS)
-        assert series.shape == (4,)
-        direct = float(np.sum(np.abs(FEPS.fprime(traj.phis[0])))) \
-            * GRID.cell_volume
-        assert series[0] == pytest.approx(direct, rel=1e-14)
-        assert np.all(np.isfinite(series))
 
 
 def random_trajectory(seed, n=4, dt=0.5, grid=None):

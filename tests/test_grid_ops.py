@@ -5,19 +5,50 @@ Oracles kept independent of the implementation:
     on random fields;
   - the discrete Neumann Laplacian has closed-form eigenpairs
     f_i = cos(k pi (i+1/2)/n), lambda = (4/h^2) sin^2(k pi / (2n)),
-    which pin down inverse_neumann, the V0' norm and the Poincare constant
-    without re-deriving anything from the code under test;
+    which pin down inverse_neumann and the V0' norm without re-deriving
+    anything from the code under test;
+  - the Neumann matrix A = -laplace assembled here from 1D stencils
+    (assembled_neumann) checks the DCT solve and the matrix-free stencil;
   - quadrature sums of polynomials have closed forms.
 """
 
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy import sparse
 
 from nlchns import grid_ops as go
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _neumann_1d(n, h):
+    main = np.full(n, 2.0)
+    main[0] = main[-1] = 1.0
+    return sparse.diags(
+        [np.full(n - 1, -1.0), main, np.full(n - 1, -1.0)], [-1, 0, 1]
+    ) / h**2
+
+
+def assembled_neumann(grid):
+    """The sparse Neumann matrix A = -laplace as a Kronecker sum of 1D
+    stencils, with its diagonal and its action on cell arrays."""
+    nx, ny = grid.nx, grid.ny
+    ax = _neumann_1d(nx, grid.hx)
+    ay = _neumann_1d(ny, grid.hy)
+    ix = sparse.identity(nx, format="csr")
+    iy = sparse.identity(ny, format="csr")
+    A = (sparse.kron(ax, iy) + sparse.kron(ix, ay)).tocsr()
+    return SimpleNamespace(
+        A=A,
+        diag=A.diagonal().reshape(nx, ny),
+        apply_A=lambda f: (A @ f.reshape(nx * ny)).reshape(nx, ny),
+    )
 
 
 def random_scalar(grid, seed=0, zero_mean=False):
@@ -127,13 +158,13 @@ class TestExactIdentities:
     def test_h1_seminorm_matches_quadratic_form(self):
         g = go.Grid(16, 16)
         f = random_scalar(g, seed=6)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         quad = go.inner(f, go.ScalarField(g, ws.apply_A(f.values), bc="none"))
         assert go.h1_seminorm(f) ** 2 == pytest.approx(quad, rel=1e-12)
 
     def test_neumann_matrix_positive_semidefinite(self):
         g = go.Grid(12, 10)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         for seed in range(5):
             f = rng(seed).standard_normal((12, 10))
             e = np.sum(f * ws.apply_A(f)) * g.cell_volume
@@ -147,7 +178,7 @@ class TestExactIdentities:
     def test_sparse_matches_matrixfree(self):
         g = go.Grid(14, 18, lx=2.0, ly=3.0)
         f = random_scalar(g, seed=7)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         direct = -go.laplace_neumann(f).values
         assert np.allclose(ws.apply_A(f.values), direct, rtol=1e-13, atol=1e-13)
 
@@ -167,7 +198,7 @@ class TestNeumannInverse:
     def test_eigenfield_is_eigenvector(self):
         g = go.Grid(16, 12, lx=1.7)
         f, lam = neumann_eigenfield(g, 2, 1)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         assert np.allclose(ws.apply_A(f.values), lam * f.values,
                            rtol=1e-12, atol=1e-12)
 
@@ -181,7 +212,7 @@ class TestNeumannInverse:
         g = go.Grid(24, 20, lx=1.2, ly=0.8)
         f = random_scalar(g, seed=8, zero_mean=True)
         nf = go.inverse_neumann(f)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         resid = np.linalg.norm(ws.apply_A(nf.values) - f.values)
         assert resid <= 1e-9 * np.linalg.norm(f.values)
         assert abs(nf.values.mean()) <= 1e-13 * np.abs(nf.values).max()
@@ -210,7 +241,7 @@ class TestNeumannInverse:
         g = go.Grid(*shape)
         f = random_scalar(g, seed=11, zero_mean=True)
         p = go.solve_neumann_direct(g, f.values)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         resid = np.linalg.norm(ws.A @ p.ravel() - f.values.ravel())
         assert resid <= 1e-12 * np.linalg.norm(f.values)
         assert abs(p.mean()) <= 1e-15 * np.abs(p).max()
@@ -239,7 +270,7 @@ class TestNeumannInverse:
     def test_cg_warm_start_at_solution_takes_no_iteration(self):
         g = go.Grid(16, 12)
         f, lam = neumann_eigenfield(g, 2, 1)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         x, iters = go.cg(ws.apply_A, f.values, x0=f.values / lam,
                          project=go.remove_mean)
         assert iters == 0
@@ -248,7 +279,7 @@ class TestNeumannInverse:
     def test_cg_projected_solution_has_zero_mean(self):
         g = go.Grid(24, 20, lx=1.2, ly=0.8)
         f = random_scalar(g, seed=16, zero_mean=True)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         x0 = rng(17).standard_normal((g.nx, g.ny)) + 3.0
         x, iters = go.cg(ws.apply_A, f.values, x0=x0, project=go.remove_mean)
         assert iters > 0
@@ -260,7 +291,7 @@ class TestNeumannInverse:
         # SPD diag(w) + A, preconditioned by the exact inverse of its
         # diagonal: both paths must land on the same solution
         g = go.Grid(16, 16)
-        ws = go.workspace(g)
+        ws = assembled_neumann(g)
         w = 1.0 + rng(18).random((g.nx, g.ny))
         b = rng(19).standard_normal((g.nx, g.ny))
 
@@ -288,22 +319,6 @@ class TestRefinement:
         order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert min(order) >= 1.9
 
-    def test_poincare_constant_matches_closed_form(self):
-        g = go.Grid(16, 12, lx=2.0, ly=1.0)
-        lam2 = min(
-            (4.0 / g.hx**2) * np.sin(np.pi / (2 * g.nx)) ** 2,
-            (4.0 / g.hy**2) * np.sin(np.pi / (2 * g.ny)) ** 2,
-        )
-        est = go.poincare_constant(g)
-        assert est == pytest.approx(1.0 / np.sqrt(lam2), rel=1e-8)
-
-    def test_poincare_converges_to_continuum(self):
-        # continuum value L/pi for the slowest direction
-        g = go.Grid(64, 8, lx=2.0, ly=0.25)
-        est = go.poincare_constant(g)
-        assert est == pytest.approx(2.0 / np.pi, rel=5e-4)
-
-
 class TestNorms:
     def test_l2_closed_form_sum(self):
         # sum_{i<n} ((i+1/2)h)^2 h = h^3 n(4n^2-1)/12 with h = 1/n
@@ -327,20 +342,6 @@ class TestNorms:
         f, lam = neumann_eigenfield(g, 2, 0)
         want = np.sqrt(go.norm_l2(f) ** 2 / lam)
         assert go.v0prime_norm(f) == pytest.approx(want, rel=1e-10)
-
-    def test_norms_dict_gates_v0prime_on_mean(self):
-        g = go.Grid(8, 8)
-        f0 = random_scalar(g, seed=12, zero_mean=True)
-        f1 = go.ScalarField(g, f0.values + 1.0)
-        assert "V0prime" in go.norms(f0)
-        assert "V0prime" not in go.norms(f1)
-        assert set(go.norms(f1)) == {"L2", "H1_seminorm", "Lp", "Linf"}
-
-    def test_vector_norms(self):
-        g = go.Grid(12, 12)
-        w = go.zero_vector(g)
-        nb = go.norms(w)
-        assert nb["L2"] == 0.0 and nb["H1_seminorm"] == 0.0
 
     def test_vector_h1_detects_wall_shear(self):
         # u = 1 in the interior of a channel has zero gradient except the
@@ -408,11 +409,31 @@ class TestSnapshotIO:
         with pytest.raises(go.GridError):
             go.read_snapshot(path)
 
-    def test_csv_export(self, tmp_path):
-        g = go.Grid(8, 8)
-        f = random_scalar(g, seed=15)
-        path = tmp_path / "phi.csv"
-        go.write_field_csv(path, f)
-        table = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert table.shape == (64, 3)
-        assert table[:, 2] == pytest.approx(f.values.ravel(), rel=1e-15)
+
+SHAPES = (st.integers(0, 12) | st.sampled_from([-1, 2**31, 2**62, 2**63 - 1])
+          | st.integers(-2**63, 2**63 - 1))
+HEADERS = st.builds(
+    lambda n0, n1, hx, hy, t: struct.pack("<qqddd", n0, n1, hx, hy, t),
+    SHAPES, SHAPES, st.floats(), st.floats(), st.floats(),
+)
+PAYLOADS = st.integers(0, 16).flatmap(
+    lambda k: st.binary(min_size=8 * k, max_size=8 * k))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tail=st.binary(max_size=160)
+       | st.tuples(HEADERS, PAYLOADS).map(b"".join))
+@example(tail=struct.pack("<qqddd", 0, 2**62, 1.0, 1.0, 0.0))
+def test_read_snapshot_any_bytes_after_magic(tmp_path, tail):
+    """The header's shape describes the array read back, or GridError."""
+    path = tmp_path / "fuzz.fld"
+    path.write_bytes(b"NLCHFLD1" + tail)
+    try:
+        data, meta = go.read_snapshot(path)
+    except go.GridError:
+        return
+    n0, n1, hx, hy, time = struct.unpack_from("<qqddd", tail)
+    assert data.shape == (n0, n1) and data.dtype == np.float64
+    assert data.tobytes() == tail[40:]
+    assert set(meta) == {"hx", "hy", "time"}

@@ -18,7 +18,7 @@ from nlchns.kernel import (
     KernelSpec,
     build_kernel,
 )
-from nlchns.potential import PotentialSpec
+from nlchns.potential import PotentialBuildError, PotentialSpec
 
 
 def profile_ref(family, width, j_l1, r):
@@ -54,6 +54,13 @@ class TestSpecValidation:
             KernelSpec("gaussian", 0.0)
         with pytest.raises(KernelError):
             KernelSpec("gaussian", 0.1, j_l1=-1.0)
+
+    @pytest.mark.parametrize("width", [1e200, 1e300])
+    def test_width_whose_square_overflows(self, width):
+        with pytest.raises(KernelError, match="finite"):
+            KernelSpec("gaussian", width)
+        with pytest.raises(KernelError, match="finite"):
+            KernelSpec("compact-mollifier", width)
 
     def test_resolution_gate(self):
         g = Grid(16, 16)  # h = 1/16
@@ -249,21 +256,32 @@ class TestCoefficientField:
 
 
 class TestAssumptionGate:
+    """The kernel requires only beta > 0; the convex-split premise
+    beta > theta_c - theta is the potential's, checked by with_beta."""
+
     def test_pairing_margin_error(self):
         g = Grid(16, 16)
         pot = PotentialSpec(theta=1.0, theta_c=2.0)  # needs beta > 1
         weak = KernelSpec("gaussian", 0.15, j_l1=0.5)  # beta < 0.5
-        with pytest.raises(KernelAssumptionError, match="margin"):
-            build_kernel(weak, g, potential_spec=pot)
+        kd = build_kernel(weak, g)
+        assert 0.0 < kd.beta < 0.5
+        with pytest.raises(PotentialBuildError, match="margin"):
+            pot.with_beta(kd.beta)
 
     def test_pairing_accepts_strong_kernel(self):
         g = Grid(16, 16)
         pot = PotentialSpec(theta=1.0, theta_c=2.0)
         strong = KernelSpec("gaussian", 0.15, j_l1=8.0)
-        kd = build_kernel(strong, g, potential_spec=pot)
+        kd = build_kernel(strong, g)
         assert kd.beta > 1.0
+        assert pot.with_beta(kd.beta).c0 == pytest.approx(kd.beta - 1.0)
         rep = kd.report(pot)
         assert rep["beta_margin"] == pytest.approx(kd.beta - 1.0)
+
+    def test_nonpositive_floor_rejected(self):
+        # the smallest subnormal L1 mass: a = J * 1 underflows to zero
+        with pytest.raises(KernelAssumptionError, match="positive"):
+            build_kernel(KernelSpec("gaussian", 0.15, j_l1=5e-324), Grid(16, 16))
 
 
 class TestGradientMass:
