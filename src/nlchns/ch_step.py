@@ -150,14 +150,13 @@ class ImplicitMap:
     def m(self, x):
         return self.a * x + self.pot.fprime(x)
 
-    def mprime(self, x):
-        return self.a + self.pot.fsecond(x)
-
     def invert(self, psi, x0, dt_for_reject):
         """Safeguarded vectorized Newton for m(x) = psi, warm started at x0.
 
         Keeps a bracket per node and falls back to bisection whenever a
         Newton step leaves it, so monotonicity of m guarantees convergence.
+        Each iteration takes F' and F'' from one fused potential pass.
+        Returns x and m'(x) from the converged iteration.
         """
         if self.pot.singular:
             lo = np.full(psi.shape, -1.0 + 1e-14)
@@ -186,12 +185,14 @@ class ImplicitMap:
 
         tol = 1e-13 * (1.0 + np.abs(psi))
         for _ in range(NEWTON_MAX_POINTWISE):
-            f = self.m(x) - psi
+            fp, fpp = self.pot.fprime_fsecond(x)
+            f = self.a * x + fp - psi
+            mprime = self.a + fpp
             if np.all(np.abs(f) <= tol):
-                return x
+                return x, mprime
             hi = np.where(f > 0, np.minimum(hi, x), hi)
             lo = np.where(f < 0, np.maximum(lo, x), lo)
-            step = f / self.mprime(x)
+            step = f / mprime
             xn = x - step
             outside = (xn <= lo) | (xn >= hi)
             x = np.where(outside, 0.5 * (lo + hi), xn)
@@ -229,7 +230,7 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
         tol = 1e-13 * np.sqrt(b.size) * scale
 
         psi = imap.m(p0)
-        phi = imap.invert(psi, p0, dt)
+        phi, mprime = imap.invert(psi, p0, dt)
         converged = False
         for _ in range(NEWTON_MAX_OUTER):
             residual = phi - dt * go.laplace_arrays(grid, psi) - b
@@ -237,7 +238,7 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
             if rnorm <= tol:
                 converged = True
                 break
-            w = 1.0 / imap.mprime(phi)
+            w = 1.0 / mprime
             shift = float(np.median(w))
             denom = shift + dt * lam
 
@@ -258,7 +259,7 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
                 raise StepRejection("inner CG for the implicit update stalled",
                                     dt / 2.0) from None
             psi = psi + delta
-            phi = imap.invert(psi, phi, dt)
+            phi, mprime = imap.invert(psi, phi, dt)
         if not converged:
             raise StepRejection(
                 f"implicit Newton did not converge in {NEWTON_MAX_OUTER} iterations",

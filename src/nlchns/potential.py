@@ -25,9 +25,10 @@ and d_q exhibited by scan.  `verify_potential_lemmas` re-checks every one
 of these inequalities by dense sampling and returns a structured report.
 
 LogPotential writes F, F', F'' and the convex split G = F - (alpha_star/2)
-s^2 once over a subclass's f1(s, k): SingularPotential (eps = 0, raises at
-|s| >= 1) or RegularizedPotential (eps > 0, from build_F_eps).  The two
-agree bit for bit on |s| <= 1 - eps; ``pot.singular`` tells them apart.
+s^2 once over a subclass's f1_orders(s, ks): SingularPotential (eps = 0,
+raises at |s| >= 1) or RegularizedPotential (eps > 0, from build_F_eps).
+The two agree bit for bit on |s| <= 1 - eps; ``pot.singular`` tells them
+apart.  fprime_fsecond gives (F', F'') from one pass over s.
 
 Conventions: q is a positive integer, K = 2 + 2q is the matched smoothness
 order, and beta (the lower bound of the kernel coefficient field a(x)) is
@@ -130,33 +131,49 @@ class PotentialSpec:
         return PotentialSpec(self.theta, self.theta_c, self.q, self.epsilon, beta)
 
 
+def _F1_closed_form(theta, k, s):
+    """k-th derivative of F1 on a float array, unchecked: the caller has
+    validated k and kept s inside (-1, 1) (NaN passes through as NaN)."""
+    if k == 0:
+        return 0.5 * theta * ((1 + s) * np.log1p(s) + (1 - s) * np.log1p(-s))
+    if k == 1:
+        return theta * np.arctanh(s)
+    fac = 0.5 * theta * _factorial(k - 2)
+    return fac * ((-1.0) ** k / (1 + s) ** (k - 1) + 1.0 / (1 - s) ** (k - 1))
+
+
+def _check_orders(spec, ks):
+    for k in ks:
+        if not (0 <= k <= spec.order):
+            raise PotentialError(f"derivative order k={k} outside 0..{spec.order}")
+
+
+def eval_F1_derivatives(spec, ks, s):
+    """[F1^(k)(s) for k in ks], closed form, with one domain check shared
+    by every order (see eval_F1_derivative)."""
+    _check_orders(spec, ks)
+    s = np.asarray(s, dtype=float)
+    outside = np.abs(s) >= 1.0
+    if np.any(outside):
+        raise PotentialDomainError(f"singular potential evaluated at or beyond "
+                                   f"+-1 (s={float(s[outside][0])!r})")
+    return [_F1_closed_form(spec.theta, k, s) for k in ks]
+
+
 def eval_F1_derivative(spec, k, s):
     """k-th derivative of the convex logarithmic part, closed form.
 
     F1'(s)    = (theta/2) log((1+s)/(1-s))
     F1^(k)(s) = (theta/2) (k-2)! [(-1)^k/(1+s)^(k-1) + 1/(1-s)^(k-1)], k >= 2
     """
-    if not (0 <= k <= spec.order):
-        raise PotentialError(f"derivative order k={k} outside 0..{spec.order}")
-    s = np.asarray(s, dtype=float)
-    outside = np.abs(s) >= 1.0
-    if np.any(outside):
-        raise PotentialDomainError(f"singular potential evaluated at or beyond "
-                                   f"+-1 (s={float(s[outside][0])!r})")
-    th = spec.theta
-    if k == 0:
-        out = 0.5 * th * ((1 + s) * np.log1p(s) + (1 - s) * np.log1p(-s))
-    elif k == 1:
-        out = th * np.arctanh(s)
-    else:
-        fac = 0.5 * th * _factorial(k - 2)
-        out = fac * ((-1.0) ** k / (1 + s) ** (k - 1) + 1.0 / (1 - s) ** (k - 1))
+    (out,) = eval_F1_derivatives(spec, (k,), s)
     return out if np.ndim(out) else float(out)
 
 
 class LogPotential:
     """F = F1 + F2 and G = F - (alpha_star/2) s^2 with their derivatives,
-    over the k-th derivative f1(s, k) of F1 that a subclass supplies."""
+    over f1_orders(s, ks), the derivatives of F1 that a subclass supplies
+    for several orders from one pass over s."""
 
     singular = False
 
@@ -167,6 +184,11 @@ class LogPotential:
         self.order = spec.order  # K = 2 + 2q
         self.alpha = spec.alpha
         self.alpha_star = spec.alpha_star
+
+    def f1(self, s, k=0):
+        """k-th derivative of F1 (of F1_eps when regularized)."""
+        (out,) = self.f1_orders(s, (k,))
+        return out if np.ndim(out) else float(out)
 
     def f(self, s):
         s_arr = np.asarray(s, dtype=float)
@@ -181,6 +203,16 @@ class LogPotential:
     def fsecond(self, s):
         out = self.f1(s, 2) - self.spec.theta_c
         return float(out) if np.ndim(s) == 0 else out
+
+    def fprime_fsecond(self, s):
+        """(F'(s), F''(s)) from one f1 pass, bit for bit the separate calls."""
+        s_arr = np.asarray(s, dtype=float)
+        d1, d2 = self.f1_orders(s_arr, (1, 2))
+        fp = d1 - self.spec.theta_c * s_arr
+        fpp = d2 - self.spec.theta_c
+        if np.ndim(s) == 0:
+            return float(fp), float(fpp)
+        return fp, fpp
 
     def g(self, s):
         """Convex part of the split F = G + (alpha_star/2) s^2."""
@@ -210,8 +242,8 @@ class SingularPotential(LogPotential):
     def __init__(self, spec):
         super().__init__(spec, 0.0)
 
-    def f1(self, s, k=0):
-        return eval_F1_derivative(self.spec, k, s)
+    def f1_orders(self, s, ks):
+        return eval_F1_derivatives(self.spec, ks, s)
 
 
 class RegularizedPotential(LogPotential):
@@ -291,28 +323,39 @@ class RegularizedPotential(LogPotential):
                 f"on [1-eps, 1) at eps={self.eps}"
             )
 
-    def f1(self, s, k=0):
-        """k-th derivative of F1_eps, defined on all of R."""
-        if not (0 <= k <= self.order):
-            raise PotentialError(f"derivative order k={k} outside 0..{self.order}")
+    def f1_orders(self, s, ks):
+        """[F1_eps^(k)(s) for k in ks], defined on all of R.  One split of
+        s at |s| = knot serves every order; with no node in a tail the
+        closed forms run on s directly.  NaN stays in the core and comes
+        out as NaN."""
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.empty_like(s)
-
-        core = np.abs(s) <= self.knot
-        right = s > self.knot
-        left = s < -self.knot
-        if np.any(core):
-            out[core] = eval_F1_derivative(self.spec, k, s[core])
-        coeffs = self._tail[k]
-        if np.any(right):
-            t = s[right] - self.knot
-            out[right] = np.polynomial.polynomial.polyval(t, coeffs)
-        if np.any(left):
-            t = -s[left] - self.knot
-            out[left] = (-1.0) ** k * np.polynomial.polynomial.polyval(t, coeffs)
-        return float(out[0]) if scalar else out
+        if s.ndim == 0:
+            # a scalar runs as one element, so it gets the array loops' bits
+            return [out[0] for out in self.f1_orders(s[None], ks)]
+        _check_orders(self.spec, ks)
+        theta = self.spec.theta
+        tail = np.abs(s) > self.knot
+        if not tail.any():
+            return [_F1_closed_form(theta, k, s) for k in ks]
+        core = ~tail
+        s_core = s[core]
+        s_tail = s[tail]
+        t = np.abs(s_tail) - self.knot
+        left = s_tail < 0
+        outs = []
+        for k in ks:
+            out = np.empty_like(s)
+            out[core] = _F1_closed_form(theta, k, s_core)
+            # Horner in np.polynomial.polynomial.polyval's own order
+            coeffs = self._tail[k]
+            val = coeffs[-1] + t * 0
+            for c in coeffs[-2::-1]:
+                val = c + val * t
+            if k % 2:
+                np.negative(val, out=val, where=left)
+            out[tail] = val
+            outs.append(out)
+        return outs
 
 
 def build_F_eps(spec, eps_max=EPS_MAX_DEFAULT):

@@ -30,7 +30,6 @@ from nlchns.potential import (
     PotentialSpec,
     SingularPotential,
     build_F_eps,
-    eval_F1_derivative,
     verify_potential_lemmas,
 )
 

@@ -386,3 +386,34 @@ class TestSpinodalRegression:
 # numbers describe the flow rather than an artifact.
 REGRESSION_ENERGY = -0.010611628784984315
 REGRESSION_PEAK = 0.7940762167294894
+
+
+class TestTailRegimeRegression:
+    """The cauchy-sweep stripe (theta 0.4, theta_c 1.66, |J| 6, peak 0.999)
+    at its finest eps = 3.125e-3: an eighth of the nodes start in the
+    polynomial tails |phi| > 1 - eps, so the pointwise Newton of the
+    implicit map runs through the tail branch of F_eps on every step.
+    test_frozen_baseline above stays in the core.  The numbers were frozen
+    from the code before F' and F'' were fused into one pass per pointwise
+    Newton iteration, which left every float of the step unchanged."""
+
+    def test_frozen_tail_baseline(self):
+        g = Grid(32, 32)
+        kd = build_kernel(KernelSpec("gaussian", 0.1, j_l1=6.0), g)
+        pot = build_F_eps(PotentialSpec(0.4, 1.66, 1, 3.125e-3).with_beta(kd.beta))
+        _, y = g.cell_mesh()
+        stripe = -np.tanh((np.abs(y - 0.5 * g.ly) - 0.25 * g.ly) / 0.08)
+        stripe -= stripe.mean()
+        stripe *= 0.999 / np.max(np.abs(stripe))
+        st = ch.init_state(ScalarField(g, stripe), kd, pot)
+        assert np.mean(np.abs(st.phi.values) > pot.knot) > 0.1
+        for _ in range(20):
+            st = ch.ch_step(st, None, 2e-3, kd, pot)
+        energy = ch.ch_energy(st.phi, kd, pot)
+        peak = float(np.max(np.abs(st.phi.values)))
+        assert energy == pytest.approx(TAIL_REGRESSION_ENERGY, rel=1e-12)
+        assert peak == pytest.approx(TAIL_REGRESSION_PEAK, rel=1e-12)
+
+
+TAIL_REGRESSION_ENERGY = -0.0559223417896767
+TAIL_REGRESSION_PEAK = 0.9984119911800604

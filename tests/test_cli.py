@@ -4,7 +4,6 @@ exit codes, and the reporting subcommands."""
 import contextlib
 import io
 import json
-import os
 import shutil
 import subprocess
 import sys

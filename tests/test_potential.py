@@ -6,8 +6,6 @@ Oracles used here, none of which share code with the implementation:
 - adaptive centered finite differences (step scaled to the distance from +-1)
 """
 
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -18,7 +16,6 @@ from nlchns.potential import (
     PotentialBuildError,
     PotentialDomainError,
     PotentialSpec,
-    RegularizedPotential,
     SingularPotential,
     build_F_eps,
     eval_F1_derivative,
@@ -331,3 +328,71 @@ def test_singular_and_regularized_share_the_core(q, eps):
     for name in ("f", "fprime", "fsecond", "g", "gprime", "gsecond"):
         assert np.array_equal(getattr(sing, name)(s), getattr(reg, name)(s)), name
         assert getattr(sing, name)(0.3) == getattr(reg, name)(0.3), name
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_nan_propagates_through_every_order(q):
+    # a NaN node fails every core/tail comparison; it must come out as NaN,
+    # not as whatever the output buffer held
+    pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=q, epsilon=0.05))
+    nan = float("nan")
+    for s in (np.array([0.1, nan, 0.5, nan]),              # core only
+              np.array([0.1, nan, 1.5, nan, -2.0, 0.5])):  # both tails
+        want = np.isnan(s)
+        for k in range(pot.order + 1):
+            assert np.array_equal(np.isnan(pot.f1(s, k)), want), k
+        for got in (pot.fprime(s), pot.fsecond(s), *pot.fprime_fsecond(s)):
+            assert np.array_equal(np.isnan(got), want)
+    assert np.isnan(pot.fsecond(nan))
+    assert all(np.isnan(v) for v in pot.fprime_fsecond(nan))
+
+
+@st.composite
+def straddling_knots(draw):
+    """(q, eps, s): s mixes core nodes with nodes on both sides of both
+    knots +-(1 - eps), or stays in the core when core_only is drawn."""
+    q = draw(st.sampled_from((1, 2)))
+    eps = draw(st.sampled_from(EPS_GRID))
+    knot = 1.0 - eps
+    core = st.floats(-knot, knot)
+    vals = draw(st.lists(core, min_size=1, max_size=32))
+    if not draw(st.booleans()):
+        near = st.builds(lambda sign, d: sign * (knot + d), st.sampled_from((-1.0, 1.0)),
+                         st.floats(-2 * eps, 2 * eps))
+        vals += [knot + eps, -knot - eps]
+        vals += draw(st.lists(st.one_of(near, st.floats(-3.0, 3.0)), max_size=32))
+    return q, eps, np.array(draw(st.permutations(vals)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=straddling_knots())
+def test_fused_pair_is_bitwise_the_separate_calls(case):
+    q, eps, s = case
+    pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=q, epsilon=eps))
+    fp, fpp = pot.fprime_fsecond(s)
+    assert np.array_equal(fp, pot.fprime(s))
+    assert np.array_equal(fpp, pot.fsecond(s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                  min_size=1, max_size=32))
+def test_fused_pair_singular(s):
+    pot = SingularPotential(PotentialSpec(theta=1.0, theta_c=2.0, q=1))
+    s = np.array(s)
+    fp, fpp = pot.fprime_fsecond(s)
+    assert np.array_equal(fp, pot.fprime(s))
+    assert np.array_equal(fpp, pot.fsecond(s))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_scalar_calls_return_python_floats(eps):
+    spec = PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=eps)
+    pot = SingularPotential(spec) if eps == 0.0 else build_F_eps(spec)
+    for k in range(pot.order + 1):
+        assert type(pot.f1(0.3, k)) is float
+    pair = pot.fprime_fsecond(0.3)
+    assert [type(v) for v in pair] == [float, float]
+    assert pair == (pot.fprime(0.3), pot.fsecond(0.3))
+    with pytest.raises(PotentialDomainError):
+        SingularPotential(spec).fprime_fsecond(np.array([0.2, 1.0]))
