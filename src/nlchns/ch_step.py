@@ -23,7 +23,9 @@ semidefinite J) and the advective flux are explicit:
 
 Substituting psi = m(phi1) turns the update into W(psi) - dt lap psi = b
 with W = m^{-1}, whose Newton systems diag(W') + dt A are symmetric
-positive definite and solved by preconditioned conjugate gradients.  This
+positive definite and solved by preconditioned conjugate gradients.  W
+itself is a safeguarded pointwise Newton inside the bracket
+|W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
 makes the energy non-increasing for u = 0 at any dt (up to the kernel's
 departure from positive semidefiniteness, which is roundoff-level for the
 gaussian family), keeps constant states exact fixed points, and conserves
@@ -138,9 +140,10 @@ def convective_power(u, p, mu_vals):
 class ImplicitMap:
     """m(s) = a(x) s + F'(s) and its pointwise inverse W.
 
-    m is strictly increasing with margin c0 = min(a + F'') > 0, so W is well
-    defined: on all of R for the regularized potential (polynomial growth),
-    on the preimage of (-1, 1) for the singular one.
+    m is strictly increasing, m' = a + F'' >= c0 = theta + beta - theta_c > 0
+    (pot.spec.c0, since a >= beta), so W is well defined: on all of R for
+    the regularized potential (polynomial growth), on the preimage of
+    (-1, 1) for the singular one.
     """
 
     def __init__(self, a_vals, pot):
@@ -153,49 +156,42 @@ class ImplicitMap:
     def invert(self, psi, x0, dt_for_reject):
         """Safeguarded vectorized Newton for m(x) = psi, warm started at x0.
 
-        Keeps a bracket per node and falls back to bisection whenever a
-        Newton step leaves it, so monotonicity of m guarantees convergence.
+        m(0) = 0 and m' >= c0 place every root in |x| <= |psi| / c0, so the
+        bracket is known before any evaluation: radius 2 |psi| / c0 (the 2
+        is headroom for roundoff in m'), widened to contain x0 and, for the
+        singular potential, cut to |x| <= 1 - 1e-14.  A Newton step that
+        leaves the bracket falls back to bisection, so monotonicity of m
+        guarantees convergence; nodes that meet the tolerance stay put.
         Each iteration takes F' and F'' from one fused potential pass.
         Returns x and m'(x) from the converged iteration.
         """
+        rad = 2.0 * np.abs(psi) / self.pot.spec.c0
+        lo = np.minimum(x0, -rad)
+        hi = np.maximum(x0, rad)
         if self.pot.singular:
-            lo = np.full(psi.shape, -1.0 + 1e-14)
-            hi = np.full(psi.shape, 1.0 - 1e-14)
-            if np.any(self.m(hi) < psi) or np.any(self.m(lo) > psi):
+            edge = np.full(psi.shape, 1.0 - 1e-14)
+            if np.any(self.m(edge) < psi) or np.any(self.m(-edge) > psi):
                 raise CHError(
                     "singular-potential saturation guard: implicit update "
                     "requires |phi| >= 1 - 1e-14 somewhere"
                 )
-            x = np.clip(x0, lo, hi)
-        else:
-            rad = np.maximum(1.0, np.abs(x0))
-            lo = x0 - rad
-            hi = x0 + rad
-            for _ in range(64):
-                bad_lo = self.m(lo) > psi
-                bad_hi = self.m(hi) < psi
-                if not (bad_lo.any() or bad_hi.any()):
-                    break
-                lo = np.where(bad_lo, lo - (hi - lo), lo)
-                hi = np.where(bad_hi, hi + (hi - lo), hi)
-            else:
-                raise StepRejection("could not bracket the implicit map inverse",
-                                    dt_for_reject / 2.0)
-            x = np.clip(x0, lo, hi)
+            lo = np.maximum(lo, -edge)
+            hi = np.minimum(hi, edge)
+        x = np.clip(x0, lo, hi)
 
         tol = 1e-13 * (1.0 + np.abs(psi))
         for _ in range(NEWTON_MAX_POINTWISE):
             fp, fpp = self.pot.fprime_fsecond(x)
             f = self.a * x + fp - psi
             mprime = self.a + fpp
-            if np.all(np.abs(f) <= tol):
+            done = np.abs(f) <= tol
+            if np.all(done):
                 return x, mprime
             hi = np.where(f > 0, np.minimum(hi, x), hi)
             lo = np.where(f < 0, np.maximum(lo, x), lo)
-            step = f / mprime
-            xn = x - step
+            xn = x - f / mprime
             outside = (xn <= lo) | (xn >= hi)
-            x = np.where(outside, 0.5 * (lo + hi), xn)
+            x = np.where(done, x, np.where(outside, 0.5 * (lo + hi), xn))
         raise StepRejection("pointwise Newton for the implicit map stalled",
                             dt_for_reject / 2.0)
 

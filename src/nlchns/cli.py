@@ -387,17 +387,10 @@ def _initial_phi(cfg, grid, rng):
         path = cfg["init_file"]
         if not path:
             raise ConfigError("init", "init = file requires init_file")
-        try:
-            values, meta = go.read_snapshot(path)
+        try:  # ScalarField rejects a wrong shape and non-finite values
+            phi = ScalarField(grid, go.read_snapshot(path)[0])
         except (OSError, GridError) as exc:
             raise ConfigError("init", f"cannot load init_file: {exc}") from None
-        if values.shape != (grid.nx, grid.ny):
-            raise ConfigError(
-                "init",
-                f"init_file shape {values.shape} does not match grid "
-                f"{(grid.nx, grid.ny)}",
-            )
-        phi = ScalarField(grid, values)
         _check_mean_cap(cfg, phi)
         return phi
     else:
@@ -411,12 +404,16 @@ def _initial_phi(cfg, grid, rng):
     return phi
 
 
-def _swirl(grid, amplitude):
-    """Single counterclockwise cell-filling vortex; exactly divergence free."""
+def _swirl(grid, amplitude, code):
+    """Single counterclockwise cell-filling vortex; exactly divergence free.
+    An amplitude whose velocity overflows is a ConfigError with code."""
     xc, yc = grid.corner_mesh()
     psi = amplitude * np.sin(np.pi * xc / grid.lx) ** 2 \
         * np.sin(np.pi * yc / grid.ly) ** 2
-    return go.velocity_from_streamfunction(grid, psi)
+    try:
+        return go.velocity_from_streamfunction(grid, psi)
+    except GridError as exc:
+        raise ConfigError(code, f"swirl amplitude {amplitude:.6g}: {exc}") from None
 
 
 def _initial_velocity(cfg, grid):
@@ -425,7 +422,7 @@ def _initial_velocity(cfg, grid):
         raise ConfigError("init", f"unknown init_u kind {kind!r}")
     if kind == "zero" or cfg["init_u_amplitude"] == 0.0:
         return go.zero_vector(grid, "noslip")
-    return _swirl(grid, cfg["init_u_amplitude"])
+    return _swirl(grid, cfg["init_u_amplitude"], "init")
 
 
 def _cos_in_time(field, omega):
@@ -459,13 +456,13 @@ def _velocity_fn(cfg, grid):
         still = go.zero_vector(grid, "noslip")
         return lambda t: still
     if kind == "swirl":
-        steady = _swirl(grid, cfg["velocity_amplitude"])
+        steady = _swirl(grid, cfg["velocity_amplitude"], "parse")
         return lambda t: steady
     if kind == "swirl-periodic":
         period = cfg["velocity_period"]
         if period <= 0.0:
             raise ConfigError("parse", f"velocity_period must be positive, got {period}")
-        return _cos_in_time(_swirl(grid, cfg["velocity_amplitude"]),
+        return _cos_in_time(_swirl(grid, cfg["velocity_amplitude"], "parse"),
                             2.0 * np.pi / period)
     raise ConfigError("parse", f"unknown velocity kind {kind!r}")
 

@@ -276,11 +276,13 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None):
     project, an orthogonal projector such as remove_mean, is applied to b,
     x0, each A p, each residual and the result, so roundoff cannot drift
     into its complement.  Stops at ||r|| <= rtol ||b||; returns (x, iters).
-    Raises CGStall after maxiter iterations (default 20 * b.size) or on a
-    non-positive curvature p.Ap."""
+    Raises CGStall on a non-finite ||b||, after maxiter iterations (default
+    20 * b.size) or on a non-positive curvature p.Ap."""
     keep = project or (lambda w: w)
     b = keep(b)
     bnorm = np.linalg.norm(b)
+    if not np.isfinite(bnorm):
+        raise CGStall(f"CG right-hand side has non-finite norm {bnorm}")
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     if x0 is None:

@@ -7,9 +7,11 @@ forward-Euler scheme as an independent integrator cross-check.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from nlchns import ch_step as ch
 from nlchns import grid_ops as go
@@ -288,6 +290,62 @@ class TestSingularMode:
         st = ch.init_state(ScalarField(g, np.full((32, 32), 1.0 - 5e-11)), kd, pot)
         with pytest.raises(ch.CHError, match="guard"):
             ch.ch_step(st, None, 1e-4, kd, pot)
+
+
+@functools.cache
+def implicit_map_potential(theta, theta_c, beta, eps):
+    spec = PotentialSpec(theta, theta_c, 1, eps).with_beta(beta)
+    return SingularPotential(spec) if eps == 0.0 else build_F_eps(spec)
+
+
+class TestImplicitMapInverse:
+    """ImplicitMap.invert solves m(x) = a x + F'(x) = psi nodewise from its
+    a-priori bracket |x| <= 2 |psi| / c0, for any warm start."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=hst.sampled_from([(1.0, 2.0, 1.5), (0.4, 1.66, 1.3)]),
+           eps=hst.sampled_from([0.0, 1e-1, 1e-2, 3.125e-3]),
+           seed=hst.integers(0, 2**32 - 1),
+           depth=hst.floats(-3.0, 2.0),
+           start=hst.sampled_from(["mirror", "far", "random"]))
+    def test_solves_to_tolerance_and_returns_mprime(self, params, eps, seed,
+                                                    depth, start):
+        pot = implicit_map_potential(*params, eps)
+        rng = np.random.default_rng(seed)
+        shape = (4, 6)
+        a = params[2] + 4.0 * rng.random(shape)
+        sign = rng.choice([-1.0, 1.0], shape)
+        if pot.singular:
+            # roots up to 1e-3 from the wall, where m' reaches 1e3 theta
+            root = sign * (1.0 - 10.0 ** (-3.0 * rng.random(shape)))
+        else:
+            # roots up to 10^depth, far into the polynomial tails
+            root = sign * 10.0 ** (depth * rng.random(shape))
+        imap = ch.ImplicitMap(a, pot)
+        psi = imap.m(root)
+        edge = 1.0 - 1e-9 if pot.singular else 1e3
+        x0 = {"mirror": -root,
+              "far": -sign * edge,
+              "random": edge * (2.0 * rng.random(shape) - 1.0)}[start]
+        x, mprime = imap.invert(psi, x0, 1e-3)
+        assert np.all(np.abs(imap.m(x) - psi) <= 1e-13 * (1.0 + np.abs(psi)))
+        assert np.array_equal(mprime, a + pot.fsecond(x))
+
+    def test_converged_nodes_come_back_unchanged(self, setup32):
+        # psi one ulp above m(x0) meets the tolerance while the Newton step
+        # is below an ulp of x0; those nodes must not move while one far
+        # node still iterates
+        g, kd, pot, _ = setup32
+        imap = ch.ImplicitMap(kd.a_field.values, pot)
+        x0 = np.linspace(-0.95, 0.95, g.nx * g.ny).reshape(g.nx, g.ny)
+        psi = np.nextafter(imap.m(x0), np.inf)
+        x0_far = x0.copy()
+        x0_far[0, 0] = 0.9
+        x, _ = imap.invert(psi, x0_far, 1e-3)
+        assert x[0, 0] != 0.9
+        held = np.ones(x0.shape, dtype=bool)
+        held[0, 0] = False
+        assert np.array_equal(x[held], x0[held])
 
 
 class TestEnergyIdentityResidual:

@@ -129,6 +129,8 @@ class TestRejectionCodes:
         ("init_amplitude = inf", "parse"),
         ("grid_lx = nan", "parse"),
         ("seed = -1", "parse"),
+        # finite, but the swirl's velocity differences overflow
+        ("init_u = swirl\ninit_u_amplitude = 1e308", "init"),
     ]
 
     @pytest.mark.parametrize("text,code", CASES, ids=[c for _, c in CASES])
@@ -147,6 +149,28 @@ class TestRejectionCodes:
         rc = cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "error[kernel]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,bad", [(16, np.nan), (16, np.inf), (12, 0.0)],
+                             ids=["nan", "inf", "shape"])
+    def test_bad_init_file(self, tmp_path, capsys, n, bad):
+        values = np.zeros((n, 16))
+        values[3, 4] = bad
+        snap = tmp_path / "phi0.fld"
+        go.write_snapshot(str(snap), values, go.Grid(16, 16))
+        cfg = write_cfg(tmp_path / "f.cfg",
+                        "grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+                        f"init = file\ninit_file = {snap}\n")
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error[init]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["swirl", "swirl-periodic"])
+    def test_overflowing_run_ch_swirl(self, tmp_path, capsys, kind):
+        cfg = write_cfg(tmp_path / "s.cfg",
+                        f"velocity = {kind}\nvelocity_amplitude = 1e308\n")
+        rc = cli.main(["run-ch", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error[parse]:" in capsys.readouterr().err
 
     def test_missing_out_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -423,6 +447,21 @@ class TestNumericalFailure:
         assert (out / "series.csv").exists()
         index = json.loads((out / "snapshots.json").read_text())
         assert len(index["snapshots"]) >= 1
+
+
+    def test_overflowing_forcing_fails_the_run(self, tmp_path, capsys):
+        # ||dt f|| overflows although every entry is finite: the momentum
+        # CG must refuse it rather than report a zero velocity as converged
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+                        "horizon = 0.01\nforcing = steady\nforcing_fx = 1e200\n")
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["status"] == "failed"
+        assert m["outputs"]["steps_completed"] == 0
 
 
 class TestDiagnose:

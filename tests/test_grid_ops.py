@@ -267,6 +267,14 @@ class TestNeumannInverse:
             go.cg(lambda x: np.roll(x, 1) + x * 2.0, b, maxiter=2,
                   project=project)
 
+    @pytest.mark.parametrize("big", [1e200, np.inf], ids=["overflow", "inf"])
+    def test_cg_rejects_nonfinite_rhs_norm(self, big):
+        # ||b|| overflows to inf, which every residual would "meet"
+        b = np.full(64, 1.0)
+        b[5] = big
+        with pytest.raises(go.CGStall, match="non-finite"):
+            go.cg(lambda x: 2.0 * x, b)
+
     def test_cg_warm_start_at_solution_takes_no_iteration(self):
         g = go.Grid(16, 12)
         f, lam = neumann_eigenfield(g, 2, 1)
