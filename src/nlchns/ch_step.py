@@ -6,7 +6,7 @@ with no-flux mu and a prescribed (or coupled) divergence-free velocity.
 
 Scheme
 ------
-The default step is first-order semi-implicit with a convex/concave split
+The step is first-order semi-implicit with a convex/concave split
 of the free energy
 
     E(phi) = 1/2 <a phi, phi> + int F(phi)  -  1/2 <phi, J*phi>.
@@ -34,11 +34,6 @@ advective divergence and the Laplacian telescope, and the leftover Newton
 defect (checked below 1e-12) is removed by a uniform shift so the mass
 never drifts across steps.
 
-An explicit forward-Euler variant is kept as a cross-check oracle; it
-refuses to run when dt exceeds the diffusive stability bound
-h^2 / (4 (a_inf + max F'')) evaluated on the currently reachable range of
-phi.
-
 Running with the true singular potential (no regularization) is allowed
 for diagnostics; any node reaching |phi| >= 1 - 1e-10 is a hard error
 rather than a silent clamp.
@@ -56,8 +51,6 @@ from .grid_ops import ScalarField, face_phi
 
 log = logging.getLogger(__name__)
 
-SCHEMES = ("semi-implicit-convex-split", "explicit")
-
 SATURATION_GUARD = 1.0 - 1e-10
 MASS_DEFECT_LIMIT = 1e-12
 NEWTON_MAX_OUTER = 50
@@ -74,10 +67,6 @@ class StepRejection(CHError):
     def __init__(self, message, suggested_dt):
         super().__init__(f"{message}; suggest retrying with dt = {suggested_dt:.6g}")
         self.suggested_dt = suggested_dt
-
-
-class StabilityError(CHError):
-    """Explicit step requested above its diffusive stability bound."""
 
 
 @dataclass
@@ -99,12 +88,12 @@ def _accepted_state(phi, kd, pot, t, mass0, saturated):
                    saturated=saturated)
 
 
-def init_state(phi, kd, pot, t=0.0):
+def init_state(phi, kd, pot):
     mass = phi.mean()
     if abs(mass) >= 1.0:
         raise CHError(f"mean of phi must lie strictly inside (-1, 1), got {mass:.6g}")
     sat = bool(np.max(np.abs(phi.values)) >= 1.0)
-    return _accepted_state(phi, kd, pot, t, mass, sat)
+    return _accepted_state(phi, kd, pot, 0.0, mass, sat)
 
 
 def chemical_potential(phi, kd, pot, conv=None):
@@ -116,7 +105,7 @@ def chemical_potential(phi, kd, pot, conv=None):
     if conv is None:
         conv = kd.convolve_raw(p)
     vals = kd.a_field.values * p - conv + pot.fprime(p)
-    return ScalarField(phi.grid, vals, bc="neumann")
+    return ScalarField(phi.grid, vals)
 
 
 def ch_energy(phi, kd, pot):
@@ -161,8 +150,11 @@ class ImplicitMap:
         is headroom for roundoff in m'), widened to contain x0 and, for the
         singular potential, cut to |x| <= 1 - 1e-14.  A Newton step that
         leaves the bracket falls back to bisection, so monotonicity of m
-        guarantees convergence; nodes that meet the tolerance stay put.
-        Each iteration takes F' and F'' from one fused potential pass.
+        guarantees convergence.  A node stays put once it meets the
+        tolerance or its Newton step falls below one ulp of x: near +-1,
+        where m' is large, the nearest float to the root can miss the psi
+        tolerance.  Each iteration takes F' and F'' from one fused potential
+        pass.
         Returns x and m'(x) from the converged iteration.
         """
         rad = 2.0 * np.abs(psi) / self.pot.spec.c0
@@ -184,7 +176,7 @@ class ImplicitMap:
             fp, fpp = self.pot.fprime_fsecond(x)
             f = self.a * x + fp - psi
             mprime = self.a + fpp
-            done = np.abs(f) <= tol
+            done = np.abs(f) <= np.maximum(tol, mprime * np.abs(np.spacing(x)))
             if np.all(done):
                 return x, mprime
             hi = np.where(f > 0, np.minimum(hi, x), hi)
@@ -196,72 +188,59 @@ class ImplicitMap:
                             dt_for_reject / 2.0)
 
 
-def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
+def ch_step(state, u, dt, kd, pot):
     """Advance one step.  u is a divergence-free VectorField or None."""
     if dt <= 0:
         raise CHError(f"dt must be positive, got {dt}")
-    if scheme not in SCHEMES:
-        raise CHError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     grid = state.phi.grid
     p0 = state.phi.values
     if not np.all(np.isfinite(p0)):
         raise CHError("phi contains non-finite entries")
 
-    conv0 = state.conv
     adv = convective_divergence(u, p0) if u is not None else 0.0
+    b = p0 - dt * adv - dt * go.laplace_arrays(grid, state.conv)
+    imap = ImplicitMap(kd.a_field.values, pot)
+    lam = go.workspace(grid).eig  # A = -laplace on the DCT-II basis
+    scale = max(1.0, float(np.max(np.abs(b))))
+    tol = 1e-13 * np.sqrt(b.size) * scale
 
-    if scheme == "explicit":
-        bound = explicit_dt_bound(grid, kd, pot, float(np.max(np.abs(p0))))
-        if dt > bound:
-            raise StabilityError(
-                f"explicit step dt = {dt:.3g} exceeds diffusive bound {bound:.3g}"
-            )
-        # state.mu is a p0 - conv0 + F'(p0), stored when p0 was accepted
-        p1 = p0 - dt * adv + dt * go.laplace_arrays(grid, state.mu.values)
-    else:
-        b = p0 - dt * adv - dt * go.laplace_arrays(grid, conv0)
-        imap = ImplicitMap(kd.a_field.values, pot)
-        lam = go.workspace(grid).eig  # A = -laplace on the DCT-II basis
-        scale = max(1.0, float(np.max(np.abs(b))))
-        tol = 1e-13 * np.sqrt(b.size) * scale
+    psi = imap.m(p0)
+    phi, mprime = imap.invert(psi, p0, dt)
+    converged = False
+    for _ in range(NEWTON_MAX_OUTER):
+        residual = phi - dt * go.laplace_arrays(grid, psi) - b
+        rnorm = np.linalg.norm(residual)
+        if rnorm <= tol:
+            converged = True
+            break
+        w = 1.0 / mprime
+        shift = float(np.median(w))
+        denom = shift + dt * lam
 
-        psi = imap.m(p0)
-        phi, mprime = imap.invert(psi, p0, dt)
-        converged = False
-        for _ in range(NEWTON_MAX_OUTER):
-            residual = phi - dt * go.laplace_arrays(grid, psi) - b
-            rnorm = np.linalg.norm(residual)
-            if rnorm <= tol:
-                converged = True
-                break
-            w = 1.0 / mprime
-            shift = float(np.median(w))
-            denom = shift + dt * lam
+        def mv(x, w=w):
+            return w * x + dt * (-go.laplace_arrays(grid, x))
 
-            def mv(x, w=w):
-                return w * x + dt * (-go.laplace_arrays(grid, x))
+        def precond(r, denom=denom):
+            rh = sfft.dctn(r, type=2, norm="ortho")
+            return sfft.idctn(rh / denom, type=2, norm="ortho")
 
-            def precond(r, denom=denom):
-                rh = sfft.dctn(r, type=2, norm="ortho")
-                return sfft.idctn(rh / denom, type=2, norm="ortho")
-
-            # inexact Newton: only resolve the linear model down to what the
-            # outer tolerance actually needs this sweep
-            rtol_cg = min(1e-2, max(0.3 * tol / rnorm, 1e-13))
-            try:
-                delta, _ = go.cg(mv, -residual, precond, rtol=rtol_cg,
-                                 maxiter=2000)
-            except go.CGStall:
-                raise StepRejection("inner CG for the implicit update stalled",
-                                    dt / 2.0) from None
-            psi = psi + delta
-            phi, mprime = imap.invert(psi, phi, dt)
-        if not converged:
-            raise StepRejection(
-                f"implicit Newton did not converge in {NEWTON_MAX_OUTER} iterations",
-                dt / 2.0,
-            )
-        p1 = phi
+        # inexact Newton: only resolve the linear model down to what the
+        # outer tolerance actually needs this sweep
+        rtol_cg = min(1e-2, max(0.3 * tol / rnorm, 1e-13))
+        try:
+            delta, _ = go.cg(mv, -residual, precond, rtol=rtol_cg,
+                             maxiter=2000)
+        except go.CGStall:
+            raise StepRejection("inner CG for the implicit update stalled",
+                                dt / 2.0) from None
+        psi = psi + delta
+        phi, mprime = imap.invert(psi, phi, dt)
+    if not converged:
+        raise StepRejection(
+            f"implicit Newton did not converge in {NEWTON_MAX_OUTER} iterations",
+            dt / 2.0,
+        )
+    p1 = phi
 
     if not np.all(np.isfinite(p1)):
         raise CHError("step produced non-finite phi")
@@ -286,20 +265,8 @@ def ch_step(state, u, dt, kd, pot, scheme="semi-implicit-convex-split"):
         log.warning("phi reached |phi| >= 1 at t = %.6g (monitor flag set)",
                     state.t + dt)
 
-    return _accepted_state(ScalarField(grid, p1, bc="neumann"), kd, pot,
+    return _accepted_state(ScalarField(grid, p1), kd, pot,
                            state.t + dt, state.mass0, saturated or state.saturated)
-
-
-def explicit_dt_bound(grid, kd, pot, phi_peak):
-    """Diffusive bound dt <= h^2 / (4 (a_inf + max F'')) over the reachable
-    range of phi, padded a little so near-threshold states stay honest."""
-    span = phi_peak * 1.05 + 0.05
-    if pot.singular:
-        span = min(span, 1.0 - 1e-12)
-    s = np.linspace(-span, span, 2001)
-    fpp_max = float(np.max(pot.fsecond(s)))
-    h = min(grid.hx, grid.hy)
-    return h * h / (4.0 * (kd.a_inf + max(fpp_max, 0.0)))
 
 
 def ch_energy_identity_residual(states, u, kd, pot, dt):

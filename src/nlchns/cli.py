@@ -14,7 +14,9 @@ Config format
 Flat ``key = value`` text, one pair per line, ``#`` starts a comment.
 Unknown keys are rejected.  ``--config`` also accepts a manifest.json
 written by an earlier run; rerunning from it reproduces that run's
-series byte for byte.  Precedence: DEFAULTS < --preset < --config file
+series byte for byte.  A manifest written while the config still had a
+``scheme`` key loads when that key names the semi-implicit convex split,
+the only CH step.  Precedence: DEFAULTS < --preset < --config file
 < --seed flag.  The full key list with defaults is the DEFAULTS dict
 below; every run's manifest records the resolved values plus all derived
 constants and numerical tolerances, so a run directory is self-describing.
@@ -73,7 +75,6 @@ from .ch_step import (
     NEWTON_MAX_OUTER,
     NEWTON_MAX_POINTWISE,
     SATURATION_GUARD,
-    SCHEMES,
     ch_step,
     chemical_potential,
     convective_power,
@@ -152,7 +153,6 @@ DEFAULTS = {
     "velocity": "zero", "velocity_amplitude": 0.5, "velocity_period": 1.0,
     # time stepping and output cadence
     "dt": 2e-3, "horizon": 0.2, "snapshot_every": 0, "series_every": 1,
-    "scheme": "semi-implicit-convex-split",
     "seed": 1234,
 }
 
@@ -258,16 +258,22 @@ def load_config(path=None, preset=None, seed=None):
 
 
 def _apply_manifest(cfg, doc):
-    """Overlay the config block of a parsed manifest document onto cfg."""
+    """Overlay the config block of a parsed manifest document onto cfg.
+    Manifests from versions that had a ``scheme`` key still load when it
+    names the one step this version runs."""
     items = doc.get("config")
     if not isinstance(items, dict):
         raise ConfigError("parse", "manifest has no config block")
     for key, raw in items.items():
+        if key == "scheme":
+            if raw != "semi-implicit-convex-split":
+                raise ConfigError("parse", f"manifest scheme {raw!r} is not "
+                                           "the semi-implicit convex split")
+            continue
         if key not in DEFAULTS:
             raise ConfigError("parse", f"unknown key {key!r} in manifest")
         cfg[key] = _coerce(key, raw)
     return cfg
-
 
 
 # ------------------------------------------------------- object assembly
@@ -285,7 +291,7 @@ def _check_epsilon(eps):
 
 def _physics(cfg, epsilon=None):
     """The grid -> potential spec -> kernel -> beta -> potential chain every
-    command shares, then the scheme check; each rejection is a ConfigError.
+    command shares; each rejection is a ConfigError.
     epsilon overrides cfg["epsilon"].  epsilon > 0 is the working family;
     epsilon = 0 is the true-singular mode whose evaluations must stay
     inside (-1, 1)."""
@@ -314,8 +320,6 @@ def _physics(cfg, epsilon=None):
         pot = SingularPotential(pspec) if eps == 0.0 else build_F_eps(pspec)
     except PotentialError as exc:
         raise ConfigError("potential", str(exc)) from None
-    if cfg["scheme"] not in SCHEMES:
-        raise ConfigError("parse", f"unknown scheme {cfg['scheme']!r}")
     return Physics(grid, kd, pspec, pot)
 
 
@@ -421,14 +425,14 @@ def _initial_velocity(cfg, grid):
     if kind not in ("zero", "swirl"):
         raise ConfigError("init", f"unknown init_u kind {kind!r}")
     if kind == "zero" or cfg["init_u_amplitude"] == 0.0:
-        return go.zero_vector(grid, "noslip")
+        return go.zero_vector(grid)
     return _swirl(grid, cfg["init_u_amplitude"], "init")
 
 
 def _cos_in_time(field, omega):
     """field scaled by cos(omega t), as a callable of time."""
     return lambda t: VectorField(field.grid, np.cos(omega * t) * field.u,
-                                 np.cos(omega * t) * field.v, field.bc)
+                                 np.cos(omega * t) * field.v)
 
 
 def _forcing_fn(cfg, grid):
@@ -441,7 +445,7 @@ def _forcing_fn(cfg, grid):
     bv = np.zeros((grid.nx, grid.ny + 1))
     bu[1:-1, :] = fx
     bv[:, 1:-1] = fy
-    steady = VectorField(grid, bu, bv, bc="none")
+    steady = VectorField(grid, bu, bv)
     if kind == "steady":
         return lambda t: steady
     if kind == "time-periodic":
@@ -453,7 +457,7 @@ def _velocity_fn(cfg, grid):
     """Prescribed transport velocity for run-ch as a callable of time."""
     kind = cfg["velocity"]
     if kind == "zero":
-        still = go.zero_vector(grid, "noslip")
+        still = go.zero_vector(grid)
         return lambda t: still
     if kind == "swirl":
         steady = _swirl(grid, cfg["velocity_amplitude"], "parse")
@@ -586,7 +590,7 @@ class _Stepper:
 
     def __init__(self, cfg, phys):
         self.grid, self.kd, self.pot = phys.grid, phys.kd, phys.pot
-        self.dt, self.scheme = cfg["dt"], cfg["scheme"]
+        self.dt = cfg["dt"]
         rng = np.random.default_rng(cfg["seed"])
         self.ch = init_state(_initial_phi(cfg, self.grid, rng), self.kd, self.pot)
 
@@ -612,7 +616,7 @@ class _Coupled(_Stepper):
         h = self.forcing(t)
         flow = ns.ns_step(self.flow, self.ch.phi, self.ch.mu, h, self.visc, self.dt)
         phi_n = self.ch.phi.values
-        self.ch = ch_step(self.ch, flow.u, self.dt, self.kd, self.pot, scheme=self.scheme)
+        self.ch = ch_step(self.ch, flow.u, self.dt, self.kd, self.pot)
         self.flow = flow  # (phi, u) stays a coherent pair on failure
         self.last = (phi_n, h)
 
@@ -658,7 +662,7 @@ class _Transport(_Stepper):
 
     def step(self, t):
         u = self.velocity(t)
-        self.ch = ch_step(self.ch, u, self.dt, self.kd, self.pot, scheme=self.scheme)
+        self.ch = ch_step(self.ch, u, self.dt, self.kd, self.pot)
         self.u_n = u
 
     def energy_terms(self):

@@ -93,15 +93,14 @@ def identity_residual(e0, e1, dt, visc_dissipation, grad_mu_sq, power):
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled run history.  Times are canonical, t0 + k dt,
-    so translation composes exactly."""
+    """Uniformly sampled run history.  Times are canonical, k dt, so
+    translation composes exactly."""
 
     grid: go.Grid
     dt: float
     phis: np.ndarray     # (n, nx, ny)
     us: np.ndarray       # (n, nx+1, ny)
     vs: np.ndarray       # (n, nx, ny+1)
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (self.dt > 0.0):
@@ -129,7 +128,7 @@ class Trajectory:
 
     @property
     def times(self):
-        return self.t0 + self.dt * np.arange(self.n_snapshots)
+        return self.dt * np.arange(self.n_snapshots)
 
     @property
     def horizon(self):
@@ -139,33 +138,33 @@ class Trajectory:
         return ScalarField(self.grid, self.phis[k])
 
     def vel(self, k):
-        return VectorField(self.grid, self.us[k], self.vs[k], bc="noslip")
+        return VectorField(self.grid, self.us[k], self.vs[k])
 
 
-def translate(traj, t_shift, tol=1e-9):
+def translate(traj, t_shift):
     """Drop the first t_shift of the trajectory and restart the clock at 0.
 
     t_shift must align with the snapshot grid; shifting to or beyond the
     final snapshot is an error.  Times are regenerated as k * dt, so
     translate(a) then translate(b) equals translate(a + b) bitwise."""
-    if t_shift < -tol * traj.dt:
+    if t_shift < -1e-9 * traj.dt:
         raise DiagnosticsError("translation must be forward in time")
     steps = int(round(t_shift / traj.dt))
-    if abs(steps * traj.dt - t_shift) > tol * max(traj.dt, 1.0):
+    if abs(steps * traj.dt - t_shift) > 1e-9 * max(traj.dt, 1.0):
         raise DiagnosticsError(
             f"shift {t_shift} is not a multiple of dt = {traj.dt}")
     if steps >= traj.n_snapshots:
         raise DiagnosticsError("translation exceeds the trajectory horizon")
     return Trajectory(traj.grid, traj.dt, traj.phis[steps:].copy(),
-                      traj.us[steps:].copy(), traj.vs[steps:].copy(), t0=0.0)
+                      traj.us[steps:].copy(), traj.vs[steps:].copy())
 
 
 # ------------------------------------------------------- energy identity
 
-def energy_identity_residuals(traj, kernel, feps, visc, forcings=None):
+def energy_identity_residuals(traj, kernel, feps, visc):
     """Residual series r_n, n = 0 .. n_snapshots - 2, per the module
-    docstring, with chemical potentials recomputed from phi as the stepper
-    does.  forcings: optional list of VectorFields at the step starts."""
+    docstring for an unforced run (h = 0), with chemical potentials
+    recomputed from phi as the stepper does."""
     from .ch_step import chemical_potential
 
     n = traj.n_snapshots
@@ -181,11 +180,8 @@ def energy_identity_residuals(traj, kernel, feps, visc, forcings=None):
         diss_v = ns_step.dissipation(traj.grid, nu_c, nu_n,
                                      traj.us[k + 1], traj.vs[k + 1])
         diss_m = go.h1_seminorm(mu_next) ** 2
-        power = 0.0
-        if forcings is not None and forcings[k] is not None:
-            power = go.inner_vec(forcings[k], traj.vel(k + 1))
         out[k] = identity_residual(energies[k], energies[k + 1], traj.dt,
-                                   diss_v, diss_m, power)
+                                   diss_v, diss_m, 0.0)
     return out
 
 
@@ -209,15 +205,14 @@ def observed_order(dts, values):
 
 # --------------------------------------------------- dissipative estimate
 
-def dissipative_estimate_check(times, energies, k, floor, fit_time=None,
-                               slack=1e-12):
+def dissipative_estimate_check(times, energies, k, floor):
     """Check E(t) <= E(0) exp(-k t) + floor + K with K fitted once.
 
-    K is the largest deficit over the fit window [0, fit_time] (default
-    min(2/k, a quarter of the horizon)) and is then frozen; every later
-    snapshot must sit under the bound.  A horizon shorter than 5/k cannot
-    distinguish the decay from its transient, so the status is
-    "inconclusive" rather than pass or fail."""
+    K is the largest deficit over the fit window [0, fit_time], fit_time =
+    min(2/k, a quarter of the horizon), and is then frozen; every later
+    snapshot must sit under the bound, up to a relative slack of 1e-12.
+    A horizon shorter than 5/k cannot distinguish the decay from its
+    transient, so the status is "inconclusive" rather than pass or fail."""
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
     if times.shape != energies.shape or times.ndim != 1 or times.size < 2:
@@ -232,14 +227,13 @@ def dissipative_estimate_check(times, energies, k, floor, fit_time=None,
         return result
     t = times - times[0]
     bound_core = energies[0] * np.exp(-k * t) + floor
-    if fit_time is None:
-        fit_time = min(2.0 / k, horizon / 4.0)
+    fit_time = min(2.0 / k, horizon / 4.0)
     fit_mask = t <= fit_time
     K = max(0.0, float(np.max(energies[fit_mask] - bound_core[fit_mask])))
     scale = max(abs(energies[0]), abs(floor), 1.0)
     margin = energies - (bound_core + K)
     check_mask = ~fit_mask
-    bad = np.flatnonzero(check_mask & (margin > slack * scale))
+    bad = np.flatnonzero(check_mask & (margin > 1e-12 * scale))
     result.update(K=K, fit_time=float(fit_time),
                   max_margin=float(np.max(margin[check_mask])) if
                   np.any(check_mask) else None)
@@ -266,23 +260,23 @@ def gradient_bound_check(phi, mu, kernel, c0):
 
 # ------------------------------------------------------ trajectory metric
 
-def _window_starts(times, width, tol=1e-12):
+def _window_starts(times, width):
     """Indices s such that [t_s, t_s + width] fits inside the horizon;
     degenerate horizons yield the single full window."""
     horizon = times[-1] - times[0]
-    if horizon <= width + tol:
+    if horizon <= width + 1e-12:
         return [0]
     starts = [s for s in range(len(times))
-              if times[s] + width <= times[-1] + tol]
+              if times[s] + width <= times[-1] + 1e-12]
     return starts
 
 
-def _windowed_norm(times, values, dt, power, width=WINDOW_WIDTH):
+def _windowed_norm(times, values, dt, power):
     """sup over unit windows of (sum values^power dt)^(1/power)."""
     values = np.asarray(values, dtype=float)
     best = 0.0
-    for s in _window_starts(times, width):
-        mask = (times >= times[s] - 1e-12) & (times <= times[s] + width + 1e-12)
+    for s in _window_starts(times, WINDOW_WIDTH):
+        mask = (times >= times[s] - 1e-12) & (times <= times[s] + WINDOW_WIDTH + 1e-12)
         val = float(np.sum(values[mask] ** power) * dt) ** (1.0 / power)
         best = max(best, val)
     return best
@@ -308,8 +302,8 @@ def trajectory_metric(a, b, feps):
     vnorm_sq = np.empty(n)
     pot_gap = 0.0
     for k in range(n):
-        w = VectorField(grid, du[k], dv[k], bc="noslip")
-        f = ScalarField(grid, dphi[k], bc="neumann")
+        w = VectorField(grid, du[k], dv[k])
+        f = ScalarField(grid, dphi[k])
         u_l2 = go.vector_l2(w)
         sup_state = max(sup_state, u_l2 + go.norm_lp(f, p_exp))
         vnorm_sq[k] = (u_l2**2 + go.vector_h1_seminorm(w) ** 2
@@ -318,7 +312,7 @@ def trajectory_metric(a, b, feps):
                   - potential_energy(b.phi(k), feps))
         pot_gap = max(pot_gap, gap)
 
-    times = a.times - a.times[0]
+    times = a.times
     d_window_v = _windowed_norm(times, np.sqrt(vnorm_sq), dt, 2.0)
 
     d_quot_u = 0.0

@@ -97,7 +97,6 @@ class Grid:
 class ScalarField:
     grid: Grid
     values: np.ndarray
-    bc: str = "neumann"  # {"neumann", "none"}
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -116,7 +115,7 @@ class ScalarField:
         return float(self.values.sum() * self.grid.cell_volume)
 
     def copy(self):
-        return ScalarField(self.grid, self.values.copy(), self.bc)
+        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -126,7 +125,6 @@ class VectorField:
     grid: Grid
     u: np.ndarray
     v: np.ndarray
-    bc: str = "noslip"  # {"noslip", "noflux", "none"}
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -139,28 +137,26 @@ class VectorField:
             )
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise GridError("vector field contains non-finite entries")
-        if self.bc in ("noslip", "noflux"):
-            wall = max(
-                np.abs(self.u[0]).max(), np.abs(self.u[-1]).max(),
-                np.abs(self.v[:, 0]).max(), np.abs(self.v[:, -1]).max(),
+        wall = max(
+            np.abs(self.u[0]).max(), np.abs(self.u[-1]).max(),
+            np.abs(self.v[:, 0]).max(), np.abs(self.v[:, -1]).max(),
+        )
+        if wall > 0.0:
+            raise GridError(
+                f"boundary normal faces must be zero, max |normal| = {wall:.3g}"
             )
-            if wall > 0.0:
-                raise GridError(
-                    f"boundary normal faces must be zero for bc={self.bc!r}, "
-                    f"max |normal| = {wall:.3g}"
-                )
 
     def copy(self):
-        return VectorField(self.grid, self.u.copy(), self.v.copy(), self.bc)
+        return VectorField(self.grid, self.u.copy(), self.v.copy())
 
 
-def zeros(grid, bc="neumann"):
-    return ScalarField(grid, np.zeros((grid.nx, grid.ny)), bc)
+def zeros(grid):
+    return ScalarField(grid, np.zeros((grid.nx, grid.ny)))
 
 
-def zero_vector(grid, bc="noslip"):
+def zero_vector(grid):
     return VectorField(grid, np.zeros((grid.nx + 1, grid.ny)),
-                       np.zeros((grid.nx, grid.ny + 1)), bc)
+                       np.zeros((grid.nx, grid.ny + 1)))
 
 
 # ----------------------------------------------------------------- operators
@@ -196,15 +192,15 @@ def laplace_arrays(grid, f):
 
 def gradient(f):
     gx, gy = grad_arrays(f.grid, f.values)
-    return VectorField(f.grid, gx, gy, bc="noflux")
+    return VectorField(f.grid, gx, gy)
 
 
 def divergence(v):
-    return ScalarField(v.grid, div_arrays(v.grid, v.u, v.v), bc="none")
+    return ScalarField(v.grid, div_arrays(v.grid, v.u, v.v))
 
 
 def laplace_neumann(f):
-    return ScalarField(f.grid, laplace_arrays(f.grid, f.values), bc="none")
+    return ScalarField(f.grid, laplace_arrays(f.grid, f.values))
 
 
 def inner(f, g):
@@ -264,6 +260,10 @@ class CGStall(GridError):
     """Conjugate gradients stopped short of its tolerance."""
 
 
+class CGNonFinite(CGStall):
+    """The right-hand side has a non-finite norm; no step size can help."""
+
+
 def remove_mean(w):
     return w - w.mean()
 
@@ -276,13 +276,14 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None):
     project, an orthogonal projector such as remove_mean, is applied to b,
     x0, each A p, each residual and the result, so roundoff cannot drift
     into its complement.  Stops at ||r|| <= rtol ||b||; returns (x, iters).
-    Raises CGStall on a non-finite ||b||, after maxiter iterations (default
-    20 * b.size) or on a non-positive curvature p.Ap."""
+    Raises CGNonFinite on a non-finite ||b||, and CGStall after maxiter
+    iterations (default 20 * b.size) or on a non-positive curvature p.Ap."""
     keep = project or (lambda w: w)
     b = keep(b)
-    bnorm = np.linalg.norm(b)
+    with np.errstate(over="ignore"):  # an overflowing norm is raised below
+        bnorm = np.linalg.norm(b)
     if not np.isfinite(bnorm):
-        raise CGStall(f"CG right-hand side has non-finite norm {bnorm}")
+        raise CGNonFinite(f"CG right-hand side has non-finite norm {bnorm}")
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     if x0 is None:
@@ -330,7 +331,7 @@ def inverse_neumann(f):
         raise MeanError(
             f"inverse_neumann needs zero-mean input, got mean {vals.mean():.3g}"
         )
-    return ScalarField(f.grid, solve_neumann_direct(f.grid, vals), bc="neumann")
+    return ScalarField(f.grid, solve_neumann_direct(f.grid, vals))
 
 
 # ------------------------------------------------------------------- norms
@@ -437,8 +438,9 @@ def velocity_from_streamfunction(grid, psi):
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (grid.nx + 1, grid.ny + 1):
         raise GridError("stream values must live on corners")
-    u = (psi[:, 1:] - psi[:, :-1]) / grid.hy
-    v = -(psi[1:, :] - psi[:-1, :]) / grid.hx
+    with np.errstate(over="ignore"):  # VectorField rejects what overflows
+        u = (psi[:, 1:] - psi[:, :-1]) / grid.hy
+        v = -(psi[1:, :] - psi[:-1, :]) / grid.hx
     scale = max(np.abs(u).max(), np.abs(v).max(), 1e-300)
     wall = max(np.abs(u[0]).max(), np.abs(u[-1]).max(),
                np.abs(v[:, 0]).max(), np.abs(v[:, -1]).max())
@@ -450,4 +452,4 @@ def velocity_from_streamfunction(grid, psi):
     # wall faces are constrained, pin the roundoff leftovers to exact zero
     u[0] = u[-1] = 0.0
     v[:, 0] = v[:, -1] = 0.0
-    return VectorField(grid, u, v, bc="noslip")
+    return VectorField(grid, u, v)

@@ -123,7 +123,7 @@ class KernelData:
                 f"grid mismatch: kernel built on {self.grid.key()}, "
                 f"field lives on {phi.grid.key()}"
             )
-        return ScalarField(self.grid, self.convolve_raw(phi.values), bc="none")
+        return ScalarField(self.grid, self.convolve_raw(phi.values))
 
     def report(self, potential_spec=None):
         out = {
@@ -189,7 +189,7 @@ def build_kernel(spec, grid):
     if not np.all(np.isfinite(a_vals)):
         raise KernelError(f"coefficient field a = J * 1 overflows for width "
                           f"{spec.width:.6g} and L1 mass {spec.j_l1:.6g}")
-    kd.a_field = ScalarField(grid, a_vals, bc="none")
+    kd.a_field = ScalarField(grid, a_vals)
     kd.beta = float(a_vals.min())
     kd.a_inf = float(a_vals.max())
     if kd.beta <= 0.0:

@@ -83,8 +83,8 @@ class NSState:
     t: float
 
 
-def init_ns_state(u, t=0.0):
-    return NSState(u=u, pressure=go.zeros(u.grid, bc="none"), t=float(t))
+def init_ns_state(u):
+    return NSState(u=u, pressure=go.zeros(u.grid), t=0.0)
 
 
 def kinetic_energy(w):
@@ -272,7 +272,7 @@ def capillary_force(phi, mu):
     transport flux, so <force, v> = <mu, div(phi_face v)> discretely."""
     fx, fy = go.face_phi(phi.grid, phi.values)
     gx, gy = go.grad_arrays(phi.grid, mu.values)
-    return VectorField(phi.grid, -fx * gx, -fy * gy, bc="none")
+    return VectorField(phi.grid, -fx * gx, -fy * gy)
 
 
 # ------------------------------------------------------------ projection
@@ -309,7 +309,8 @@ def _unpack(grid, w):
 def _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0):
     """CG on the coupled SPD system (I + dt A) w = b, with u and v packed
     into one vector, warm-started at the previous velocity.  Returns
-    (u, v, iterations) or None on stall."""
+    (u, v, iterations).  A right-hand side whose norm is not finite is an
+    NSError; any other CG stall an NSStepRejection with the CG's reason."""
 
     def mv(w):
         u, v = _unpack(grid, w)
@@ -320,8 +321,11 @@ def _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0):
     try:
         w, iters = go.cg(mv, b, rtol=MOMENTUM_RTOL, maxiter=MOMENTUM_MAXITER,
                          x0=_pack(u0, v0))
-    except go.CGStall:
-        return None
+    except go.CGNonFinite as exc:
+        raise NSError(f"momentum solve: {exc}") from None
+    except go.CGStall as exc:
+        raise NSStepRejection(f"momentum solve did not converge: {exc}",
+                              0.5 * dt) from None
     return (*_unpack(grid, w), iters)
 
 
@@ -363,10 +367,7 @@ def ns_step(ns, phi, mu, forcing, visc, dt):
     if not (np.all(np.isfinite(bu)) and np.all(np.isfinite(bv))):
         raise NSError("non-finite momentum right-hand side")
 
-    sol = _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0)
-    if sol is None:
-        raise NSStepRejection("momentum solve did not converge", 0.5 * dt)
-    us, vs, _ = sol
+    us, vs, _ = _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0)
     if not (np.all(np.isfinite(us)) and np.all(np.isfinite(vs))):
         raise NSError("non-finite velocity after momentum solve")
 
@@ -376,8 +377,8 @@ def ns_step(ns, phi, mu, forcing, visc, dt):
         raise NSError(f"projection left divergence {div_inf:.3e}")
     p1 = p1 - p1.mean()
 
-    vel = VectorField(grid, u1, v1, bc="noslip")
-    return NSState(u=vel, pressure=ScalarField(grid, p1, bc="none"),
+    vel = VectorField(grid, u1, v1)
+    return NSState(u=vel, pressure=ScalarField(grid, p1),
                    t=ns.t + dt)
 
 
@@ -416,7 +417,7 @@ def project_divfree(grid, u, v):
     return _zero_normal(out_u, out_v)
 
 
-def _stiffness_solve(grid, b, rtol=1e-10, maxiter=20000):
+def _stiffness_solve(grid, b, rtol=1e-10):
     """Solenoidal z with P A z = P b, on packed vectors: the Stokes problem
     A z + grad p = b, div z = 0 for the componentwise stiffness A.
 
@@ -431,7 +432,7 @@ def _stiffness_solve(grid, b, rtol=1e-10, maxiter=20000):
 
     rhs = -go.div_arrays(grid, *grad_form_inverse(grid, bu, bv))
     try:
-        p, _ = go.cg(schur, rhs, rtol=rtol, maxiter=maxiter,
+        p, _ = go.cg(schur, rhs, rtol=rtol, maxiter=20000,
                      project=go.remove_mean)
     except go.CGStall:
         raise NSError("Stokes pressure solve did not converge") from None

@@ -42,6 +42,7 @@ import numpy as np
 from scipy import optimize
 
 EPS_MAX_DEFAULT = 0.2
+S_RANGE = 3.0  # |s| range of the d_q scan and of the sampled lemma audit
 Q_CAP = 8  # factorial (2+2q)! stays comfortably inside float64
 
 
@@ -254,19 +255,18 @@ class RegularizedPotential(LogPotential):
     one, which is how it is evaluated here.
     """
 
-    def __init__(self, spec, eps_max=EPS_MAX_DEFAULT, n_premise_samples=2000):
+    def __init__(self, spec):
         if spec.epsilon <= 0:
             raise PotentialBuildError(
                 "RegularizedPotential needs epsilon > 0; use SingularPotential "
                 "for the eps = 0 mode"
             )
-        if spec.epsilon > eps_max:
+        if spec.epsilon > EPS_MAX_DEFAULT:
             raise PotentialBuildError(
-                f"epsilon={spec.epsilon} exceeds eps_max={eps_max}; lemma "
-                f"premises are only certified on (0, {eps_max}]"
+                f"epsilon={spec.epsilon} exceeds eps_max={EPS_MAX_DEFAULT}; "
+                f"lemma premises are only certified on (0, {EPS_MAX_DEFAULT}]"
             )
         super().__init__(spec, spec.epsilon)
-        self.eps_max = float(eps_max)
         self.knot = 1.0 - self.eps
 
         K = self.order
@@ -278,13 +278,13 @@ class RegularizedPotential(LogPotential):
             for m in range(K + 1)
         ]
 
-        self._check_premises(n_premise_samples)
+        self._check_premises(2000)
 
         # (A3) constant: minimum of F1^(K) over the outer strips for any
-        # eps <= eps_max; F1^(K) is even and increasing toward +-1, so the
-        # minimum sits at the inner edge 1 - eps_max.  This makes c1 (and
-        # hence c_q) independent of the particular eps of this instance.
-        self.c1 = eval_F1_derivative(spec, K, 1.0 - eps_max)
+        # eps <= EPS_MAX_DEFAULT; F1^(K) is even and increasing toward +-1,
+        # so the minimum sits at the inner edge 1 - EPS_MAX_DEFAULT.  This
+        # makes c1 (and hence c_q) independent of the eps of this instance.
+        self.c1 = eval_F1_derivative(spec, K, 1.0 - EPS_MAX_DEFAULT)
         self.c_q = self.c1 / (2.0 * _factorial(K))
 
     def _check_premises(self, n):
@@ -358,14 +358,15 @@ class RegularizedPotential(LogPotential):
         return outs
 
 
-def build_F_eps(spec, eps_max=EPS_MAX_DEFAULT):
+def build_F_eps(spec):
     """Construct the regularized family, gating the lemma premises."""
-    return RegularizedPotential(spec, eps_max=eps_max)
+    return RegularizedPotential(spec)
 
 
-def exhibit_dq(pot, c_q=None, s_range=3.0, n_scan=200_001, margin=1e-6):
+def exhibit_dq(pot, c_q=None):
     """Exhibit d_q: the smallest shift making F_eps >= c_q |s|^K - d_q on
-    [-s_range, s_range], found by dense scan plus local refinement."""
+    [-S_RANGE, S_RANGE], found by dense scan plus local refinement, plus a
+    margin of 1e-6."""
     K = pot.order
     if c_q is None:
         c_q = pot.c_q
@@ -373,17 +374,17 @@ def exhibit_dq(pot, c_q=None, s_range=3.0, n_scan=200_001, margin=1e-6):
     def gap(s):
         return c_q * np.abs(s) ** K - pot.f(s)
 
-    s = np.linspace(-s_range, s_range, n_scan)
+    s = np.linspace(-S_RANGE, S_RANGE, 200_001)
     vals = gap(s)
     i = int(np.argmax(vals))
     lo = s[max(i - 2, 0)]
-    hi = s[min(i + 2, n_scan - 1)]
+    hi = s[min(i + 2, s.size - 1)]
     res = optimize.minimize_scalar(
         lambda x: -gap(float(x)), bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-12},
     )
     best = max(float(vals[i]), float(-res.fun))
-    return best + margin
+    return best + 1e-6
 
 
 @dataclass
@@ -409,28 +410,23 @@ class LemmaReport:
 
 
 def verify_potential_lemmas(spec, samples=100_000,
-                            eps_grid=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-                            s_range=3.0, seed=0, eps_max=EPS_MAX_DEFAULT,
-                            slack=1e-12):
+                            eps_grid=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3), seed=0):
     """Dense sampled audit of every comparison bound of the family.
 
     A single (c_q, d_q) pair is exhibited and then held fixed across the
     whole eps grid.  Violations are returned as structured records, never
-    silently dropped.
+    silently dropped.  Floors and comparisons allow a roundoff slack of
+    1e-12.
     """
     if spec.beta is None:
         raise PotentialBuildError("verify_potential_lemmas needs spec.beta for "
                                   "the convexity-shift check")
     rng = np.random.default_rng(seed)
-    pots = {}
-    for eps in eps_grid:
-        pots[eps] = build_F_eps(
-            PotentialSpec(spec.theta, spec.theta_c, spec.q, eps, spec.beta),
-            eps_max=max(eps_max, max(eps_grid)),
-        )
+    pots = {eps: build_F_eps(PotentialSpec(spec.theta, spec.theta_c, spec.q,
+                                           eps, spec.beta))
+            for eps in eps_grid}
     c_q = next(iter(pots.values())).c_q
-    d_q_by_eps = {eps: exhibit_dq(p, c_q=c_q, s_range=s_range)
-                  for eps, p in pots.items()}
+    d_q_by_eps = {eps: exhibit_dq(p, c_q=c_q) for eps, p in pots.items()}
     d_q = max(d_q_by_eps.values())
 
     report = LemmaReport(c_q=c_q, d_q=d_q, d_q_by_eps=d_q_by_eps)
@@ -448,8 +444,9 @@ def verify_potential_lemmas(spec, samples=100_000,
 
     alpha = spec.alpha
     c0 = spec.c0
+    slack = 1e-12
     for eps, pot in pots.items():
-        s_wide = rng.uniform(-s_range, s_range, samples)
+        s_wide = rng.uniform(-S_RANGE, S_RANGE, samples)
         s_open = rng.uniform(-1.0 + 1e-12, 1.0 - 1e-12, samples)
 
         # polynomial growth from below with the fixed exhibited constants

@@ -25,6 +25,13 @@ def write_cfg(path, text):
     return str(path)
 
 
+def run_module(*args):
+    """The command line in a fresh interpreter, so that whatever reaches
+    the real stderr (numpy warnings included) is captured."""
+    return subprocess.run([sys.executable, "-m", "nlchns.cli", *args],
+                          capture_output=True, text=True)
+
+
 # a coupled run small enough to keep the whole module fast
 FAST_COUPLED = """
 grid_nx = 24
@@ -165,12 +172,13 @@ class TestRejectionCodes:
         assert "error[init]:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["swirl", "swirl-periodic"])
-    def test_overflowing_run_ch_swirl(self, tmp_path, capsys, kind):
+    def test_overflowing_run_ch_swirl(self, tmp_path, kind):
         cfg = write_cfg(tmp_path / "s.cfg",
                         f"velocity = {kind}\nvelocity_amplitude = 1e308\n")
-        rc = cli.main(["run-ch", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "error[parse]:" in capsys.readouterr().err
+        proc = run_module("run-ch", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[parse]:"), proc.stderr
 
     def test_missing_out_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -360,6 +368,35 @@ class TestDeterminism:
         assert (coupled_run["out"] / "series.csv").read_bytes() == \
             (out4 / "series.csv").read_bytes()
 
+    def test_manifest_with_a_scheme_entry(self, coupled_run, capsys):
+        # manifests written while the config had a scheme key still rerun
+        # and diagnose when it names the convex split; any other is refused
+        def with_scheme(name):
+            rundir = coupled_run["base"] / f"scheme-{name}"
+            shutil.copytree(coupled_run["out"], rundir)
+            path = rundir / "manifest.json"
+            doc = json.loads(path.read_text())
+            doc["config"]["scheme"] = name
+            path.write_text(json.dumps(doc))
+            return rundir
+
+        old = with_scheme("semi-implicit-convex-split")
+        rerun = coupled_run["base"] / "scheme-rerun"
+        assert cli.main(["run", "--config", str(old / "manifest.json"),
+                         "--out", str(rerun)]) == 0
+        assert (rerun / "series.csv").read_bytes() == \
+            (coupled_run["out"] / "series.csv").read_bytes()
+        assert cli.main(["diagnose", str(old)]) == 0
+        assert json.loads((old / "diagnose.json").read_text())["all_passed"]
+
+        bad = with_scheme("explicit")
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(bad / "manifest.json"),
+                         "--out", str(coupled_run["base"] / "explicit-rerun")]) == 2
+        assert cli.main(["diagnose", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("error[parse]:") for e in err)
+
 
 class TestRunCH:
     def test_swirl_transport(self, tmp_path):
@@ -449,19 +486,23 @@ class TestNumericalFailure:
         assert len(index["snapshots"]) >= 1
 
 
-    def test_overflowing_forcing_fails_the_run(self, tmp_path, capsys):
+    def test_overflowing_forcing_fails_the_run(self, tmp_path):
         # ||dt f|| overflows although every entry is finite: the momentum
-        # CG must refuse it rather than report a zero velocity as converged
+        # CG must refuse it rather than report a zero velocity as converged,
+        # and say so without suggesting a dt that cannot help
         cfg = write_cfg(tmp_path / "c.cfg",
                         "grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
                         "horizon = 0.01\nforcing = steady\nforcing_fx = 1e200\n")
         out = tmp_path / "o"
-        rc = cli.main(["run", "--config", cfg, "--out", str(out)])
-        assert rc == 3
-        assert "numerical failure" in capsys.readouterr().err
+        proc = run_module("run", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure"), proc.stderr
         m = json.loads((out / "manifest.json").read_text())
         assert m["status"] == "failed"
         assert m["outputs"]["steps_completed"] == 0
+        assert m["error"].startswith("NSError: momentum solve:")
+        assert "non-finite norm" in m["error"] and "dt" not in m["error"]
 
 
 class TestDiagnose:
@@ -610,10 +651,6 @@ class TestProperties:
 class TestConsoleEntry:
     def test_module_invocation_exit_codes(self, tmp_path):
         bad = write_cfg(tmp_path / "bad.cfg", "epsilon = 0.9\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "nlchns.cli", "run", "--config", bad,
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
-        )
+        proc = run_module("run", "--config", bad, "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert "error[epsilon-range]:" in proc.stderr

@@ -107,8 +107,7 @@ class TestGridBasics:
         v = np.zeros((8, 9))
         u[0, 2] = 1.0
         with pytest.raises(go.GridError):
-            go.VectorField(g, u, v, bc="noslip")
-        go.VectorField(g, u, v, bc="none")  # unconstrained tag is fine
+            go.VectorField(g, u, v)
 
     def test_mean_and_integral(self):
         g = go.Grid(8, 16, lx=3.0, ly=0.5)
@@ -159,7 +158,7 @@ class TestExactIdentities:
         g = go.Grid(16, 16)
         f = random_scalar(g, seed=6)
         ws = assembled_neumann(g)
-        quad = go.inner(f, go.ScalarField(g, ws.apply_A(f.values), bc="none"))
+        quad = go.inner(f, go.ScalarField(g, ws.apply_A(f.values)))
         assert go.h1_seminorm(f) ** 2 == pytest.approx(quad, rel=1e-12)
 
     def test_neumann_matrix_positive_semidefinite(self):

@@ -1,7 +1,9 @@
 """Lint steps the suite can run without a linter installed: no module of
-the package or of the tests imports a name it never uses, and every
+the package or of the tests imports a name it never uses, every
 module-level function and class of the package is referenced from the
-package, the tests or the benchmark.
+package, the tests or the benchmark, and every defaulted parameter or
+dataclass field of the package is passed by some call there (a default
+nobody overrides is a constant, not a setting).
 
 A name counts as used when it appears as a bare name anywhere in the
 module, including as the root of an attribute chain (``np.linalg``), or
@@ -94,3 +96,97 @@ def test_reference_checker_reads_names_attributes_and_dotted_strings():
               "x = mod.attr(y)\nT = ('pkg.mod:Cls', 'two words')\n")
     assert definitions(source) == [(1, "f"), (2, "C"), (3, "g")]
     assert references(source) == {"x", "mod", "attr", "y", "T", "pkg", "Cls"}
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted(args, skip=0):
+    """(line, name, position) of the defaulted parameters of an arguments
+    node; position is None for keyword-only ones."""
+    positional = (args.posonlyargs + args.args)[skip:]
+    first = len(positional) - len(args.defaults)
+    out = [(a.lineno, a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.lineno, a.arg, None)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def defaulted_parameters(source):
+    """(line, callable, parameter, position) of every defaulted parameter of
+    a module-level function or class __init__ and every defaulted dataclass
+    field, except fields built by field(default_factory=...)."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [(line, node.name, arg, pos)
+                    for line, arg, pos in _defaulted(node.args)]
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    out += [(line, node.name, arg, pos)
+                            for line, arg, pos in _defaulted(item.args, skip=1)]
+            if not _is_dataclass(node):
+                continue
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+            for pos, item in enumerate(fields):
+                factory = (isinstance(item.value, ast.Call)
+                           and any(k.arg == "default_factory" for k in item.value.keywords))
+                if item.value is not None and not factory:
+                    out.append((item.lineno, node.name, item.target.id, pos))
+    return out
+
+
+def passed_arguments(sources):
+    """For every callable name that some call uses (``f(...)`` or
+    ``obj.f(...)``): the keywords passed and the most positional arguments
+    passed.  A ``**kw`` counts as every keyword, a ``*args`` as every
+    position."""
+    keywords, positions = {}, {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            n = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+            positions[name] = max(positions.get(name, 0), n)
+    return keywords, positions
+
+
+def unpassed_parameters(package_sources, caller_sources):
+    """(line, callable, parameter) of every defaulted parameter that no call
+    in caller_sources passes, by keyword or by position."""
+    keywords, positions = passed_arguments(caller_sources)
+    return [(line, name, arg)
+            for source in package_sources
+            for line, name, arg, pos in defaulted_parameters(source)
+            if not ({arg, None} & keywords.get(name, set())
+                    or pos is not None and positions.get(name, 0) > pos)]
+
+
+def test_every_defaulted_parameter_is_passed():
+    texts = {p: p.read_text() for p in REFERRERS}
+    callers = list(texts.values())
+    unpassed = [f"{p.name}:{line} {name}({arg})" for p in PACKAGE
+                for line, name, arg in unpassed_parameters([texts[p]], callers)]
+    assert not unpassed, ", ".join(unpassed)
+
+
+def test_parameter_checker_reads_positions_keywords_and_fields():
+    source = ("def f(a, b=1, c=2, *, d=3): pass\n"
+              "class C:\n    def __init__(self, x, y=0): pass\n"
+              "@dataclass\nclass D:\n    p: int\n    q: int = 0\n"
+              "    r: list = field(default_factory=list)\n    s: int = 1\n")
+    assert [(n, a, i) for _, n, a, i in defaulted_parameters(source)] == [
+        ("f", "b", 1), ("f", "c", 2), ("f", "d", None), ("C", "y", 1),
+        ("D", "q", 1), ("D", "s", 3)]
+    callers = source + "f(0, 1)\nm.f(0, d=4)\nC(1)\nD(1, 2)\n"
+    assert unpassed_parameters([source], [callers]) == [
+        (1, "f", "c"), (3, "C", "y"), (9, "D", "s")]
+    assert unpassed_parameters([source], [callers + "D(*xs)\nC(**kw)\nf(c=1)\n"]) == []
