@@ -696,13 +696,13 @@ def _run_series(cfg, outdir, make_stepper):
 
     _prepare_outdir(outdir)
     t_start = time.perf_counter()
-    grid, kd, pspec, pot = phys
+    grid, kd, pspec, _ = phys
     derived = {
         "hx": grid.hx, "hy": grid.hy, "area": grid.area,
         "beta": kd.beta, "a_inf": kd.a_inf,
         "j_l1_discrete": kd.j_l1_discrete, "grad_j_l1_discrete": kd.grad_j_l1,
         "c0": pspec.c0, "alpha": pspec.alpha, "alpha_star": pspec.alpha_star,
-        "potential_order": pot.order,
+        "potential_order": pspec.order,
         "scheme_flags": {
             "ch": "semi-implicit convex splitting, implicit a phi + F', "
                   "explicit convolution and transport",
@@ -932,7 +932,8 @@ def run_diagnose(rundir, outdir=None):
 
 def run_kernel_report(cfg, outdir=None):
     grid, kd, pspec, _ = _physics(cfg)
-    report = kd.report(potential_spec=pspec)
+    report = kd.report()
+    report["beta_margin"] = pspec.c0
     report["grid"] = {"nx": grid.nx, "ny": grid.ny, "lx": grid.lx, "ly": grid.ly}
     report["width_cells"] = cfg["kernel_width"] / grid.hx
     if outdir:
@@ -958,7 +959,7 @@ def run_potential_table(cfg, outdir=None):
             c_q = pot.c_q
         d_q = exhibit_dq(pot, c_q=c_q)
         rows.append((
-            eps, pot.order, pspec.alpha, pspec.alpha_star, pspec.c0,
+            eps, pspec.order, pspec.alpha, pspec.alpha_star, pspec.c0,
             c_q, d_q, float(pot.f(0.0)),
             float(np.min(pot.fsecond(scan))),
         ))

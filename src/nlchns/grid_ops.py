@@ -14,8 +14,8 @@ Boundary faces carry the no-penetration value 0.
 
 With mirror-ghost no-flux for scalars, the discrete identities
 
-    <laplace_neumann(f), g> = -<grad f, grad g>        (summation by parts)
-    <grad f, v>             = -<f, div v>              (v normal = 0 on walls)
+    <laplace f, g> = -<grad f, grad g>        (summation by parts)
+    <grad f, v>    = -<f, div v>              (v normal = 0 on walls)
 
 hold exactly in floating point up to roundoff, which is what the energy
 bookkeeping downstream relies on.
@@ -190,30 +190,8 @@ def laplace_arrays(grid, f):
     return div_arrays(grid, gx, gy)
 
 
-def gradient(f):
-    gx, gy = grad_arrays(f.grid, f.values)
-    return VectorField(f.grid, gx, gy)
-
-
-def divergence(v):
-    return ScalarField(v.grid, div_arrays(v.grid, v.u, v.v))
-
-
-def laplace_neumann(f):
-    return ScalarField(f.grid, laplace_arrays(f.grid, f.values))
-
-
 def inner(f, g):
-    fa = f.values if isinstance(f, ScalarField) else f
-    ga = g.values if isinstance(g, ScalarField) else g
-    return float(np.sum(fa * ga)) * _grid_of(f, g).cell_volume
-
-
-def _grid_of(*fields):
-    for f in fields:
-        if isinstance(f, (ScalarField, VectorField)):
-            return f.grid
-    raise GridError("need at least one field carrying a grid")
+    return float(np.sum(f.values * g.values)) * f.grid.cell_volume
 
 
 def inner_vec(a, b):

@@ -117,16 +117,8 @@ class KernelData:
         out = full[nx - 1: 2 * nx - 1, ny - 1: 2 * ny - 1]
         return out * self.grid.cell_volume
 
-    def convolve(self, phi):
-        if phi.grid.key() != self.grid.key():
-            raise KernelError(
-                f"grid mismatch: kernel built on {self.grid.key()}, "
-                f"field lives on {phi.grid.key()}"
-            )
-        return ScalarField(self.grid, self.convolve_raw(phi.values))
-
-    def report(self, potential_spec=None):
-        out = {
+    def report(self):
+        return {
             "family": self.spec.family,
             "width": self.spec.width,
             "j_l1_configured": self.spec.j_l1,
@@ -136,11 +128,6 @@ class KernelData:
             "grad_j_l1_discrete": self.grad_j_l1,
             "grad_j_l1_continuum": self.spec.grad_l1_continuum(),
         }
-        if potential_spec is not None:
-            out["beta_margin"] = self.beta - (
-                potential_spec.theta_c - potential_spec.theta
-            )
-        return out
 
 
 def _displacements(n, h):

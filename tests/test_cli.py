@@ -433,6 +433,15 @@ class TestRunCH:
         out = tmp_path / "o"
         assert cli.main(["run-ch", "--config", cfg, "--out", str(out)]) == 0
 
+    def test_epsilon_below_1e_12_runs(self, tmp_path):
+        # the comparison bounds hold for every eps in (0, eps_max]
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+                        "epsilon = 1e-13\nhorizon = 0.02\n")
+        out = tmp_path / "o"
+        assert cli.main(["run-ch", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "series.csv").exists()
+
 
 class TestEpsSweep:
     def test_table_and_manifest(self, tmp_path):
@@ -547,13 +556,17 @@ class TestDiagnose:
 class TestReports:
     def test_kernel_report(self, tmp_path, capsys):
         out = tmp_path / "o"
-        cfg = write_cfg(tmp_path / "c.cfg",
-                        "grid_nx = 32\ngrid_ny = 32\nkernel_width = 0.12\n")
+        cfg = write_cfg(tmp_path / "c.cfg", "eps_grid = 1e-1,1e-2\n")
         rc = cli.main(["kernel-report", "--config", cfg, "--out", str(out)])
         assert rc == 0
         doc = json.loads((out / "kernel_report.json").read_text())
         assert doc["beta_margin"] > 0.0
         assert doc == json.loads(capsys.readouterr().out)
+        # one formula for the convex-split surplus: beta_margin is c0
+        rc = cli.main(["potential-table", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        d = np.genfromtxt(out / "potential_table.csv", delimiter=",", names=True)
+        assert np.all(d["c0"] == doc["beta_margin"])
 
     def test_potential_table(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -571,6 +584,17 @@ class TestReports:
         # lemma constants: same c_q across the family, d_q shrinks with eps
         assert d["c_q"][0] == d["c_q"][1]
         assert d["d_q"][1] < d["d_q"][0]
+
+    def test_potential_table_accepts_tiny_eps(self, tmp_path):
+        # the comparison bounds hold for every eps in (0, eps_max]
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+                        "eps_grid = 1e-1,1e-13\n")
+        rc = cli.main(["potential-table", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        d = np.genfromtxt(out / "potential_table.csv", delimiter=",", names=True)
+        assert list(d["epsilon"]) == [1e-1, 1e-13]
 
     def test_potential_table_rejects_zero_eps(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", "eps_grid = 1e-1,0\n")

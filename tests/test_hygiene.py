@@ -1,9 +1,11 @@
 """Lint steps the suite can run without a linter installed: no module of
 the package or of the tests imports a name it never uses, every
-module-level function and class of the package is referenced from the
-package, the tests or the benchmark, and every defaulted parameter or
-dataclass field of the package is passed by some call there (a default
-nobody overrides is a constant, not a setting).
+module-level function and class of the package and every method and
+property of those classes is referenced from the package, the tests or the
+benchmark, every one that only the tests use is listed in TEST_ORACLES,
+and every defaulted parameter or dataclass field of the package is passed
+by some call there (a default nobody overrides is a constant, not a
+setting).
 
 A name counts as used when it appears as a bare name anywhere in the
 module, including as the root of an attribute chain (``np.linalg``), or
@@ -18,8 +20,32 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "nlchns").glob("*.py"))
-FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-REFERRERS = FILES + sorted((ROOT / "bench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+FILES = PACKAGE + TESTS
+REFERRERS = FILES + BENCH
+
+# Package names that only the tests call, with the reason each stays.
+# Every other name must be used by the package or the benchmark, so a
+# second copy of an operator the solver runs cannot hide behind a test.
+TEST_ORACLES = (
+    ("ch_energy_identity_residual", "energy identity of the CH step alone, "
+                                    "checked by the acceptance suite"),
+    ("energy_identity_residuals", "coupled energy identity per step, the "
+                                  "oracle for the series residual column"),
+    ("translate", "time shift of a trajectory, for the semigroup check"),
+    ("observed_order", "convergence order fitted in the dt-refinement tests"),
+    ("trajectory_metric", "the paper's metric on trajectories, criterion 12"),
+    ("momentum_residual", "residual of the discrete momentum equation, the "
+                          "consistency oracle of the NS step"),
+    ("verify_potential_lemmas", "sampled audit of the comparison bounds of F_eps"),
+    ("LemmaReport.passed", "verdict of verify_potential_lemmas"),
+    ("ScalarField.integral", "quadrature of a field, for the zero-integral "
+                             "check of the Laplacian"),
+    ("norm_linf", "max norm, tested beside norm_l2 and norm_lp"),
+    ("KernelSpec.grad_directional_l1_continuum", "closed form that the "
+                                                 "discrete kernel TV approaches"),
+)
 
 
 def unused_imports(source):
@@ -63,9 +89,23 @@ def test_checker_counts_all_and_attribute_roots():
 
 
 def definitions(source):
-    """(line, name) of every module-level function and class."""
-    return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    """(line, name) of every module-level function and class, and of every
+    method and property of such a class as ``Class.name``; dunder methods,
+    which Python calls, are left out."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.lineno, f"{node.name}.{item.name}") for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return out
+
+
+def _last(name):
+    return name.rpartition(".")[2]
 
 
 def references(source):
@@ -87,7 +127,7 @@ def references(source):
 def test_every_definition_is_referenced():
     used = set().union(*(references(p.read_text()) for p in REFERRERS))
     orphans = [f"{p.name}:{line} {name}" for p in PACKAGE
-               for line, name in definitions(p.read_text()) if name not in used]
+               for line, name in definitions(p.read_text()) if _last(name) not in used]
     assert not orphans, ", ".join(orphans)
 
 
@@ -96,6 +136,43 @@ def test_reference_checker_reads_names_attributes_and_dotted_strings():
               "x = mod.attr(y)\nT = ('pkg.mod:Cls', 'two words')\n")
     assert definitions(source) == [(1, "f"), (2, "C"), (3, "g")]
     assert references(source) == {"x", "mod", "attr", "y", "T", "pkg", "Cls"}
+
+
+def unused_by_program(package_sources, program_sources):
+    """Names from definitions() that no bare name or attribute of
+    program_sources reads.  Strings do not count: a metric name such as
+    ``"kernel.convolve.per_step"`` or a JSON key calls nothing."""
+    used = set()
+    for source in program_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return {name for source in package_sources
+            for _, name in definitions(source) if _last(name) not in used}
+
+
+def test_test_only_names_are_listed():
+    texts = {p: p.read_text() for p in REFERRERS}
+    found = unused_by_program([texts[p] for p in PACKAGE],
+                              [texts[p] for p in PACKAGE + BENCH])
+    listed = {name for name, _ in TEST_ORACLES}
+    assert len(listed) == len(TEST_ORACLES), "TEST_ORACLES lists a name twice"
+    assert not found - listed, (
+        "used only by tests, delete or list in TEST_ORACLES: "
+        + ", ".join(sorted(found - listed)))
+    assert not listed - found, (
+        "TEST_ORACLES entries that are gone or that src/ or bench/ now uses: "
+        + ", ".join(sorted(listed - found)))
+
+
+def test_member_checker_reads_methods_and_properties():
+    source = ("def f(): pass\nclass C:\n    def __init__(self): pass\n"
+              "    def m(self): pass\n    @property\n    def p(self): pass\n")
+    assert definitions(source) == [(1, "f"), (2, "C"), (4, "C.m"), (6, "C.p")]
+    program = source + "C().m()\nkey = 'p'\n"
+    assert unused_by_program([source], [program]) == {"f", "C.p"}
 
 
 def _is_dataclass(node):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nlchns.grid_ops import Grid, ScalarField
+from nlchns.grid_ops import Grid
 from nlchns.kernel import (
     KernelAssumptionError,
     KernelError,
@@ -134,9 +134,9 @@ class TestBuildAndConvolve:
         g = Grid(32, 32)
         spec = KernelSpec(family, width, j_l1=1.3)
         kd = build_kernel(spec, g)
-        f = ScalarField(g, np.random.default_rng(0).standard_normal((32, 32)))
-        want = direct_convolve(family, width, 1.3, g, f.values)
-        got = kd.convolve(f).values
+        f = np.random.default_rng(0).standard_normal((32, 32))
+        want = direct_convolve(family, width, 1.3, g, f)
+        got = kd.convolve_raw(f)
         scale = np.abs(want).max()
         assert np.max(np.abs(got - want)) <= 1e-12 * max(scale, 1.0)
 
@@ -175,17 +175,17 @@ class TestBuildAndConvolve:
         g = Grid(24, 24)
         kd = build_kernel(KernelSpec("gaussian", 0.12), g)
         r = np.random.default_rng(2)
-        f = ScalarField(g, r.standard_normal((24, 24)))
-        h = ScalarField(g, r.standard_normal((24, 24)))
-        a = np.sum(kd.convolve(f).values * h.values) * g.cell_volume
-        b = np.sum(f.values * kd.convolve(h).values) * g.cell_volume
+        f = r.standard_normal((24, 24))
+        h = r.standard_normal((24, 24))
+        a = np.sum(kd.convolve_raw(f) * h) * g.cell_volume
+        b = np.sum(f * kd.convolve_raw(h)) * g.cell_volume
         assert abs(a - b) <= 1e-12 * (abs(a) + 1.0)
 
     def test_indicator_reproduces_a_bitwise(self):
         g = Grid(16, 16)
         kd = build_kernel(KernelSpec("gaussian", 0.15), g)
-        again = kd.convolve(ScalarField(g, np.ones((16, 16))))
-        assert np.array_equal(again.values, kd.a_field.values)
+        again = kd.convolve_raw(np.ones((16, 16)))
+        assert np.array_equal(again, kd.a_field.values)
 
     def test_constant_state_consistency(self):
         # a c - J*c must vanish to machine precision by shared quadrature
@@ -194,12 +194,6 @@ class TestBuildAndConvolve:
         c = -0.37
         resid = kd.a_field.values * c - kd.convolve_raw(np.full((20, 28), c))
         assert np.max(np.abs(resid)) <= 1e-13 * abs(c) * kd.a_inf
-
-    def test_grid_mismatch(self):
-        g1, g2 = Grid(16, 16), Grid(16, 16, lx=2.0)
-        kd = build_kernel(KernelSpec("gaussian", 0.15), g1)
-        with pytest.raises(KernelError, match="mismatch"):
-            kd.convolve(ScalarField(g2, np.zeros((16, 16))))
 
 
 class TestCoefficientField:
@@ -275,8 +269,6 @@ class TestAssumptionGate:
         kd = build_kernel(strong, g)
         assert kd.beta > 1.0
         assert pot.with_beta(kd.beta).c0 == pytest.approx(kd.beta - 1.0)
-        rep = kd.report(pot)
-        assert rep["beta_margin"] == pytest.approx(kd.beta - 1.0)
 
     def test_nonpositive_floor_rejected(self):
         # the smallest subnormal L1 mass: a = J * 1 underflows to zero
@@ -306,10 +298,9 @@ class TestGradientMass:
         kd = build_kernel(KernelSpec("compact-mollifier", 0.2), g)
         r = np.random.default_rng(3)
         for seed in range(5):
-            f = ScalarField(g, np.random.default_rng(seed).standard_normal((32, 32)))
-            conv = kd.convolve(f)
-            gx, gy = go.grad_arrays(g, conv.values)
-            l2 = np.sqrt(np.sum(f.values**2) * g.cell_volume)
+            f = np.random.default_rng(seed).standard_normal((32, 32))
+            gx, gy = go.grad_arrays(g, kd.convolve_raw(f))
+            l2 = np.sqrt(np.sum(f**2) * g.cell_volume)
             assert np.sqrt(np.sum(gx**2) * g.cell_volume) <= kd.tv_x * l2 * (1 + 1e-12)
             assert np.sqrt(np.sum(gy**2) * g.cell_volume) <= kd.tv_y * l2 * (1 + 1e-12)
 

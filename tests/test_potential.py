@@ -132,8 +132,6 @@ class TestSpecValidation:
         assert spec.alpha == 1.0
         assert spec.alpha_star == -1.0
         assert spec.c0 == pytest.approx(0.5)
-        assert spec.s0 == 0.0
-        assert SingularPotential(spec).fprime(spec.s0) == 0.0
 
 
 class TestRegularizedFamily:
@@ -141,7 +139,7 @@ class TestRegularizedFamily:
         spec = PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.1)
         pot = build_F_eps(spec)
         s = np.linspace(-0.9, 0.9, 101)
-        for k in range(pot.order + 1):
+        for k in range(pot.spec.order + 1):
             got = pot.f1(s, k)
             want = eval_F1_derivative(spec, k, s)
             assert np.array_equal(got, want)  # bitwise: same code path
@@ -167,7 +165,7 @@ class TestRegularizedFamily:
         spec = PotentialSpec(theta=1.0, theta_c=2.0, q=2, epsilon=0.05)
         pot = build_F_eps(spec)
         s = np.linspace(-2.5, 2.5, 201)
-        for k in range(pot.order + 1):
+        for k in range(pot.spec.order + 1):
             np.testing.assert_allclose(
                 pot.f1(-s, k), (-1.0) ** k * pot.f1(s, k), rtol=0, atol=1e-12
             )
@@ -180,7 +178,7 @@ class TestRegularizedFamily:
         pot = build_F_eps(spec)
         h = eps * 1e-5
         for knot in (pot.knot, -pot.knot):
-            for k in range(pot.order + 1):
+            for k in range(pot.spec.order + 1):
                 right = 2 * pot.f1(knot + h, k) - pot.f1(knot + 2 * h, k)
                 left = 2 * pot.f1(knot - h, k) - pot.f1(knot - 2 * h, k)
                 scale = max(abs(left), abs(right), 1e-30)
@@ -195,7 +193,7 @@ class TestRegularizedFamily:
         h = np.minimum(1e-6 * (1 + np.abs(s)), 0.3 * np.abs(np.abs(s) - pot.knot) + 1e-12)
         ok = h > 1e-9
         s, h = s[ok], h[ok]
-        for k in range(1, pot.order + 1):
+        for k in range(1, pot.spec.order + 1):
             fd = (pot.f1(s + h, k - 1) - pot.f1(s - h, k - 1)) / (2 * h)
             got = pot.f1(s, k)
             np.testing.assert_allclose(fd, got, rtol=2e-6, atol=1e-8)
@@ -255,32 +253,12 @@ class TestComparisonLemmas:
         rep = verify_potential_lemmas(spec, samples=20_000, seed=3)
         assert rep.passed, rep.violations[:5]
 
-
-class TestConvexSplit:
-    def test_definitional_identity(self):
-        pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.05))
-        s = np.linspace(-3, 3, 1000)
-        np.testing.assert_allclose(
-            pot.g(s) + 0.5 * pot.alpha_star * s**2, pot.f(s), rtol=1e-14, atol=1e-14
-        )
-
-    def test_gsecond_zero_at_origin(self):
-        pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.05))
-        assert pot.gsecond(0.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_gsecond_nonnegative_everywhere(self):
-        pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=2, epsilon=0.03))
-        s = np.linspace(-3, 3, 40001)
-        assert np.min(pot.gsecond(s)) >= -1e-13
-
-    def test_midpoint_convexity_random_triples(self):
-        pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.05))
-        g = pot.g
-        rng = np.random.default_rng(11)
-        a = rng.uniform(-2.5, 2.5, 500)
-        b = rng.uniform(-2.5, 2.5, 500)
-        mid = 0.5 * (a + b)
-        assert np.all(g(mid) <= 0.5 * (g(a) + g(b)) + 1e-12)
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_lemmas_hold_at_tiny_eps(self, q):
+        # the bounds hold for every eps in (0, eps_max], however small
+        spec = PotentialSpec(theta=1.0, theta_c=2.0, q=q, beta=1.5)
+        rep = verify_potential_lemmas(spec, samples=20_000, eps_grid=(1e-1, 1e-13))
+        assert rep.passed, rep.violations[:5]
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,7 +279,7 @@ def test_monotone_comparison_property(s, eps):
 @given(s=st.floats(-3, 3), eps=st.sampled_from(EPS_GRID))
 def test_second_derivative_floor_property(s, eps):
     pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=eps))
-    assert pot.f1(s, 2) >= pot.alpha - 1e-12
+    assert pot.f1(s, 2) >= pot.spec.alpha - 1e-12
 
 
 def test_singular_potential_wrapper():
@@ -311,9 +289,7 @@ def test_singular_potential_wrapper():
     assert not build_F_eps(PotentialSpec(1.0, 2.0, 1, 0.05)).singular
     assert pot.f(0.0) == 0.0
     # F''(s) = theta / (1 - s^2) - theta_c
-    assert pot.gsecond(0.5) == pytest.approx(
-        spec.theta / (1 - 0.5**2) - spec.theta_c - spec.alpha_star
-    )
+    assert pot.fsecond(0.5) == pytest.approx(spec.theta / (1 - 0.5**2) - spec.theta_c)
     with pytest.raises(PotentialDomainError):
         pot.fprime(1.0)
 
@@ -325,7 +301,7 @@ def test_singular_and_regularized_share_the_core(q, eps):
     spec = PotentialSpec(theta=1.0, theta_c=2.0, q=q, epsilon=eps)
     sing, reg = SingularPotential(spec), build_F_eps(spec)
     s = np.linspace(-(1 - eps), 1 - eps, 2001)
-    for name in ("f", "fprime", "fsecond", "g", "gprime", "gsecond"):
+    for name in ("f", "fprime", "fsecond"):
         assert np.array_equal(getattr(sing, name)(s), getattr(reg, name)(s)), name
         assert getattr(sing, name)(0.3) == getattr(reg, name)(0.3), name
 
@@ -339,7 +315,7 @@ def test_nan_propagates_through_every_order(q):
     for s in (np.array([0.1, nan, 0.5, nan]),              # core only
               np.array([0.1, nan, 1.5, nan, -2.0, 0.5])):  # both tails
         want = np.isnan(s)
-        for k in range(pot.order + 1):
+        for k in range(pot.spec.order + 1):
             assert np.array_equal(np.isnan(pot.f1(s, k)), want), k
         for got in (pot.fprime(s), pot.fsecond(s), *pot.fprime_fsecond(s)):
             assert np.array_equal(np.isnan(got), want)
@@ -389,7 +365,7 @@ def test_fused_pair_singular(s):
 def test_scalar_calls_return_python_floats(eps):
     spec = PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=eps)
     pot = SingularPotential(spec) if eps == 0.0 else build_F_eps(spec)
-    for k in range(pot.order + 1):
+    for k in range(pot.spec.order + 1):
         assert type(pot.f1(0.3, k)) is float
     pair = pot.fprime_fsecond(0.3)
     assert [type(v) for v in pair] == [float, float]
