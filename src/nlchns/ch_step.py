@@ -23,7 +23,8 @@ semidefinite J) and the advective flux are explicit:
 
 Substituting psi = m(phi1) turns the update into W(psi) - dt lap psi = b
 with W = m^{-1}, whose Newton systems diag(W') + dt A are symmetric
-positive definite and solved by preconditioned conjugate gradients.  W
+positive definite and solved by preconditioned conjugate gradients.
+Newton starts at psi = m(phi0), which needs no inverse.  W
 itself is a safeguarded pointwise Newton inside the bracket
 |W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
 makes the energy non-increasing for u = 0 at any dt (up to the kernel's
@@ -127,7 +128,7 @@ def convective_power(u, p, mu_vals):
 
 
 class ImplicitMap:
-    """m(s) = a(x) s + F'(s) and its pointwise inverse W.
+    """The pointwise inverse W of m(s) = a(x) s + F'(s).
 
     m is strictly increasing, m' = a + F'' >= c0 = theta + beta - theta_c > 0
     (pot.spec.c0, since a >= beta), so W is well defined: on all of R for
@@ -139,16 +140,14 @@ class ImplicitMap:
         self.a = a_vals
         self.pot = pot
 
-    def m(self, x):
-        return self.a * x + self.pot.fprime(x)
-
     def invert(self, psi, x0, dt_for_reject):
         """Safeguarded vectorized Newton for m(x) = psi, warm started at x0.
 
         m(0) = 0 and m' >= c0 place every root in |x| <= |psi| / c0, so the
         bracket is known before any evaluation: radius 2 |psi| / c0 (the 2
         is headroom for roundoff in m'), widened to contain x0 and, for the
-        singular potential, cut to |x| <= 1 - 1e-14.  A Newton step that
+        singular potential, cut to |x| <= edge = 1 - 1e-14 (|psi| beyond
+        m(edge) = a edge + F'(edge), F' odd, is refused).  A Newton step that
         leaves the bracket falls back to bisection, so monotonicity of m
         guarantees convergence.  A node stays put once it meets the
         tolerance or its Newton step falls below one ulp of x: near +-1,
@@ -161,8 +160,8 @@ class ImplicitMap:
         lo = np.minimum(x0, -rad)
         hi = np.maximum(x0, rad)
         if self.pot.singular:
-            edge = np.full(psi.shape, 1.0 - 1e-14)
-            if np.any(self.m(edge) < psi) or np.any(self.m(-edge) > psi):
+            edge = 1.0 - 1e-14
+            if np.any(np.abs(psi) > self.a * edge + self.pot.fprime(edge)):
                 raise CHError(
                     "singular-potential saturation guard: implicit update "
                     "requires |phi| >= 1 - 1e-14 somewhere"
@@ -204,8 +203,9 @@ def ch_step(state, u, dt, kd, pot):
     scale = max(1.0, float(np.max(np.abs(b))))
     tol = 1e-13 * np.sqrt(b.size) * scale
 
-    psi = imap.m(p0)
-    phi, mprime = imap.invert(psi, p0, dt)
+    # Newton starts at p0; one fused pass gives psi = m(p0) and m'(p0)
+    fp, fpp = pot.fprime_fsecond(p0)
+    phi, psi, mprime = p0, imap.a * p0 + fp, imap.a + fpp
     converged = False
     for _ in range(NEWTON_MAX_OUTER):
         residual = phi - dt * go.laplace_arrays(grid, psi) - b

@@ -15,8 +15,8 @@ Flat ``key = value`` text, one pair per line, ``#`` starts a comment.
 Unknown keys are rejected.  ``--config`` also accepts a manifest.json
 written by an earlier run; rerunning from it reproduces that run's
 series byte for byte.  A manifest written while the config still had a
-``scheme`` key loads when that key names the semi-implicit convex split,
-the only CH step.  Precedence: DEFAULTS < --preset < --config file
+``scheme`` or ``series_every`` key loads when that key holds the one
+value this version runs.  Precedence: DEFAULTS < --preset < --config file
 < --seed flag.  The full key list with defaults is the DEFAULTS dict
 below; every run's manifest records the resolved values plus all derived
 constants and numerical tolerances, so a run directory is self-describing.
@@ -152,7 +152,7 @@ DEFAULTS = {
     # prescribed velocity (transport-only runs)
     "velocity": "zero", "velocity_amplitude": 0.5, "velocity_period": 1.0,
     # time stepping and output cadence
-    "dt": 2e-3, "horizon": 0.2, "snapshot_every": 0, "series_every": 1,
+    "dt": 2e-3, "horizon": 0.2, "snapshot_every": 0,
     "seed": 1234,
 }
 
@@ -259,16 +259,17 @@ def load_config(path=None, preset=None, seed=None):
 
 def _apply_manifest(cfg, doc):
     """Overlay the config block of a parsed manifest document onto cfg.
-    Manifests from versions that had a ``scheme`` key still load when it
-    names the one step this version runs."""
+    Manifests from versions that had a retired key still load when it
+    holds the one value this version runs."""
+    retired = {"scheme": "semi-implicit-convex-split", "series_every": 1}
     items = doc.get("config")
     if not isinstance(items, dict):
         raise ConfigError("parse", "manifest has no config block")
     for key, raw in items.items():
-        if key == "scheme":
-            if raw != "semi-implicit-convex-split":
-                raise ConfigError("parse", f"manifest scheme {raw!r} is not "
-                                           "the semi-implicit convex split")
+        if key in retired:
+            if raw != retired[key]:
+                raise ConfigError("parse", f"manifest {key} {raw!r} is not "
+                                           f"{retired[key]!r}, the one this runs")
             continue
         if key not in DEFAULTS:
             raise ConfigError("parse", f"unknown key {key!r} in manifest")
@@ -344,8 +345,8 @@ def _nsteps(cfg):
         raise ConfigError("time", f"dt must be positive, got {dt:.6g}")
     if horizon < 0.0:
         raise ConfigError("time", f"horizon must be nonnegative, got {horizon:.6g}")
-    if cfg["snapshot_every"] < 0 or cfg["series_every"] < 1:
-        raise ConfigError("time", "snapshot_every must be >= 0 and series_every >= 1")
+    if cfg["snapshot_every"] < 0:
+        raise ConfigError("time", "snapshot_every must be >= 0")
     n = int(round(horizon / dt))
     if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ConfigError(
@@ -716,7 +717,7 @@ def _run_series(cfg, outdir, make_stepper):
         return _finish(outdir, stepper.command, cfg, derived, t_start,
                        {"steps_completed": 0})
 
-    dt, every, snap_every = cfg["dt"], cfg["series_every"], cfg["snapshot_every"]
+    dt, snap_every = cfg["dt"], cfg["snapshot_every"]
     snapshots = SnapshotWriter(outdir, grid)
     terms = stepper.energy_terms()
     rows = [stepper.row(0.0, terms, None)]
@@ -729,8 +730,7 @@ def _run_series(cfg, outdir, make_stepper):
             steps_done = n + 1
             prev_total = terms[3]
             terms = stepper.energy_terms()
-            if steps_done % every == 0 or steps_done == nsteps:
-                rows.append(stepper.row(steps_done * dt, terms, prev_total))
+            rows.append(stepper.row(steps_done * dt, terms, prev_total))
             if snap_every and steps_done % snap_every == 0:
                 snapshots.write(steps_done, steps_done * dt, stepper.fields())
     except RUN_FAILURES as exc:
@@ -835,10 +835,8 @@ def run_diagnose(rundir, outdir=None):
     sat = float(np.max(series["max_abs_phi"]))
     checks["saturation"] = {"max_abs_phi": sat, "passed": sat < 1.0}
 
-    # prefix sums of r_n dt only reconstruct the balance when every step
-    # is in the series
     residuals = series["identity_residual"][1:]
-    if residuals.size and cfg["series_every"] == 1:
+    if residuals.size:
         prefixes = dg.running_cumulative(residuals, cfg["dt"])
         peak = float(prefixes.max())
         checks["energy_direction"] = {
@@ -850,7 +848,8 @@ def run_diagnose(rundir, outdir=None):
     if coupled:
         div_max = float(np.max(series["div_inf"]))
         checks["incompressibility"] = {
-            "max_div_inf": div_max, "tolerance": 1e-9, "passed": div_max <= 1e-9,
+            "max_div_inf": div_max, "tolerance": DIV_TOLERANCE,
+            "passed": div_max <= DIV_TOLERANCE,
         }
 
     # gradient comparison bound, snapshot by snapshot

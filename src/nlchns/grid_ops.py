@@ -315,8 +315,6 @@ def inverse_neumann(f):
 # ------------------------------------------------------------------- norms
 
 def norm_l2(f):
-    if isinstance(f, VectorField):
-        return vector_l2(f)
     return float(np.sqrt(np.sum(f.values**2) * f.grid.cell_volume))
 
 

@@ -94,8 +94,7 @@ class PotentialSpec:
             raise PotentialBuildError(
                 f"convexity surplus c0 = theta + beta - theta_c = {self.c0:.6g} "
                 f"must be positive: need beta > theta_c - theta = "
-                f"{self.theta_c - self.theta:.6g}, got beta = {self.beta:.6g} "
-                f"(margin {self.beta - (self.theta_c - self.theta):.6g})"
+                f"{self.theta_c - self.theta:.6g}, got beta = {self.beta:.6g}"
             )
 
     @property

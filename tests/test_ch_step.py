@@ -118,6 +118,29 @@ class TestFixedPointAndMass:
             st = ch.ch_step(st, None, 2e-3, kd, pot)
         assert np.array_equal(st.phi.values, np.full((32, 32), -0.4))
 
+    @pytest.mark.parametrize("eps", [1e-2, 0.0])
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.7])
+    def test_constant_step_makes_no_invert_call(self, setup32, monkeypatch,
+                                                eps, c):
+        # psi = m(phi^n) and m'(phi^n) come from one fused potential pass;
+        # a constant state meets the outer tolerance before any update
+        g, kd, _, _ = setup32
+        spec = PotentialSpec(1.0, 2.0, 1, eps).with_beta(kd.beta)
+        pot = SingularPotential(spec) if eps == 0.0 else build_F_eps(spec)
+        calls = []
+        invert = ch.ImplicitMap.invert
+
+        def counted(self, *args):
+            calls.append(1)
+            return invert(self, *args)
+
+        monkeypatch.setattr(ch.ImplicitMap, "invert", counted)
+        phi = np.full((32, 32), c)
+        st = ch.ch_step(ch.init_state(ScalarField(g, phi.copy()), kd, pot),
+                        None, 2e-3, kd, pot)
+        assert np.array_equal(st.phi.values, phi)
+        assert calls == []
+
     def test_mean_pinned_with_advection(self, setup32):
         g, kd, pot, _ = setup32
         u = swirl(g, amp=0.2)
@@ -266,6 +289,11 @@ def implicit_map_potential(theta, theta_c, beta, eps):
     return SingularPotential(spec) if eps == 0.0 else build_F_eps(spec)
 
 
+def m_of(imap, x):
+    """The oracle m(x) = a x + F'(x) that ImplicitMap.invert inverts."""
+    return imap.a * x + imap.pot.fprime(x)
+
+
 class TestImplicitMapInverse:
     """ImplicitMap.invert solves m(x) = a x + F'(x) = psi nodewise from its
     a-priori bracket |x| <= 2 |psi| / c0, for any warm start."""
@@ -290,13 +318,13 @@ class TestImplicitMapInverse:
             # roots up to 10^depth, far into the polynomial tails
             root = sign * 10.0 ** (depth * rng.random(shape))
         imap = ch.ImplicitMap(a, pot)
-        psi = imap.m(root)
+        psi = m_of(imap, root)
         edge = 1.0 - 1e-9 if pot.singular else 1e3
         x0 = {"mirror": -root,
               "far": -sign * edge,
               "random": edge * (2.0 * rng.random(shape) - 1.0)}[start]
         x, mprime = imap.invert(psi, x0, 1e-3)
-        assert np.all(np.abs(imap.m(x) - psi) <= 1e-13 * (1.0 + np.abs(psi)))
+        assert np.all(np.abs(m_of(imap, x) - psi) <= 1e-13 * (1.0 + np.abs(psi)))
         assert np.array_equal(mprime, a + pot.fsecond(x))
 
     def test_converged_nodes_come_back_unchanged(self, setup32):
@@ -306,7 +334,7 @@ class TestImplicitMapInverse:
         g, kd, pot, _ = setup32
         imap = ch.ImplicitMap(kd.a_field.values, pot)
         x0 = np.linspace(-0.95, 0.95, g.nx * g.ny).reshape(g.nx, g.ny)
-        psi = np.nextafter(imap.m(x0), np.inf)
+        psi = np.nextafter(m_of(imap, x0), np.inf)
         x0_far = x0.copy()
         x0_far[0, 0] = 0.9
         x, _ = imap.invert(psi, x0_far, 1e-3)
@@ -324,10 +352,31 @@ class TestImplicitMapInverse:
         a = np.full((4, 6), 2.0)
         imap = ch.ImplicitMap(a, pot)
         root = rng.choice([-1.0, 1.0], a.shape) * (1.0 - gap)
-        psi = imap.m(root) + 1e-11 * rng.standard_normal(a.shape)
+        psi = m_of(imap, root) + 1e-11 * rng.standard_normal(a.shape)
         x, _ = imap.invert(psi, np.zeros_like(a), 1e-3)
         step = 2.0 * np.abs(np.spacing(x))
-        assert np.all(imap.m(x - step) < psi) and np.all(imap.m(x + step) > psi)
+        assert np.all(m_of(imap, x - step) < psi)
+        assert np.all(m_of(imap, x + step) > psi)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_singular_guard_refuses_psi_beyond_the_edge(self, sign):
+        # F' is odd, so m(+-edge) = +-(a edge + F'(edge)) bounds psi
+        pot = implicit_map_potential(1.0, 2.0, 1.5, 0.0)
+        imap = ch.ImplicitMap(np.full((4, 6), 2.0), pot)
+        edge = 1.0 - 1e-14
+        bound = imap.a * edge + pot.fprime(edge)
+        psi = np.zeros(imap.a.shape)
+        psi[1, 2] = sign * np.nextafter(bound[1, 2], np.inf)
+        with pytest.raises(ch.CHError, match=r"requires \|phi\| >= 1 - 1e-14"):
+            imap.invert(psi, np.zeros_like(psi), 1e-3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_singular_root_inside_the_edge(self, sign):
+        pot = implicit_map_potential(1.0, 2.0, 1.5, 0.0)
+        imap = ch.ImplicitMap(np.full((4, 6), 2.0), pot)
+        root = sign * np.full(imap.a.shape, 1.0 - 1e-12)
+        x, _ = imap.invert(m_of(imap, root), np.zeros_like(root), 1e-3)
+        assert np.array_equal(x, root)
 
 
 class TestEnergyIdentityResidual:

@@ -321,7 +321,7 @@ class TestResidualCrossCheck:
         """The series column and the post-hoc residual of the snapshot
         trajectory evaluate the same formula on the same states."""
         cfg_path = write_cfg(tmp_path / "c.cfg", FAST_COUPLED.replace(
-            "snapshot_every = 5", "snapshot_every = 1\nseries_every = 1"))
+            "snapshot_every = 5", "snapshot_every = 1"))
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         cfg = load_config(cfg_path)
@@ -368,20 +368,26 @@ class TestDeterminism:
         assert (coupled_run["out"] / "series.csv").read_bytes() == \
             (out4 / "series.csv").read_bytes()
 
-    def test_manifest_with_a_scheme_entry(self, coupled_run, capsys):
-        # manifests written while the config had a scheme key still rerun
-        # and diagnose when it names the convex split; any other is refused
-        def with_scheme(name):
-            rundir = coupled_run["base"] / f"scheme-{name}"
+    @pytest.mark.parametrize("key, kept, other", [
+        ("scheme", "semi-implicit-convex-split", "explicit"),
+        ("series_every", 1, 5),
+    ], ids=["scheme", "series_every"])
+    def test_manifest_with_a_retired_key(self, coupled_run, capsys, key, kept,
+                                         other):
+        # manifests written while the config had a retired key still rerun
+        # and diagnose when it holds the value this version runs; any other
+        # is refused
+        def with_entry(value):
+            rundir = coupled_run["base"] / f"{key}-{value}"
             shutil.copytree(coupled_run["out"], rundir)
             path = rundir / "manifest.json"
             doc = json.loads(path.read_text())
-            doc["config"]["scheme"] = name
+            doc["config"][key] = value
             path.write_text(json.dumps(doc))
             return rundir
 
-        old = with_scheme("semi-implicit-convex-split")
-        rerun = coupled_run["base"] / "scheme-rerun"
+        old = with_entry(kept)
+        rerun = coupled_run["base"] / f"{key}-rerun"
         assert cli.main(["run", "--config", str(old / "manifest.json"),
                          "--out", str(rerun)]) == 0
         assert (rerun / "series.csv").read_bytes() == \
@@ -389,10 +395,11 @@ class TestDeterminism:
         assert cli.main(["diagnose", str(old)]) == 0
         assert json.loads((old / "diagnose.json").read_text())["all_passed"]
 
-        bad = with_scheme("explicit")
+        bad = with_entry(other)
         capsys.readouterr()
+        bad_rerun = coupled_run["base"] / f"{key}-bad-rerun"
         assert cli.main(["run", "--config", str(bad / "manifest.json"),
-                         "--out", str(coupled_run["base"] / "explicit-rerun")]) == 2
+                         "--out", str(bad_rerun)]) == 2
         assert cli.main(["diagnose", str(bad)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(e.startswith("error[parse]:") for e in err)
@@ -528,6 +535,9 @@ class TestDiagnose:
         assert checks["mass_conservation"]["passed"]
         assert checks["saturation"]["max_abs_phi"] < 1.0
         assert checks["incompressibility"]["passed"]
+        manifest = json.loads((coupled_run["out"] / "manifest.json").read_text())
+        assert checks["incompressibility"]["tolerance"] == \
+            manifest["tolerances"]["div_tolerance"]
         assert checks["gradient_bound"]["passed"]
         assert checks["energy_direction"]["max_prefix"] <= 1e-8
         assert (out / "gradient_bound.csv").exists()

@@ -10,9 +10,14 @@ setting).
 A name counts as used when it appears as a bare name anywhere in the
 module, including as the root of an attribute chain (``np.linalg``), or
 when it is listed in ``__all__``.
+
+Every callable that the benchmark wraps by name (``TARGETS`` in
+bench/tracing.py, ``FIRST_WORK`` in bench/op.py) must resolve by import
+plus getattr, so a deletion cannot silently break a traced run.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -267,3 +272,48 @@ def test_parameter_checker_reads_positions_keywords_and_fields():
     assert unpassed_parameters([source], [callers]) == [
         (1, "f", "c"), (3, "C", "y"), (9, "D", "s")]
     assert unpassed_parameters([source], [callers + "D(*xs)\nC(**kw)\nf(c=1)\n"]) == []
+
+
+def bench_table(path, name):
+    """The literal tuple that a benchmark module assigns to ``name``, read
+    from its source without importing the module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def unresolved(entries):
+    """``path.attr`` of every (path, attr) entry, path being "module" or
+    "module:name", that import plus getattr cannot resolve."""
+    missing = []
+    for path, attr in entries:
+        module, _, inner = path.partition(":")
+        try:
+            owner = importlib.import_module(module)
+            if inner:
+                owner = getattr(owner, inner)
+            getattr(owner, attr)
+        except (ImportError, AttributeError):
+            missing.append(f"{path}.{attr}")
+    return missing
+
+
+def test_benchmark_wrap_targets_resolve():
+    targets = bench_table(ROOT / "bench" / "tracing.py", "TARGETS")
+    first_work = bench_table(ROOT / "bench" / "op.py", "FIRST_WORK")
+    assert targets and first_work
+    missing = unresolved([(path, attr) for _, path, attr in targets]
+                         + list(first_work))
+    assert not missing, "benchmark wraps names that are gone: " + ", ".join(missing)
+
+
+def test_target_checker_flags_missing_names():
+    assert unresolved([("nlchns.ch_step:ImplicitMap", "invert"),
+                       ("nlchns.ch_step:sfft", "dctn"),
+                       ("nlchns.ch_step:ImplicitMap", "m"),
+                       ("nlchns.ch_step:Gone", "invert"),
+                       ("nlchns.gone", "f")]) == [
+        "nlchns.ch_step:ImplicitMap.m", "nlchns.ch_step:Gone.invert",
+        "nlchns.gone.f"]

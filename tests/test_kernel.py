@@ -259,7 +259,8 @@ class TestAssumptionGate:
         weak = KernelSpec("gaussian", 0.15, j_l1=0.5)  # beta < 0.5
         kd = build_kernel(weak, g)
         assert 0.0 < kd.beta < 0.5
-        with pytest.raises(PotentialBuildError, match="margin"):
+        with pytest.raises(PotentialBuildError,
+                           match=r"c0 = theta \+ beta - theta_c"):
             pot.with_beta(kd.beta)
 
     def test_pairing_accepts_strong_kernel(self):

@@ -124,7 +124,8 @@ class TestSpecValidation:
             PotentialSpec(theta=1.0, theta_c=2.0, q=9)
 
     def test_rejects_insufficient_beta_with_margin_message(self):
-        with pytest.raises(PotentialBuildError, match="margin"):
+        with pytest.raises(PotentialBuildError,
+                           match=r"c0 = theta \+ beta - theta_c"):
             PotentialSpec(theta=1.0, theta_c=2.0, beta=0.5)
 
     def test_derived_constants(self):
