@@ -11,7 +11,12 @@ as 2 u / h) defines the operator A through exact transposes of the
 difference stencils.  That makes <A u, u> = R(u) hold to roundoff, so the
 flow's energy bookkeeping closes discretely, and I + dt A is symmetric
 positive definite for the conjugate-gradient momentum solve with frozen
-coefficients nu(phi^n).
+coefficients nu(phi^n).  Its condition number grows like n^2, so the CG is
+preconditioned by the constant-viscosity, uncoupled operator at the mean
+viscosity, 1 + dt nu_ref (2 Kx + Ky) on u and its mirror image on v (Kx, Ky
+the 1D factors of the stiffness blocks below), applied exactly by fast
+diagonalisation (Lynch, Rice & Thomas 1964); the iteration count then
+stays bounded as the grid is refined.
 
 Advection is the conservative divergence-form MAC interpolation of
 div(u x u); no skew correction (the advective energy residual is part of
@@ -29,8 +34,9 @@ inverse of the componentwise stiffness A (grad_form_apply) restricted to
 solenoidal fields.  That is the Stokes problem A z + grad p = b, div z = 0,
 solved by CG on the pressure Schur complement S p = -div(A^-1 grad p).  A
 itself is inverted exactly by fast diagonalisation: each velocity block is
-a sum of two 1D tridiagonal stiffnesses, whose eigenbases are cached per
-grid.  S is spectrally equivalent to the identity on zero-mean pressures
+a sum of two 1D tridiagonal stiffnesses, whose eigenpairs are cached by
+(n, h, end entry) and shared with the momentum preconditioner.  S is
+spectrally equivalent to the identity on zero-mean pressures
 (the MAC pair is inf-sup stable), so the CG count does not grow with n.
 """
 
@@ -187,57 +193,59 @@ def grad_form_apply(grid, u, v):
     return _zero_normal(au, av)
 
 
-def _stiffness_1d(n, h, end):
-    """Eigenpairs of the 1D stiffness tridiag(-1, 2, -1) / h^2 on n nodes
-    with both end diagonal entries set to end."""
-    t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    t[0, 0] = t[-1, -1] = end
-    return np.linalg.eigh(t / h**2)
+_stiffness_eigh_cache = {}
 
 
-def _tensor_basis(kx, ky):
-    """(Qx, Qy, eigenvalue table) of Kx (x) I + I (x) Ky."""
-    (lam_x, qx), (lam_y, qy) = kx, ky
-    return qx, qy, lam_x[:, None] + lam_y[None, :]
+def _stiffness_eigh(n, h, end):
+    """Eigenpairs (lam, Q) of the 1D stiffness tridiag(-1, 2, -1) / h^2 on
+    n nodes with both end diagonal entries set to end, cached by (n, h, end)."""
+    pair = _stiffness_eigh_cache.get((n, h, end))
+    if pair is None:
+        t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        t[0, 0] = t[-1, -1] = end
+        pair = _stiffness_eigh_cache[(n, h, end)] = np.linalg.eigh(t / h**2)
+    return pair
 
 
-_grad_form_bases = {}
+def _block_factors(grid):
+    """1D factors ((Kx, Ky) of the u block, (Kx, Ky) of the v block) as
+    eigenpairs.  Each velocity block of the stiffness is, on its interior
+    faces, a weighted tensor sum of two 1D stiffnesses.  The wall-normal
+    factor is the Dirichlet tridiagonal on the n-1 interior faces.  The
+    tangential factor lives on the n cell rows; its end entries are 5, 1
+    from the interior difference plus 4 from the no-slip shear 2 u / h
+    scattered back with its own 2 / h.  That is not a sine basis, so every
+    factor is diagonalised with eigh."""
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    return ((_stiffness_eigh(nx - 1, hx, 2.0), _stiffness_eigh(ny, hy, 5.0)),
+            (_stiffness_eigh(nx, hx, 5.0), _stiffness_eigh(ny - 1, hy, 2.0)))
 
 
-def _grad_form_basis(grid):
-    """Per-grid eigenbases of the u and v blocks of grad_form_apply.
-
-    On its interior faces each block is a tensor sum of two 1D stiffnesses.
-    The wall-normal factor is the Dirichlet tridiagonal on the n-1 interior
-    faces.  The tangential factor lives on the n cell rows; its end entries
-    are 5, 1 from the interior difference plus 4 from the no-slip shear
-    2 u / h scattered back with its own 2 / h.  That is not a sine basis,
-    so every factor is diagonalised with eigh."""
-    basis = _grad_form_bases.get(grid.key())
-    if basis is None:
-        nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-        basis = (_tensor_basis(_stiffness_1d(nx - 1, hx, 2.0),
-                               _stiffness_1d(ny, hy, 5.0)),
-                 _tensor_basis(_stiffness_1d(nx, hx, 5.0),
-                               _stiffness_1d(ny - 1, hy, 2.0)))
-        _grad_form_bases[grid.key()] = basis
-    return basis
-
-
-def _tensor_solve(basis, f):
-    qx, qy, lam = basis
+def _tensor_solve(kx, ky, lam, f):
+    """Solve with the operator whose eigenvalue table is lam in the tensor
+    eigenbasis of the 1D factors kx, ky."""
+    qx, qy = kx[1], ky[1]
     return qx @ ((qx.T @ f @ qy) / lam) @ qy.T
+
+
+_grad_form_tables = {}
 
 
 def grad_form_inverse(grid, fu, fv):
     """Exact inverse of grad_form_apply on the interior faces: returns (u, v)
     with zero normal faces and grad_form_apply(u, v) = (fu, fv) there.
-    Boundary normal entries of fu, fv are ignored."""
-    basis_u, basis_v = _grad_form_basis(grid)
+    Boundary normal entries of fu, fv are ignored.  The eigenvalue tables
+    are kept per grid: the Stokes solves call this hundreds of times, and
+    rebuilding a broadcast sum costs more than the division it feeds."""
+    (ux, uy), (vx, vy) = _block_factors(grid)
+    tables = _grad_form_tables.get(grid.key())
+    if tables is None:
+        tables = _grad_form_tables[grid.key()] = (
+            ux[0][:, None] + uy[0][None, :], vx[0][:, None] + vy[0][None, :])
     u = np.zeros((grid.nx + 1, grid.ny))
     v = np.zeros((grid.nx, grid.ny + 1))
-    u[1:-1, :] = _tensor_solve(basis_u, fu[1:-1, :])
-    v[:, 1:-1] = _tensor_solve(basis_v, fv[:, 1:-1])
+    u[1:-1, :] = _tensor_solve(ux, uy, tables[0], fu[1:-1, :])
+    v[:, 1:-1] = _tensor_solve(vx, vy, tables[1], fv[:, 1:-1])
     return u, v
 
 
@@ -306,11 +314,36 @@ def _unpack(grid, w):
             w[split:].reshape(grid.nx, grid.ny + 1))
 
 
+def _momentum_precond(grid, nu_ref, dt):
+    """Exact inverse of the constant-coefficient, uncoupled momentum
+    operator: 1 + dt nu_ref (2 Kx + Ky) on the u block and its mirror
+    image on the v block, in the cached eigenbases of _block_factors (fast
+    diagonalisation).  It is SPD on the whole packed vector: the identity on
+    the wall-normal faces, where every CG residual is exactly zero."""
+    (ux, uy), (vx, vy) = _block_factors(grid)
+    c = dt * nu_ref
+    lam_u = 1.0 + c * (2.0 * ux[0][:, None] + uy[0][None, :])
+    lam_v = 1.0 + c * (vx[0][:, None] + 2.0 * vy[0][None, :])
+
+    def apply(r):
+        z = r.copy()
+        (ru, rv), (zu, zv) = _unpack(grid, r), _unpack(grid, z)
+        zu[1:-1, :] = _tensor_solve(ux, uy, lam_u, ru[1:-1, :])
+        zv[:, 1:-1] = _tensor_solve(vx, vy, lam_v, rv[:, 1:-1])
+        return z
+
+    return apply
+
+
 def _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0):
-    """CG on the coupled SPD system (I + dt A) w = b, with u and v packed
-    into one vector, warm-started at the previous velocity.  Returns
-    (u, v, iterations).  A right-hand side whose norm is not finite is an
-    NSError; any other CG stall an NSStepRejection with the CG's reason."""
+    """Preconditioned CG on the coupled SPD system (I + dt A) w = b, with u
+    and v packed into one vector, warm-started at the previous velocity.
+    The preconditioner is _momentum_precond at the mean cell viscosity: the
+    variable coefficient and the u-v shear coupling are what it leaves to
+    CG, so the iteration count stays bounded as the grid is refined.
+    Returns (u, v, iterations).  A right-hand side whose norm is not finite
+    is an NSError; any other CG stall an NSStepRejection with the CG's
+    reason."""
 
     def mv(w):
         u, v = _unpack(grid, w)
@@ -318,9 +351,10 @@ def _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0):
         return _pack(u + dt * au, v + dt * av)
 
     b = _pack(*_zero_normal(bu.copy(), bv.copy()))
+    precond = _momentum_precond(grid, float(np.mean(nu_c)), dt)
     try:
-        w, iters = go.cg(mv, b, rtol=MOMENTUM_RTOL, maxiter=MOMENTUM_MAXITER,
-                         x0=_pack(u0, v0))
+        w, iters = go.cg(mv, b, precond=precond, rtol=MOMENTUM_RTOL,
+                         maxiter=MOMENTUM_MAXITER, x0=_pack(u0, v0))
     except go.CGNonFinite as exc:
         raise NSError(f"momentum solve: {exc}") from None
     except go.CGStall as exc:
@@ -341,9 +375,10 @@ def ns_step(ns, phi, mu, forcing, visc, dt):
     dt       : time step, > 0
 
     Explicit advection and capillary force, implicit viscous solve with
-    the SPD frozen-coefficient operator, then pressure correction.  Raises
-    NSStepRejection when the momentum CG stalls and NSError on non-finite
-    data.  The post-projection divergence is audited against DIV_TOLERANCE.
+    the SPD frozen-coefficient operator by preconditioned CG, then
+    pressure correction.  Raises NSStepRejection when the momentum CG
+    stalls and NSError on non-finite data.  The post-projection
+    divergence is audited against DIV_TOLERANCE.
     """
     if not (dt > 0.0):
         raise NSError(f"dt must be positive, got {dt}")

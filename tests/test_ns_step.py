@@ -1,5 +1,6 @@
-"""Flow step: operator identities, projection, decay against an
-independent single-phase reference, and the Stokes eigenvalue."""
+"""Flow step: operator identities, projection, the preconditioned momentum
+solve, decay against an independent single-phase reference, and the
+Stokes eigenvalue."""
 
 import numpy as np
 import pytest
@@ -447,6 +448,81 @@ class TestStiffnessInverse:
         assert np.all(v[:, 0] == 0.0) and np.all(v[:, -1] == 0.0)
         assert interior_error(grid, ns.grad_form_apply(grid, u, v),
                               (fu, fv)) <= 1e-12
+
+
+class TestMomentumSolve:
+    DT = 2e-3
+    VISC = ns.ViscositySpec(0.01, 0.02)
+
+    def _problem(self, grid):
+        """Viscosity spanning [nu1, nu2] and a random right-hand side."""
+        rng = np.random.default_rng(71)
+        x, y = grid.cell_mesh()
+        phi = 1.2 * np.sin(3 * np.pi * x / grid.lx) \
+            * np.cos(2 * np.pi * y / grid.ly)
+        nu_c, nu_n = ns.viscosity_fields(grid, phi, self.VISC)
+        bu = rng.standard_normal((grid.nx + 1, grid.ny))
+        bv = rng.standard_normal((grid.nx, grid.ny + 1))
+        return nu_c, nu_n, bu, bv
+
+    def _zero_start(self, grid):
+        return np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1))
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_iterations_mesh_independent(self, n):
+        # plain CG needs 42 iterations at 128^2 and doubles per refinement
+        grid = Grid(n, n, 1.0, 1.0)
+        nu_c, nu_n, bu, bv = self._problem(grid)
+        assert nu_c.min() == 0.01 and nu_c.max() == 0.02
+        *_, iters = ns._solve_momentum(grid, nu_c, nu_n, self.DT, bu, bv,
+                                       *self._zero_start(grid))
+        assert iters <= 25
+
+    def test_preconditioner_symmetric_positive_definite(self):
+        # on the whole packed vector, wall-normal faces included
+        grid = Grid(20, 14, 1.5, 1.0)
+        precond = ns._momentum_precond(grid, 0.015, self.DT)
+        rng = np.random.default_rng(73)
+        size = (grid.nx + 1) * grid.ny + grid.nx * (grid.ny + 1)
+        for _ in range(3):
+            x, y = rng.standard_normal(size), rng.standard_normal(size)
+            xpy, ypx = np.vdot(x, precond(y)), np.vdot(y, precond(x))
+            assert abs(xpy - ypx) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(y)
+            assert np.vdot(x, precond(x)) > 0.0
+
+    def test_preconditioner_inverts_constant_viscosity_blocks(self):
+        # at constant nu it is the exact inverse of the diagonal blocks of
+        # I + dt A; only the u-v shear coupling is left to CG
+        grid = Grid(12, 9, 1.5, 1.0)
+        nu = 0.015
+        nu_c = np.full((grid.nx, grid.ny), nu)
+        nu_n = ns.cell_to_corner(grid, nu_c)
+        precond = ns._momentum_precond(grid, nu, self.DT)
+        u, v = random_interior(grid, 79)
+        zero_u, zero_v = np.zeros_like(u), np.zeros_like(v)
+        au, _ = ns.viscous_apply(grid, nu_c, nu_n, u, zero_v)
+        _, av = ns.viscous_apply(grid, nu_c, nu_n, zero_u, v)
+        back_u, back_v = ns._unpack(grid, precond(ns._pack(u + self.DT * au,
+                                                           v + self.DT * av)))
+        assert np.abs(back_u - u).max() <= 1e-12 * np.abs(u).max()
+        assert np.abs(back_v - v).max() <= 1e-12 * np.abs(v).max()
+
+    def test_matches_plain_cg_oracle(self):
+        grid = Grid(32, 24, 1.0, 0.75)
+        nu_c, nu_n, bu, bv = self._problem(grid)
+        u, v, _ = ns._solve_momentum(grid, nu_c, nu_n, self.DT, bu, bv,
+                                     *self._zero_start(grid))
+
+        def mv(w):
+            wu, wv = ns._unpack(grid, w)
+            au, av = ns.viscous_apply(grid, nu_c, nu_n, wu, wv)
+            return ns._pack(wu + self.DT * au, wv + self.DT * av)
+
+        oracle, _ = go.cg(mv, ns._pack(*ns._zero_normal(bu.copy(), bv.copy())),
+                          rtol=1e-14)
+        got = ns._pack(u, v)
+        assert np.linalg.norm(got - oracle) <= \
+            ns.MOMENTUM_RTOL * np.linalg.norm(oracle)
 
 
 class TestStokesSolve:
