@@ -23,7 +23,12 @@ semidefinite J) and the advective flux are explicit:
 
 Substituting psi = m(phi1) turns the update into W(psi) - dt lap psi = b
 with W = m^{-1}, whose Newton systems diag(W') + dt A are symmetric
-positive definite and solved by preconditioned conjugate gradients.
+positive definite and solved by conjugate gradients, preconditioned by
+median(W') + dt A in the DCT-II basis.  Up to grid_ops.DENSE_MAX_N the CG
+applies A and that inverse as dense 1D matrix products (the workspace's
+stiffnesses and grid_ops.tensor_solve); on larger grids through the
+stencil and the scipy.fft pair.  The Newton residual always takes the
+stencil, whose sums telescope, so the mass argument below holds on both.
 Newton starts at psi = m(phi0), which needs no inverse.  W
 itself is a safeguarded pointwise Newton inside the bracket
 |W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
@@ -199,7 +204,8 @@ def ch_step(state, u, dt, kd, pot):
     adv = convective_divergence(u, p0) if u is not None else 0.0
     b = p0 - dt * adv - dt * go.laplace_arrays(grid, state.conv)
     imap = ImplicitMap(kd.a_field.values, pot)
-    lam = go.workspace(grid).eig  # A = -laplace on the DCT-II basis
+    ws = go.workspace(grid)
+    lam, dense = ws.eig, ws.dense  # A = -laplace on the DCT-II basis
     scale = max(1.0, float(np.max(np.abs(b))))
     tol = 1e-13 * np.sqrt(b.size) * scale
 
@@ -217,12 +223,19 @@ def ch_step(state, u, dt, kd, pot):
         shift = float(np.median(w))
         denom = shift + dt * lam
 
-        def mv(x, w=w):
-            return w * x + dt * (-go.laplace_arrays(grid, x))
+        if dense is None:  # the stencil and the scipy.fft DCT pair
+            def mv(x, w=w):
+                return w * x + dt * (-go.laplace_arrays(grid, x))
 
-        def precond(r, denom=denom):
-            rh = sfft.dctn(r, type=2, norm="ortho")
-            return sfft.idctn(rh / denom, type=2, norm="ortho")
+            def precond(r, denom=denom):
+                rh = sfft.dctn(r, type=2, norm="ortho")
+                return sfft.idctn(rh / denom, type=2, norm="ortho")
+        else:  # the same operators as dense 1D matrix products
+            def mv(x, w=w):
+                return w * x + dt * (dense.kx @ x + x @ dense.ky)
+
+            def precond(r, denom=denom):
+                return go.tensor_solve(dense.qx, dense.qy, denom, r)
 
         # inexact Newton: only resolve the linear model down to what the
         # outer tolerance actually needs this sweep

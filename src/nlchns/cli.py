@@ -611,15 +611,15 @@ class _Coupled(_Stepper):
         self.forcing = _forcing_fn(cfg, phys.grid)
         super().__init__(cfg, phys)
         self.flow = init_ns_state(_initial_velocity(cfg, self.grid))
-        self.last = None  # (phi_n, h_n) of the step just taken
+        self.h_n = None  # forcing of the step just taken
+        self.nu = None  # nu(phi) at cells and corners of the last row's state
 
     def step(self, t):
         h = self.forcing(t)
         flow = ns.ns_step(self.flow, self.ch.phi, self.ch.mu, h, self.visc, self.dt)
-        phi_n = self.ch.phi.values
         self.ch = ch_step(self.ch, flow.u, self.dt, self.kd, self.pot)
         self.flow = flow  # (phi, u) stays a coherent pair on failure
-        self.last = (phi_n, h)
+        self.h_n = h
 
     def energy_terms(self):
         return dg.energy_terms(self.ch.phi, self.flow.u, self.kd, self.pot,
@@ -628,20 +628,20 @@ class _Coupled(_Stepper):
     def row(self, t, terms, prev_total):
         """Instantaneous columns (viscous dissipation, forcing power) use the
         row's own state; the residual is the balance over the step that
-        ended here, with coefficients frozen at phi_n as in the step."""
+        ended here, with coefficients frozen at phi_n as in the step.  A row
+        follows every step, so phi_n is the previous row's phi and its
+        nu(phi_n) is the one that row kept."""
         grid, ch, vel = self.grid, self.ch, self.flow.u
         gm2 = go.h1_seminorm(ch.mu) ** 2
         div_inf, residual = 0.0, float("nan")
         if prev_total is not None:
-            phi_n, h_n = self.last
-            nu_c, nu_n = ns.viscosity_fields(grid, phi_n, self.visc)
-            diss = ns.dissipation(grid, nu_c, nu_n, vel.u, vel.v)
+            diss = ns.dissipation(grid, *self.nu, vel.u, vel.v)
             residual = dg.identity_residual(prev_total, terms[3], self.dt, diss,
-                                            gm2, _power(h_n, vel))
+                                            gm2, _power(self.h_n, vel))
             div_inf = float(np.max(np.abs(go.div_arrays(grid, vel.u, vel.v))))
-        nu_c, nu_n = ns.viscosity_fields(grid, ch.phi.values, self.visc)
+        self.nu = ns.viscosity_fields(grid, ch.phi.values, self.visc)
         return (t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))), *terms, gm2,
-                ns.dissipation(grid, nu_c, nu_n, vel.u, vel.v),
+                ns.dissipation(grid, *self.nu, vel.u, vel.v),
                 fprime_l1(ch.phi, self.pot), div_inf,
                 _power(self.forcing(t), vel), residual)
 

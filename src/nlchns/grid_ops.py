@@ -25,14 +25,26 @@ orthonormal DCT-II: its eigenvectors are cos(k pi (i + 1/2) / n) per axis,
 with eigenvalues (4/hx^2) sin^2(kx pi / 2nx) + (4/hy^2) sin^2(ky pi / 2ny).
 Every Neumann Poisson solve (the pressure and Leray projections, the
 zero-mean inverse N and the V0' norm) is therefore one direct transform
-pair, O(N log N) and exact to roundoff: the staggered-grid direct method of
-Schumann & Sweet, J. Comput. Phys. 75 (1988).  The per-grid workspace holds
-the eigenvalue table, shared with the DCT preconditioner of the implicit CH
-solve.
+pair, exact to roundoff: the staggered-grid direct method of Schumann &
+Sweet, J. Comput. Phys. 75 (1988).  The per-grid workspace holds the
+eigenvalue table, shared with the DCT preconditioner of the implicit CH
+solve.  Two branches apply it, chosen by grid size:
+
+- both sides at most DENSE_MAX_N: the workspace also holds, built at first
+  use, the dense cosine matrices and 1D stiffnesses (A = Kx x + x Ky), and
+  the transform pair is tensor_solve over the cosine matrices, O(N^1.5)
+  in matrix products that beat the FFT's per-call cost on such grids;
+- larger grids: the scipy.fft DCT-II pair, O(N log N), and the stencil.
+
+tensor_solve is the one fast-diagonalisation solve (Lynch, Rice & Thomas,
+Numer. Math. 6, 1964): the momentum preconditioner and the exact stiffness
+inverse of ns_step call it with their own eigenbases.
 """
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -200,14 +212,71 @@ def inner_vec(a, b):
 
 # --------------------------------------------------- Neumann Laplacian and N
 
+# Grids whose sides are all at most DENSE_MAX_N apply A and the DCT pair as
+# dense 1D matrix products; larger grids use the stencil and scipy.fft.
+# Microseconds per call on square n^2 grids, min of 5, one BLAS thread,
+# 2-vCPU x86 VM:
+#
+#     n    scipy.fft pair   dense pair   -laplace_arrays   Kx x + x Ky
+#     32        45               14              23               7
+#     64       103               51              52              21
+#     96       145              121              73              60
+#    112       215              254             104             116
+#    128       252              319             138             168
+DENSE_MAX_N = 96
+
+
+def stiffness_1d(n, h, end):
+    """The 1D stiffness tridiag(-1, 2, -1) / h^2 on n nodes, with both end
+    diagonal entries set to end (1: Neumann)."""
+    t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    t[0, 0] = t[-1, -1] = end
+    return t / h**2
+
+
+def _cosine_basis(n):
+    """Orthonormal DCT-II eigenvectors of stiffness_1d(n, h, 1) as columns,
+    in closed form: column k is cos(k pi (i + 1/2) / n), normalised.  The
+    angle is reduced mod 2 pi in integers, and column 0 is set to the exact
+    constant, so the zero mode stays exact."""
+    i = np.arange(n)
+    turns = np.outer(2 * i + 1, i) % (4 * n)  # angle = turns * pi / (2n)
+    q = np.sqrt(2.0 / n) * np.cos(turns * (np.pi / (2 * n)))
+    q[:, 0] = np.sqrt(1.0 / n)
+    return q
+
+
+class _DenseFactors(NamedTuple):
+    """A = Kx x + x Ky on a small grid, and its eigenbasis."""
+    qx: np.ndarray  # cosine bases: A = Q lam Q^T per axis
+    qy: np.ndarray
+    kx: np.ndarray  # Neumann stiffnesses
+    ky: np.ndarray
+    eig_nomean: np.ndarray  # eig with inf at the constant mode
+
+
 class _NeumannWorkspace:
-    """Per-grid DCT-II eigenvalues of A = -laplace."""
+    """Per-grid DCT-II eigenvalues of A = -laplace, and on grids with both
+    sides at most DENSE_MAX_N its dense factors."""
 
     def __init__(self, grid):
         nx, ny = grid.nx, grid.ny
+        self.grid = grid
         lx = (4.0 / grid.hx**2) * np.sin(np.arange(nx) * np.pi / (2 * nx)) ** 2
         ly = (4.0 / grid.hy**2) * np.sin(np.arange(ny) * np.pi / (2 * ny)) ** 2
         self.eig = lx[:, None] + ly[None, :]  # eig[0, 0] = 0: the constants
+
+    @cached_property
+    def dense(self):
+        """_DenseFactors, built at first use; None above DENSE_MAX_N."""
+        g = self.grid
+        if max(g.nx, g.ny) > DENSE_MAX_N:
+            return None
+        eig_nomean = self.eig.copy()
+        eig_nomean[0, 0] = np.inf  # dividing by it drops the mean
+        return _DenseFactors(_cosine_basis(g.nx), _cosine_basis(g.ny),
+                            stiffness_1d(g.nx, g.hx, 1.0),
+                            stiffness_1d(g.ny, g.hy, 1.0), eig_nomean)
 
 
 _workspaces = {}
@@ -221,14 +290,25 @@ def workspace(grid):
     return ws
 
 
+def tensor_solve(qx, qy, lam, f):
+    """Fast diagonalisation: solve with the operator whose eigenvalue table
+    is lam in the tensor eigenbasis of the orthonormal columns of qx (axis
+    0) and qy (axis 1)."""
+    return qx @ ((qx.T @ f @ qy) / lam) @ qy.T
+
+
 def solve_neumann_direct(grid, rhs):
     """Zero-mean solution p of -laplace p = rhs for a compatible (zero-mean)
     rhs; the mean of rhs, the component A cannot reach, is dropped.
 
     One DCT-II pair: transform, divide by the eigenvalues, zero the
-    constant mode, transform back.
+    constant mode, transform back; as a dense tensor_solve on small grids.
     """
-    eig = workspace(grid).eig
+    ws = workspace(grid)
+    dense = ws.dense
+    if dense is not None:
+        return tensor_solve(dense.qx, dense.qy, dense.eig_nomean, rhs)
+    eig = ws.eig
     coef = sfft.dctn(rhs, type=2, norm="ortho")
     coef = np.divide(coef, eig, out=np.zeros_like(coef), where=eig > 0.0)
     return sfft.idctn(coef, type=2, norm="ortho")
@@ -246,14 +326,16 @@ def remove_mean(w):
     return w - w.mean()
 
 
-def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None):
+def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None,
+       atol=0.0):
     """Preconditioned conjugate gradients for A x = b with A symmetric
     positive definite (on the range of project), on arrays of any fixed
     shape.  precond applies an SPD approximation of A^-1 (None: plain CG).
     Without x0 the iteration starts at zero and skips applying A to it.
     project, an orthogonal projector such as remove_mean, is applied to b,
     x0, each A p, each residual and the result, so roundoff cannot drift
-    into its complement.  Stops at ||r|| <= rtol ||b||; returns (x, iters).
+    into its complement.  Stops at ||r|| <= max(rtol ||b||, atol); returns
+    (x, iters).
     Raises CGNonFinite on a non-finite ||b||, and CGStall after maxiter
     iterations (default 20 * b.size) or on a non-positive curvature p.Ap."""
     keep = project or (lambda w: w)
@@ -269,7 +351,7 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None):
     else:
         x = keep(np.array(x0, dtype=float))
         r = keep(b - apply(x))
-    tol = rtol * bnorm
+    tol = max(rtol * bnorm, atol)
     rr = float(np.vdot(r, r))
     if np.sqrt(rr) <= tol:
         return x, 0

@@ -15,8 +15,8 @@ coefficients nu(phi^n).  Its condition number grows like n^2, so the CG is
 preconditioned by the constant-viscosity, uncoupled operator at the mean
 viscosity, 1 + dt nu_ref (2 Kx + Ky) on u and its mirror image on v (Kx, Ky
 the 1D factors of the stiffness blocks below), applied exactly by fast
-diagonalisation (Lynch, Rice & Thomas 1964); the iteration count then
-stays bounded as the grid is refined.
+diagonalisation (grid_ops.tensor_solve; Lynch, Rice & Thomas 1964); the
+iteration count then stays bounded as the grid is refined.
 
 Advection is the conservative divergence-form MAC interpolation of
 div(u x u); no skew correction (the advective energy residual is part of
@@ -35,7 +35,8 @@ solenoidal fields.  That is the Stokes problem A z + grad p = b, div z = 0,
 solved by CG on the pressure Schur complement S p = -div(A^-1 grad p).  A
 itself is inverted exactly by fast diagonalisation: each velocity block is
 a sum of two 1D tridiagonal stiffnesses, whose eigenpairs are cached by
-(n, h, end entry) and shared with the momentum preconditioner.  S is
+(n, h, end entry) and shared with the momentum preconditioner; both solve
+through grid_ops.tensor_solve.  S is
 spectrally equivalent to the identity on zero-mean pressures
 (the MAC pair is inf-sup stable), so the CG count does not grow with n.
 """
@@ -201,9 +202,8 @@ def _stiffness_eigh(n, h, end):
     n nodes with both end diagonal entries set to end, cached by (n, h, end)."""
     pair = _stiffness_eigh_cache.get((n, h, end))
     if pair is None:
-        t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        t[0, 0] = t[-1, -1] = end
-        pair = _stiffness_eigh_cache[(n, h, end)] = np.linalg.eigh(t / h**2)
+        pair = _stiffness_eigh_cache[(n, h, end)] = np.linalg.eigh(
+            go.stiffness_1d(n, h, end))
     return pair
 
 
@@ -219,13 +219,6 @@ def _block_factors(grid):
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     return ((_stiffness_eigh(nx - 1, hx, 2.0), _stiffness_eigh(ny, hy, 5.0)),
             (_stiffness_eigh(nx, hx, 5.0), _stiffness_eigh(ny - 1, hy, 2.0)))
-
-
-def _tensor_solve(kx, ky, lam, f):
-    """Solve with the operator whose eigenvalue table is lam in the tensor
-    eigenbasis of the 1D factors kx, ky."""
-    qx, qy = kx[1], ky[1]
-    return qx @ ((qx.T @ f @ qy) / lam) @ qy.T
 
 
 _grad_form_tables = {}
@@ -244,8 +237,8 @@ def grad_form_inverse(grid, fu, fv):
             ux[0][:, None] + uy[0][None, :], vx[0][:, None] + vy[0][None, :])
     u = np.zeros((grid.nx + 1, grid.ny))
     v = np.zeros((grid.nx, grid.ny + 1))
-    u[1:-1, :] = _tensor_solve(ux, uy, tables[0], fu[1:-1, :])
-    v[:, 1:-1] = _tensor_solve(vx, vy, tables[1], fv[:, 1:-1])
+    u[1:-1, :] = go.tensor_solve(ux[1], uy[1], tables[0], fu[1:-1, :])
+    v[:, 1:-1] = go.tensor_solve(vx[1], vy[1], tables[1], fv[:, 1:-1])
     return u, v
 
 
@@ -328,8 +321,8 @@ def _momentum_precond(grid, nu_ref, dt):
     def apply(r):
         z = r.copy()
         (ru, rv), (zu, zv) = _unpack(grid, r), _unpack(grid, z)
-        zu[1:-1, :] = _tensor_solve(ux, uy, lam_u, ru[1:-1, :])
-        zv[:, 1:-1] = _tensor_solve(vx, vy, lam_v, rv[:, 1:-1])
+        zu[1:-1, :] = go.tensor_solve(ux[1], uy[1], lam_u, ru[1:-1, :])
+        zv[:, 1:-1] = go.tensor_solve(vx[1], vy[1], lam_v, rv[:, 1:-1])
         return z
 
     return apply
@@ -340,7 +333,11 @@ def _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0):
     and v packed into one vector, warm-started at the previous velocity.
     The preconditioner is _momentum_precond at the mean cell viscosity: the
     variable coefficient and the u-v shear coupling are what it leaves to
-    CG, so the iteration count stays bounded as the grid is refined.
+    CG, so the iteration count stays bounded as the grid is refined.  The
+    CG stops at MOMENTUM_RTOL relative to ||b||, or at the roundoff
+    eps sqrt(size) of an O(1) velocity when that is larger: a flow at rest
+    under a converged phi has a roundoff-sized b, and iterating on it only
+    reduces noise.
     Returns (u, v, iterations).  A right-hand side whose norm is not finite
     is an NSError; any other CG stall an NSStepRejection with the CG's
     reason."""
@@ -352,9 +349,11 @@ def _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0):
 
     b = _pack(*_zero_normal(bu.copy(), bv.copy()))
     precond = _momentum_precond(grid, float(np.mean(nu_c)), dt)
+    roundoff = np.finfo(float).eps * np.sqrt(b.size)
     try:
         w, iters = go.cg(mv, b, precond=precond, rtol=MOMENTUM_RTOL,
-                         maxiter=MOMENTUM_MAXITER, x0=_pack(u0, v0))
+                         maxiter=MOMENTUM_MAXITER, x0=_pack(u0, v0),
+                         atol=roundoff)
     except go.CGNonFinite as exc:
         raise NSError(f"momentum solve: {exc}") from None
     except go.CGStall as exc:

@@ -8,7 +8,8 @@ Oracles kept independent of the implementation:
     which pin down inverse_neumann and the V0' norm without re-deriving
     anything from the code under test;
   - the Neumann matrix A = -laplace assembled here from 1D stencils
-    (assembled_neumann) checks the DCT solve and the matrix-free stencil;
+    (assembled_neumann) checks the Neumann solve on both sides of
+    DENSE_MAX_N and the matrix-free stencil;
   - quadrature sums of polynomials have closed forms.
 """
 
@@ -232,11 +233,14 @@ class TestNeumannInverse:
             go.inverse_neumann(f)
 
     @pytest.mark.parametrize("shape", [(9, 14, 1.3, 0.7), (31, 20, 2.0, 0.5),
+                                       (48, 20, 2.0, 0.5), (64, 64, 1.0, 1.0),
+                                       (128, 128, 1.0, 1.0),
                                        (256, 256, 1.0, 1.0)],
-                             ids=["9x14", "31x20", "256x256"])
+                             ids=["9x14", "31x20", "48x20", "64x64", "128x128",
+                                  "256x256"])
     def test_direct_solve_residual_against_assembled_stencil(self, shape):
-        # odd, non-square, anisotropic grids and a large one: the DCT solve
-        # must invert the independently assembled sparse A
+        # odd, non-square, anisotropic grids on both sides of DENSE_MAX_N:
+        # the dense and the DCT solve must invert the assembled sparse A
         g = go.Grid(*shape)
         f = random_scalar(g, seed=11, zero_mean=True)
         p = go.solve_neumann_direct(g, f.values)
@@ -246,8 +250,11 @@ class TestNeumannInverse:
         assert abs(p.mean()) <= 1e-15 * np.abs(p).max()
 
     @pytest.mark.parametrize("shape,k", [((9, 14, 1.3, 0.7), (4, 3)),
-                                         ((31, 20, 2.0, 0.5), (1, 7))],
-                             ids=["9x14", "31x20"])
+                                         ((31, 20, 2.0, 0.5), (1, 7)),
+                                         ((48, 20, 2.0, 0.5), (5, 2)),
+                                         ((64, 64, 1.0, 1.0), (3, 11)),
+                                         ((128, 128, 1.0, 1.0), (6, 1))],
+                             ids=["9x14", "31x20", "48x20", "64x64", "128x128"])
     def test_direct_solve_exact_on_eigenfield(self, shape, k):
         g = go.Grid(*shape)
         f, lam = neumann_eigenfield(g, *k)
@@ -256,6 +263,26 @@ class TestNeumannInverse:
         # smallest nonzero one, so that one sets the error scale
         lam_min = min(neumann_eigenfield(g, 1, 0)[1], neumann_eigenfield(g, 0, 1)[1])
         assert np.max(np.abs(p - f.values / lam)) <= 1e-14 / lam_min
+
+    @pytest.mark.parametrize("shape", [(9, 14, 1.3, 0.7), (48, 20, 2.0, 0.5),
+                                       (64, 64, 1.0, 1.0)],
+                             ids=["9x14", "48x20", "64x64"])
+    def test_dense_apply_matches_stencil(self, shape):
+        g = go.Grid(*shape)
+        f = random_scalar(g, seed=12).values
+        d = go.workspace(g).dense
+        stencil_scale = 4.0 * (1.0 / g.hx**2 + 1.0 / g.hy**2) * np.abs(f).max()
+        err = d.kx @ f + f @ d.ky + go.laplace_arrays(g, f)
+        assert np.abs(err).max() <= 1e-15 * stencil_scale
+
+    def test_dense_factors_only_up_to_the_size_rule(self):
+        # 64^2 runs on dense factors; 256^2 keeps the scipy.fft and stencil
+        # path, and the workspace builds nothing for it
+        small, large = go.Grid(64, 64), go.Grid(256, 256)
+        assert max(small.nx, small.ny) <= go.DENSE_MAX_N < large.nx
+        d = go.workspace(small).dense
+        assert [m.shape for m in d] == [(64, 64)] * 5
+        assert go.workspace(large).dense is None
 
     @pytest.mark.parametrize("project", [None, go.remove_mean],
                              ids=["plain", "zero-mean"])

@@ -8,10 +8,13 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from nlchns import ch_step as ch
 from nlchns import grid_ops as go
 from nlchns import ns_step as ns
 from nlchns.ch_step import face_phi
 from nlchns.grid_ops import Grid, ScalarField, VectorField
+from nlchns.kernel import KernelSpec, build_kernel
+from nlchns.potential import PotentialSpec, build_F_eps
 
 
 def swirl(grid, amplitude=1.0):
@@ -523,6 +526,36 @@ class TestMomentumSolve:
         got = ns._pack(u, v)
         assert np.linalg.norm(got - oracle) <= \
             ns.MOMENTUM_RTOL * np.linalg.norm(oracle)
+
+
+    def test_flow_at_rest_under_converged_phi_stops_at_roundoff(self,
+                                                                 monkeypatch):
+        # a stripe relaxed by 50 large CH steps has |grad mu| ~ 2e-11, so u = 0
+        # meets a roundoff-sized capillary b; a stop relative to ||b|| alone
+        # took 6.7 iterations per step here (9.4 at 64^2) reducing noise
+        grid = Grid(32, 32, 1.0, 1.0)
+        kd = build_kernel(KernelSpec("gaussian", 0.1, j_l1=4.0), grid)
+        pot = build_F_eps(PotentialSpec(theta=1.0, theta_c=2.0, q=1,
+                                        epsilon=1e-3).with_beta(kd.beta))
+        x, _ = grid.cell_mesh()
+        state = ch.init_state(ScalarField(grid, 0.8 * np.tanh((x - 0.5) / 0.05)),
+                              kd, pot)
+        for _ in range(50):
+            state = ch.ch_step(state, None, 0.05, kd, pot)
+        counts = []
+        solve = ns._solve_momentum
+
+        def counting(*args):
+            *uv, iters = solve(*args)
+            counts.append(iters)
+            return (*uv, iters)
+
+        monkeypatch.setattr(ns, "_solve_momentum", counting)
+        flow = ns.init_ns_state(go.zero_vector(grid))
+        for _ in range(10):
+            flow = ns.ns_step(flow, state.phi, state.mu, None, self.VISC, self.DT)
+        assert max(counts) <= 1
+        assert np.abs(flow.u.u).max() <= 1e-12
 
 
 class TestStokesSolve:
