@@ -151,6 +151,20 @@ class TestFixedPointAndMass:
             assert abs(st.phi.mean() - mass0) <= 1e-13
         assert st.t == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("dt", [0.1, 1.0])
+    def test_droplet_at_large_dt_keeps_mass(self, setup32, dt):
+        # the Newton norm test admits a mean defect of 1e-13 max|b|, above
+        # MASS_DEFECT_LIMIT at these dt; the mean is converged separately
+        g, kd, pot, _ = setup32
+        x, y = g.cell_mesh()
+        r = np.hypot(x - 0.5 * g.lx, y - 0.5 * g.ly)
+        st = ch.init_state(ScalarField(g, 0.9 * np.tanh((0.25 - r) / 0.05)),
+                           kd, pot)
+        mass0 = st.mass0
+        for _ in range(60):
+            st = ch.ch_step(st, None, dt, kd, pot)
+        assert abs(st.phi.mean() - mass0) <= 1e-13
+
     def test_initial_mean_gate(self, setup32):
         g, kd, pot, _ = setup32
         with pytest.raises(ch.CHError, match="mean"):

@@ -544,7 +544,7 @@ class TestDiagnose:
 
     def test_unconverged_lambda1_fails_envelope(self, coupled_run, capsys,
                                                 monkeypatch):
-        # three inverse-power iterations cannot settle lambda1 to 1e-10
+        # three Lanczos steps cannot settle lambda1 to 1e-10
         monkeypatch.setattr(cli, "stokes_lambda1",
                             lambda grid: ns_step.stokes_lambda1(grid, maxiter=3))
         out = coupled_run["base"] / "diag-unconverged"

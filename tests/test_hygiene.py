@@ -43,6 +43,8 @@ TEST_ORACLES = (
     ("trajectory_metric", "the paper's metric on trajectories, criterion 12"),
     ("momentum_residual", "residual of the discrete momentum equation, the "
                           "consistency oracle of the NS step"),
+    ("grad_form_apply", "the componentwise stiffness that grad_form_inverse "
+                        "inverts, its round-trip oracle"),
     ("verify_potential_lemmas", "sampled audit of the comparison bounds of F_eps"),
     ("LemmaReport.passed", "verdict of verify_potential_lemmas"),
     ("ScalarField.integral", "quadrature of a field, for the zero-integral "

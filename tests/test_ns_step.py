@@ -610,7 +610,7 @@ class TestStokesEigenvalue:
         grid = Grid(10, 10, 1.0, 1.0)
         oracle = assembled_stokes_lambda1(grid)
         computed = ns.stokes_lambda1(grid, tol=1e-11)
-        assert computed == pytest.approx(oracle, rel=1e-6)
+        assert computed == pytest.approx(oracle, rel=1e-10)
 
     def test_matches_assembled_oracle_on_anisotropic_grid(self):
         grid = Grid(8, 11, 1.0, 1.3)
@@ -619,9 +619,45 @@ class TestStokesEigenvalue:
                                                                    rel=1e-9)
 
     def test_unconverged_iteration_raises(self):
-        # a 1e-10 relative settle takes far more than three outer iterations
+        # a 1e-10 relative settle takes far more than three Lanczos steps
         with pytest.raises(ns.NSError, match="did not converge"):
             ns.stokes_lambda1(Grid(16, 16, 1.0, 1.0), maxiter=3)
+
+    @pytest.mark.parametrize("maxiter", [0, 1])
+    def test_too_few_iterations_raise_nserror(self, maxiter):
+        # no estimate (0) or no second one to compare against (1)
+        with pytest.raises(ns.NSError, match="did not converge"):
+            ns.stokes_lambda1(Grid(8, 8, 1.0, 1.0), maxiter=maxiter)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_solve_count_and_determinism(self, n, monkeypatch):
+        # Lanczos settles in 10-12 Stokes solves; inverse power took 21+
+        calls = []
+        solve = ns._stiffness_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ns, "_stiffness_solve", counting)
+        grid = Grid(n, n, 1.0, 1.0)
+        first = ns.stokes_lambda1(grid)
+        assert len(calls) <= 14
+        assert ns.stokes_lambda1(grid) == first
+
+    def test_invariant_start_space_returns_its_ritz_value(self, monkeypatch):
+        # a multiple of the identity leaves every start vector invariant:
+        # beta vanishes after the first solve, whose Ritz value is exact
+        calls = []
+
+        def scaled(grid, b, rtol):
+            calls.append(1)
+            return 0.25 * b
+
+        monkeypatch.setattr(ns, "_stiffness_solve", scaled)
+        assert ns.stokes_lambda1(Grid(8, 8, 1.0, 1.0)) == pytest.approx(
+            4.0, rel=1e-14)
+        assert len(calls) == 1
 
     def test_continuum_square_value(self):
         # first Stokes eigenvalue of the unit square is about 52.3447
