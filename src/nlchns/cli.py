@@ -814,16 +814,26 @@ def run_diagnose(rundir, outdir=None):
         raise ConfigError("io", "diagnose needs a run or run-ch directory")
     cfg = _apply_manifest(dict(DEFAULTS), manifest)
     grid, kd, pspec, pot = _physics(cfg)
-    try:
-        series = np.atleast_1d(np.genfromtxt(
-            os.path.join(rundir, "series.csv"), delimiter=",", names=True))
-    except (OSError, ValueError) as exc:
-        raise ConfigError("io", f"cannot read series: {exc}") from None
     coupled = manifest["command"] == "run"
     header = COUPLED_HEADER if coupled else CH_HEADER
-    if series.dtype.names != header or not series.size:
+    try:
+        with open(os.path.join(rundir, "series.csv")) as fh:
+            names = tuple(name.strip() for name in fh.readline().split(","))
+            rows = [line for line in fh if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise ConfigError("io", f"cannot read series: {exc}") from None
+    # no rows is refused here: np.loadtxt would warn on stderr first
+    if names != header or not rows:
         raise ConfigError("io", "series.csv needs the header "
                                 f"{','.join(header)} and at least one row")
+    try:
+        body = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError("io", f"cannot read series: {exc}") from None
+    if body.shape[1] != len(header):
+        raise ConfigError("io", f"series.csv rows need {len(header)} columns, "
+                                f"got {body.shape[1]}")
+    series = dict(zip(header, body.T))
 
     checks = {}
     mass = series["mass"]

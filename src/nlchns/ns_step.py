@@ -36,7 +36,10 @@ solved by CG on the pressure Schur complement S p = -div(A^-1 grad p).  A
 itself is inverted exactly by fast diagonalisation: each velocity block is
 a sum of two 1D tridiagonal stiffnesses, whose eigenpairs are cached by
 (n, h, end entry) and shared with the momentum preconditioner; both solve
-through grid_ops.tensor_solve.  S is
+through grid_ops.tensor_solve.  The CG applies S without forming grad p,
+A^-1 grad p or its divergence: the 1D cell-to-face difference of each
+block's wall-normal axis is folded into that axis's eigenbasis once per
+grid, so S is four matrix products per velocity block.  S is
 spectrally equivalent to the identity on zero-mean pressures
 (the MAC pair is inf-sup stable), so the CG count does not grow with n.
 The eigenvalue is found by Lanczos on the Stokes inverse, with full
@@ -44,6 +47,7 @@ reorthogonalisation, in 10-12 Stokes solves.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,25 +227,62 @@ def _block_factors(grid):
             (_stiffness_eigh(nx, hx, 5.0), _stiffness_eigh(ny - 1, hy, 2.0)))
 
 
-_grad_form_tables = {}
+class _StokesFactors(NamedTuple):
+    """The Stokes layer of one grid in the tensor eigenbasis of
+    _block_factors: per velocity block the two 1D eigenbases, the table of
+    eigenvalue sums, and the transfer factor from cell pressures into the
+    eigenbasis of the block's wall-normal axis."""
+    qx_u: np.ndarray
+    qy_u: np.ndarray
+    lam_u: np.ndarray
+    wx: np.ndarray  # Qx_u^T Gx, Gx the cell-to-interior-face difference
+    qx_v: np.ndarray
+    qy_v: np.ndarray
+    lam_v: np.ndarray
+    wy: np.ndarray  # Qy_v^T Gy
+
+
+_stokes_factors_cache = {}
+
+
+def _stokes_factors(grid):
+    """_StokesFactors of grid, built at the first Stokes solve on it and
+    kept per grid: one eigenvalue costs about 200 Schur applications, and
+    rebuilding a broadcast eigenvalue sum costs more than the division it
+    feeds."""
+    f = _stokes_factors_cache.get(grid.key())
+    if f is None:
+        (ux, uy), (vx, vy) = _block_factors(grid)
+        gx = np.diff(np.eye(grid.nx), axis=0) / grid.hx
+        gy = np.diff(np.eye(grid.ny), axis=0) / grid.hy
+        f = _stokes_factors_cache[grid.key()] = _StokesFactors(
+            ux[1], uy[1], ux[0][:, None] + uy[0][None, :], ux[1].T @ gx,
+            vx[1], vy[1], vx[0][:, None] + vy[0][None, :], vy[1].T @ gy)
+    return f
 
 
 def grad_form_inverse(grid, fu, fv):
     """Exact inverse of grad_form_apply on the interior faces: returns (u, v)
     with zero normal faces and grad_form_apply(u, v) = (fu, fv) there.
-    Boundary normal entries of fu, fv are ignored.  The eigenvalue tables
-    are kept per grid: the Stokes solves call this hundreds of times, and
-    rebuilding a broadcast sum costs more than the division it feeds."""
-    (ux, uy), (vx, vy) = _block_factors(grid)
-    tables = _grad_form_tables.get(grid.key())
-    if tables is None:
-        tables = _grad_form_tables[grid.key()] = (
-            ux[0][:, None] + uy[0][None, :], vx[0][:, None] + vy[0][None, :])
+    Boundary normal entries of fu, fv are ignored."""
+    f = _stokes_factors(grid)
     u = np.zeros((grid.nx + 1, grid.ny))
     v = np.zeros((grid.nx, grid.ny + 1))
-    u[1:-1, :] = go.tensor_solve(ux[1], uy[1], tables[0], fu[1:-1, :])
-    v[:, 1:-1] = go.tensor_solve(vx[1], vy[1], tables[1], fv[:, 1:-1])
+    u[1:-1, :] = go.tensor_solve(f.qx_u, f.qy_u, f.lam_u, fu[1:-1, :])
+    v[:, 1:-1] = go.tensor_solve(f.qx_v, f.qy_v, f.lam_v, fv[:, 1:-1])
     return u, v
+
+
+def _schur_apply(f, p):
+    """The pressure Schur complement S p = -div(A^-1 grad p) through the
+    factors f of _stokes_factors.  grad p is Gx p on the interior u faces
+    and p Gy^T on the interior v faces, and -div is its transpose, so per
+    block the grad, the fast-diagonalisation solve and the div fold into
+    four matrix products:
+    S p = Wx^T [(Wx p Qy_u) / lam_u] Qy_u^T + Qx_v [(Qx_v^T p Wy^T) / lam_v] Wy."""
+    su = f.wx.T @ ((f.wx @ p @ f.qy_u) / f.lam_u) @ f.qy_u.T
+    sv = f.qx_v @ ((f.qx_v.T @ p @ f.wy.T) / f.lam_v) @ f.wy
+    return su + sv
 
 
 # ------------------------------------------------------------- advection
@@ -457,19 +498,17 @@ def _stiffness_solve(grid, b, rtol=1e-10):
     """Solenoidal z with P A z = P b, on packed vectors: the Stokes problem
     A z + grad p = b, div z = 0 for the componentwise stiffness A.
 
-    CG on the pressure Schur complement S p = -div(A^-1 grad p), with the
-    constants (its null space) projected out, then z = A^-1 (b - grad p)
-    and one Leray projection that pins div z to roundoff."""
+    CG on the pressure Schur complement S p = -div(A^-1 grad p), applied
+    through the per-grid factors of _stokes_factors (_schur_apply), with
+    the constants (its null space) projected out; then z = A^-1 (b - grad p)
+    and one Leray projection that pins div z to roundoff.  A^-1 itself
+    (grad_form_inverse) runs twice: for the right-hand side and for z."""
     bu, bv = _unpack(grid, b)
-
-    def schur(p):
-        gx, gy = go.grad_arrays(grid, p)
-        return -go.div_arrays(grid, *grad_form_inverse(grid, gx, gy))
-
     rhs = -go.div_arrays(grid, *grad_form_inverse(grid, bu, bv))
+    f = _stokes_factors(grid)
     try:
-        p, _ = go.cg(schur, rhs, rtol=rtol, maxiter=20000,
-                     project=go.remove_mean)
+        p, _ = go.cg(lambda q: _schur_apply(f, q), rhs, rtol=rtol,
+                     maxiter=20000, project=go.remove_mean)
     except go.CGStall:
         raise NSError("Stokes pressure solve did not converge") from None
     gx, gy = go.grad_arrays(grid, p)

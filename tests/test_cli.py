@@ -226,6 +226,17 @@ def _keep_series_header(rundir):
     path.write_text(path.read_text().splitlines()[0] + "\n")
 
 
+def _empty_series(rundir):
+    (rundir / "series.csv").write_text("")
+
+
+def _non_numeric_mass(rundir):
+    path = rundir / "series.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[2][rows[0].index("mass")] = "abc"
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+
+
 def _snapshot_edit(edit):
     def corrupt(rundir):
         path = rundir / "phi_00000005.fld"
@@ -234,7 +245,8 @@ def _snapshot_edit(edit):
 
 
 class TestMalformedRunDirectory:
-    """diagnose on a damaged run directory exits 2 with error[<code>]."""
+    """diagnose on a damaged run directory exits 2 with one error[<code>]
+    line; a warning on the way there fails the test."""
 
     CASES = [
         ("unknown-config-key",
@@ -248,8 +260,11 @@ class TestMalformedRunDirectory:
         ("entry-without-phi", _index_edit(_drop_first_phi), "io"),
         ("series-without-mass", _drop_mass_column, "io"),
         ("series-header-only", _keep_series_header, "io"),
+        ("series-empty", _empty_series, "io"),
+        ("series-non-numeric", _non_numeric_mass, "io"),
     ]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name,corrupt,code", CASES,
                              ids=[c[0] for c in CASES])
     def test_exit_2_with_code(self, coupled_run, tmp_path, capsys, name,
@@ -259,7 +274,8 @@ class TestMalformedRunDirectory:
         corrupt(rundir)
         rc = cli.main(["diagnose", str(rundir), "--out", str(tmp_path / "d")])
         assert rc == 2
-        assert f"error[{code}]:" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error[{code}]:")
 
 
 class TestRunOutputs:
@@ -337,6 +353,39 @@ class TestResidualCrossCheck:
         d = np.genfromtxt(out / "series.csv", delimiter=",", names=True)
         assert len(index) == len(d) == 11
         assert np.array_equal(d["identity_residual"][1:], ours)
+
+
+REFINED_BUBBLE = """
+init = bubble
+init_amplitude = 0.9
+init_radius = 0.2
+init_width = 0.1
+init_u = swirl
+init_u_amplitude = 0.2
+dt = 2e-3
+horizon = 0.04
+"""
+
+
+class TestGridRefinement:
+    def test_energy_converges_under_refinement(self, tmp_path):
+        """The energies at a fixed time settle as the grid is refined from
+        32^2 through 64^2 to 128^2: successive differences shrink, those of
+        the total energy at least twofold (about 2.5x observed)."""
+        finals = []
+        for n in (32, 64, 128):
+            cfg = write_cfg(tmp_path / f"{n}.cfg",
+                            REFINED_BUBBLE + f"grid_nx = {n}\ngrid_ny = {n}\n")
+            out = tmp_path / str(n)
+            assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+            finals.append(np.genfromtxt(out / "series.csv", delimiter=",",
+                                        names=True)[-1])
+        diffs = {name: np.abs(np.diff([row[name] for row in finals]))
+                 for name in ("total", "kinetic", "nonlocal", "potential")}
+        for name, (coarse, fine) in diffs.items():
+            assert fine < coarse, name
+        coarse, fine = diffs["total"]
+        assert fine <= 0.5 * coarse
 
 
 class TestDeterminism:

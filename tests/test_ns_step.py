@@ -604,6 +604,32 @@ class TestStokesSolve:
         ns.stokes_lambda1(Grid(n, n, 1.0, 1.0))
         assert counts and max(counts) <= 30
 
+    @pytest.mark.parametrize("grid", [Grid(9, 14, 1.0, 1.4), Grid(20, 9),
+                                      Grid(64, 64)],
+                             ids=lambda g: f"{g.nx}x{g.ny}")
+    def test_schur_matches_composed_operator(self, grid):
+        # the non-square grids catch a swapped pair of transfer factors
+        p = np.random.default_rng(67).standard_normal((grid.nx, grid.ny))
+        gx, gy = go.grad_arrays(grid, p)
+        want = -go.div_arrays(grid, *ns.grad_form_inverse(grid, gx, gy))
+        got = ns._schur_apply(ns._stokes_factors(grid), p)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_schur_iterations_skip_the_stiffness_inverse(self, monkeypatch):
+        # one inverse for the right-hand side, one for the closing velocity;
+        # the Schur CG applies S through the precomputed factors
+        calls = []
+        inverse = ns.grad_form_inverse
+
+        def counting(*args):
+            calls.append(1)
+            return inverse(*args)
+
+        monkeypatch.setattr(ns, "grad_form_inverse", counting)
+        grid = Grid(64, 64)
+        ns._stiffness_solve(grid, ns._pack(*random_interior(grid, 71)))
+        assert len(calls) <= 2
+
 
 class TestStokesEigenvalue:
     def test_matches_assembled_oracle_on_coarse_grid(self):
