@@ -339,6 +339,10 @@ def _check_mean_cap(cfg, phi):
         raise ConfigError("init", f"initial data saturates: max |phi0| = {sat:.6g}")
 
 
+# the most steps a run may take: SnapshotWriter names hold 8 step digits
+MAX_STEPS = 99_999_999
+
+
 def _nsteps(cfg):
     dt, horizon = cfg["dt"], cfg["horizon"]
     if dt <= 0.0:
@@ -347,7 +351,12 @@ def _nsteps(cfg):
         raise ConfigError("time", f"horizon must be nonnegative, got {horizon:.6g}")
     if cfg["snapshot_every"] < 0:
         raise ConfigError("time", "snapshot_every must be >= 0")
-    n = int(round(horizon / dt))
+    ratio = horizon / dt
+    if not ratio < MAX_STEPS + 0.5:  # round(ratio) > MAX_STEPS, or inf
+        raise ConfigError(
+            "time", f"horizon / dt = {ratio:.6g} steps, more than the "
+                    f"{MAX_STEPS} a run may take")
+    n = int(round(ratio))
     if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ConfigError(
             "time", f"horizon {horizon:.6g} is not an integer multiple of dt {dt:.6g}"

@@ -333,9 +333,10 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None,
     shape.  precond applies an SPD approximation of A^-1 (None: plain CG).
     Without x0 the iteration starts at zero and skips applying A to it.
     project, an orthogonal projector such as remove_mean, is applied to b,
-    x0, each A p, each residual and the result, so roundoff cannot drift
-    into its complement.  Stops at ||r|| <= max(rtol ||b||, atol); returns
-    (x, iters).
+    x0, each A p and the result, so roundoff cannot drift into its
+    complement; each residual r - alpha A p is then in the range up to
+    roundoff and is not projected again.  Stops at ||r|| <= max(rtol ||b||,
+    atol); returns (x, iters).
     Raises CGNonFinite on a non-finite ||b||, and CGStall after maxiter
     iterations (default 20 * b.size) or on a non-positive curvature p.Ap."""
     keep = project or (lambda w: w)
@@ -369,7 +370,6 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None,
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        r = keep(r)
         rr = float(np.vdot(r, r))
         if np.sqrt(rr) <= tol:
             return keep(x), it

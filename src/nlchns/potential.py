@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 EPS_MAX_DEFAULT = 0.2
 S_RANGE = 3.0  # |s| range of the d_q scan and of the sampled lemma audit
@@ -302,6 +301,8 @@ def exhibit_dq(pot, c_q=None):
     """Exhibit d_q: the smallest shift making F_eps >= c_q |s|^K - d_q on
     [-S_RANGE, S_RANGE], found by dense scan plus local refinement, plus a
     margin of 1e-6."""
+    from scipy import optimize  # only here: the run commands never load it
+
     K = pot.spec.order
     if c_q is None:
         c_q = pot.c_q

@@ -138,6 +138,11 @@ class TestRejectionCodes:
         ("seed = -1", "parse"),
         # finite, but the swirl's velocity differences overflow
         ("init_u = swirl\ninit_u_amplitude = 1e308", "init"),
+        # step counts past MAX_STEPS: horizon / dt overflows to inf, or is
+        # finite but would never finish
+        ("horizon = 1e300\ndt = 1e-300", "time"),
+        ("horizon = 0.01\ndt = 1e-300", "time"),
+        ("eps_grid = 1e-1,1e-2\nhorizon = 0.01\ndt = 1e-300", "time"),
     ]
 
     @pytest.mark.parametrize("text,code", CASES, ids=[c for _, c in CASES])
@@ -737,3 +742,45 @@ class TestConsoleEntry:
         proc = run_module("run", "--config", bad, "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert "error[epsilon-range]:" in proc.stderr
+
+
+# In a fresh interpreter: the stepping and audit commands, then the
+# potential table, recording after each whether scipy.optimize is loaded.
+FOOTPRINT_SCRIPT = """
+import json, sys
+from nlchns import cli
+
+out, cfg, sweep = sys.argv[1:]
+loaded = {}
+for argv in (["run", "--config", cfg, "--out", out + "/run"],
+             ["diagnose", out + "/run"],
+             ["run-ch", "--config", cfg, "--out", out + "/run-ch"],
+             ["eps-sweep", "--config", sweep, "--out", out + "/sweep"],
+             ["kernel-report", "--config", cfg],
+             ["potential-table", "--config", cfg, "--out", out + "/table"]):
+    rc = cli.main(argv)
+    loaded[argv[0]] = [rc, "scipy.optimize" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+class TestImportFootprint:
+    def test_only_the_potential_table_loads_scipy_optimize(self, tmp_path):
+        small = "grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+        cfg = write_cfg(tmp_path / "run.cfg",
+                        small + "dt = 1e-3\nhorizon = 0.004\nsnapshot_every = 2\n")
+        sweep = write_cfg(tmp_path / "sweep.cfg",
+                          small + "dt = 1e-3\nhorizon = 0.002\n"
+                                  "eps_grid = 1e-1,5e-2\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path), cfg, sweep],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded.pop("potential-table") == [0, True]
+        assert loaded == {cmd: [0, False] for cmd in
+                          ("run", "diagnose", "run-ch", "eps-sweep",
+                           "kernel-report")}
+        table = (tmp_path / "table" / "potential_table.csv").read_text()
+        assert table.splitlines()[0].startswith("epsilon,order,")
+        assert len(table.splitlines()) == 1 + 5  # the default eps_grid
