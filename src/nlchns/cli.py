@@ -33,6 +33,9 @@ run and run-ch share one time loop, _run_series, over a small stepper
 (_Coupled or _Transport) that provides step, energy_terms, row and fields;
 eps-sweep keeps its own loop because it writes a Cauchy table, not a
 series, but steps through _Transport too.
+diagnose only reads and writes: _audit_run reads the manifest and the
+series, hands the snapshots over lazily to diagnostics.audit, which holds
+every check, and run_diagnose writes the report.
 The implicit CH solve, the momentum solve and the Stokes eigenvalue all
 use the one conjugate-gradient loop, grid_ops.cg.
 
@@ -76,7 +79,6 @@ from .ch_step import (
     NEWTON_MAX_POINTWISE,
     SATURATION_GUARD,
     ch_step,
-    chemical_potential,
     convective_power,
     fprime_l1,
     init_state,
@@ -96,7 +98,6 @@ from .ns_step import (
     NSError,
     ViscositySpec,
     init_ns_state,
-    stokes_lambda1,
 )
 from .potential import (
     EPS_MAX_DEFAULT,
@@ -111,8 +112,6 @@ from . import __version__
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-ENERGY_PREFIX_TOL = 1e-8  # no running prefix of sum(r_n dt) may exceed this
 
 
 class ConfigError(Exception):
@@ -552,7 +551,7 @@ def _finish(outdir, command, cfg, derived, t_start, outputs, error=None):
             "momentum_maxiter": MOMENTUM_MAXITER,
             "eps_max": EPS_MAX_DEFAULT,
             "gaussian_cutoff_sigmas": GAUSSIAN_CUTOFF_SIGMAS,
-            "energy_prefix_tol": ENERGY_PREFIX_TOL,
+            "energy_prefix_tol": dg.ENERGY_PREFIX_TOL,
         },
         "outputs": outputs,
         # informational only; excluded from determinism comparisons
@@ -807,14 +806,31 @@ def run_eps_sweep(cfg, outdir):
 
 # -------------------------------------------------------------- diagnose
 
-def run_diagnose(rundir, outdir=None):
-    """Audit a finished run directory: conservation, saturation, the energy
-    balance direction, the gradient comparison bound, and the decay envelope.
-    Results go to diagnose.json; per-snapshot bound margins to a CSV."""
-    outdir = outdir or rundir
-    manifest_path = os.path.join(rundir, "manifest.json")
+def _snapshots(rundir, grid):
+    """(t, phi) of each entry of the run's snapshot index, each file read
+    only when its pair is drawn."""
     try:
-        with open(manifest_path) as fh:
+        with open(os.path.join(rundir, "snapshots.json")) as fh:
+            entries = list(json.load(fh)["snapshots"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError("io", f"bad snapshot index: {exc}") from None
+    for entry in entries:
+        try:
+            t = entry["t"]
+            values, _meta = go.read_snapshot(
+                os.path.join(rundir, entry["phi"]["file"]))
+            phi = ScalarField(grid, values)
+        except (OSError, GridError, KeyError, TypeError) as exc:
+            raise ConfigError("io", f"bad snapshot: {exc}") from None
+        yield t, phi
+
+
+def _audit_run(rundir):
+    """diagnostics.audit over a run directory: reads the manifest and the
+    series, hands the snapshots over lazily, and returns the manifest, the
+    checks and the gradient-bound rows.  Bad input is a ConfigError."""
+    try:
+        with open(os.path.join(rundir, "manifest.json")) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError("io", f"cannot read manifest: {exc}") from None
@@ -822,7 +838,7 @@ def run_diagnose(rundir, outdir=None):
             manifest.get("command") not in ("run", "run-ch"):
         raise ConfigError("io", "diagnose needs a run or run-ch directory")
     cfg = _apply_manifest(dict(DEFAULTS), manifest)
-    grid, kd, pspec, pot = _physics(cfg)
+    grid, kd, _, pot = _physics(cfg)
     coupled = manifest["command"] == "run"
     header = COUPLED_HEADER if coupled else CH_HEADER
     try:
@@ -844,89 +860,22 @@ def run_diagnose(rundir, outdir=None):
                                 f"got {body.shape[1]}")
     series = dict(zip(header, body.T))
 
-    checks = {}
-    mass = series["mass"]
-    drift = float(np.max(np.abs(mass - mass[0])))
-    mass_tol = MASS_DEFECT_LIMIT * max(1.0, abs(mass[0])) * max(1, len(mass) - 1)
-    checks["mass_conservation"] = {
-        "max_drift": drift, "tolerance": mass_tol, "passed": drift <= mass_tol,
-    }
-    sat = float(np.max(series["max_abs_phi"]))
-    checks["saturation"] = {"max_abs_phi": sat, "passed": sat < 1.0}
-
-    residuals = series["identity_residual"][1:]
-    if residuals.size:
-        prefixes = dg.running_cumulative(residuals, cfg["dt"])
-        peak = float(prefixes.max())
-        checks["energy_direction"] = {
-            "max_prefix": peak,
-            "cumulative": float(prefixes[-1]),
-            "tolerance": ENERGY_PREFIX_TOL,
-            "passed": peak <= ENERGY_PREFIX_TOL,
-        }
-    if coupled:
-        div_max = float(np.max(series["div_inf"]))
-        checks["incompressibility"] = {
-            "max_div_inf": div_max, "tolerance": DIV_TOLERANCE,
-            "passed": div_max <= DIV_TOLERANCE,
-        }
-
-    # gradient comparison bound, snapshot by snapshot
-    bound_rows = []
-    bound_ok = True
-    worst = np.inf
-    index_path = os.path.join(rundir, "snapshots.json")
-    if os.path.exists(index_path):
-        try:
-            with open(index_path) as fh:
-                entries = list(json.load(fh)["snapshots"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError("io", f"bad snapshot index: {exc}") from None
-        for entry in entries:
-            try:
-                t = entry["t"]
-                values, _meta = go.read_snapshot(
-                    os.path.join(rundir, entry["phi"]["file"]))
-                phi = ScalarField(grid, values)
-            except (OSError, GridError, KeyError, TypeError) as exc:
-                raise ConfigError("io", f"bad snapshot: {exc}") from None
-            mu = chemical_potential(phi, kd, pot)
-            res = dg.gradient_bound_check(phi, mu, kd, pspec.c0)
-            margin = res["lhs"] - res["rhs"]
-            worst = min(worst, margin)
-            bound_ok = bound_ok and res["satisfied"]
-            bound_rows.append((t, res["lhs"], res["rhs"], margin))
-        checks["gradient_bound"] = {
-            "snapshots": len(bound_rows),
-            "min_margin": float(worst) if bound_rows else None,
-            "passed": bound_ok,
-        }
-
-    # exponential decay envelope; external work (body force or stirring)
-    # voids the unforced estimate, so skip those runs
+    snapshots = None
+    if os.path.exists(os.path.join(rundir, "snapshots.json")):
+        snapshots = _snapshots(rundir, grid)
     forced = (cfg["forcing"] != "zero") if coupled else (cfg["velocity"] != "zero")
-    if forced:
-        checks["dissipative_envelope"] = {"status": "skipped (forced run)"}
-    else:
-        try:
-            lam1 = stokes_lambda1(grid) if coupled else None
-        except NSError as exc:
-            checks["dissipative_envelope"] = {
-                "status": "error", "error": f"{type(exc).__name__}: {exc}",
-                "passed": False,
-            }
-        else:
-            k = min(0.5, cfg["nu1"] * lam1) if coupled else 0.5
-            floor = float(pot.f(np.array(mass[0]))) * grid.area
-            envelope = dg.dissipative_estimate_check(
-                series["t"], series["total"], k, floor)
-            checks["dissipative_envelope"] = {
-                "k": k, "floor": floor, "lambda1": lam1,
-                "status": envelope["status"], "K": envelope["K"],
-                "first_violation": envelope["first_violation"],
-                "passed": envelope["status"] in ("satisfied", "inconclusive"),
-            }
+    return (manifest, *dg.audit(series, snapshots, cfg["dt"], coupled, forced,
+                                cfg["nu1"], kd, pot))
 
+
+def run_diagnose(rundir, outdir=None):
+    """Audit a finished run directory (_audit_run, diagnostics.audit):
+    conservation, saturation, the energy balance direction, the gradient
+    comparison bound, and the decay envelope.  Results go to diagnose.json,
+    per-snapshot bound margins to a CSV, one pass/FAIL line per check to
+    stdout."""
+    outdir = outdir or rundir
+    manifest, checks, bound_rows = _audit_run(rundir)
     report = {
         "rundir": os.path.abspath(rundir),
         "run_status": manifest.get("status"),

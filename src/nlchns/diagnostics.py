@@ -1,5 +1,6 @@
 """Energy accounting, the discrete energy identity, the dissipative
-estimate, and a trajectory metric for comparing runs.
+estimate, the audit behind ``nlchns diagnose``, and a trajectory metric
+for comparing runs.
 
 Energy of a state (phi, u):
 
@@ -26,6 +27,12 @@ identity_residual are the one energy formula and the one residual formula:
 the run series, the post-hoc residuals here and the transport-only
 residual in ch_step all evaluate them, in the same float order.
 
+audit holds every check of ``nlchns diagnose`` (mass, saturation, energy
+direction, incompressibility, the gradient comparison bound per snapshot
+and the decay envelope) over a run's series columns, settings and
+snapshot fields.  It opens no file: cli reads the run directory, maps bad
+input to exit codes and writes the report.
+
 Trajectory distance: a sum of five nonnegative terms, each a norm of the
 difference (or the square root of a gap), so symmetry and the triangle
 inequality hold term by term:
@@ -51,6 +58,7 @@ from . import ns_step
 from .grid_ops import ScalarField, VectorField
 
 WINDOW_WIDTH = 1.0
+ENERGY_PREFIX_TOL = 1e-8  # no running prefix of sum(r_n dt) may exceed this
 
 
 class DiagnosticsError(Exception):
@@ -256,6 +264,90 @@ def gradient_bound_check(phi, mu, kernel, c0):
     scale = max(abs(lhs), abs(rhs), 1.0)
     return {"lhs": lhs, "rhs": rhs,
             "satisfied": bool(lhs >= rhs - 1e-12 * scale)}
+
+
+# ------------------------------------------------------------------ audit
+
+def audit(series, snapshots, dt, coupled, forced, nu1, kernel, pot):
+    """The checks of ``nlchns diagnose`` over one run, opening no file.
+
+    series maps the series.csv column names to arrays; snapshots is None
+    when the run kept no snapshot index, else an iterable of (t, phi)
+    pairs, first drawn after the series checks.  dt, coupled (a ``run``
+    rather than a ``run-ch``), forced (a body force or a stirring
+    velocity) and nu1 are the run's settings; the grid is the kernel's and
+    c0 the potential's.  Returns the checks, by name, and the gradient
+    bound's rows (t, ||grad mu||^2, comparison rhs, margin), one per
+    snapshot."""
+    from .ch_step import MASS_DEFECT_LIMIT, chemical_potential
+
+    grid = kernel.grid
+    checks = {}
+    mass = series["mass"]
+    drift = float(np.max(np.abs(mass - mass[0])))
+    mass_tol = MASS_DEFECT_LIMIT * max(1.0, abs(mass[0])) * max(1, len(mass) - 1)
+    checks["mass_conservation"] = {
+        "max_drift": drift, "tolerance": mass_tol, "passed": drift <= mass_tol,
+    }
+    sat = float(np.max(series["max_abs_phi"]))
+    checks["saturation"] = {"max_abs_phi": sat, "passed": sat < 1.0}
+
+    residuals = series["identity_residual"][1:]
+    if residuals.size:
+        prefixes = running_cumulative(residuals, dt)
+        peak = float(prefixes.max())
+        checks["energy_direction"] = {
+            "max_prefix": peak,
+            "cumulative": float(prefixes[-1]),
+            "tolerance": ENERGY_PREFIX_TOL,
+            "passed": peak <= ENERGY_PREFIX_TOL,
+        }
+    if coupled:
+        div_max = float(np.max(series["div_inf"]))
+        checks["incompressibility"] = {
+            "max_div_inf": div_max, "tolerance": ns_step.DIV_TOLERANCE,
+            "passed": div_max <= ns_step.DIV_TOLERANCE,
+        }
+
+    bound_rows = []
+    if snapshots is not None:
+        bound_ok = True
+        worst = np.inf
+        for t, phi in snapshots:
+            mu = chemical_potential(phi, kernel, pot)
+            res = gradient_bound_check(phi, mu, kernel, pot.spec.c0)
+            margin = res["lhs"] - res["rhs"]
+            worst = min(worst, margin)
+            bound_ok = bound_ok and res["satisfied"]
+            bound_rows.append((t, res["lhs"], res["rhs"], margin))
+        checks["gradient_bound"] = {
+            "snapshots": len(bound_rows),
+            "min_margin": float(worst) if bound_rows else None,
+            "passed": bound_ok,
+        }
+
+    # external work (body force or stirring) voids the unforced estimate
+    if forced:
+        checks["dissipative_envelope"] = {"status": "skipped (forced run)"}
+        return checks, bound_rows
+    try:
+        lam1 = ns_step.stokes_lambda1(grid) if coupled else None
+    except ns_step.NSError as exc:
+        checks["dissipative_envelope"] = {
+            "status": "error", "error": f"{type(exc).__name__}: {exc}",
+            "passed": False,
+        }
+        return checks, bound_rows
+    k = min(0.5, nu1 * lam1) if coupled else 0.5
+    floor = float(pot.f(np.array(mass[0]))) * grid.area
+    envelope = dissipative_estimate_check(series["t"], series["total"], k, floor)
+    checks["dissipative_envelope"] = {
+        "k": k, "floor": floor, "lambda1": lam1,
+        "status": envelope["status"], "K": envelope["K"],
+        "first_violation": envelope["first_violation"],
+        "passed": envelope["status"] in ("satisfied", "inconclusive"),
+    }
+    return checks, bound_rows
 
 
 # ------------------------------------------------------ trajectory metric

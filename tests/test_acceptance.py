@@ -25,7 +25,7 @@ from nlchns.ch_step import (
 )
 from nlchns.grid_ops import Grid, ScalarField, zero_vector
 from nlchns.kernel import KernelSpec, build_kernel
-from nlchns.ns_step import ViscositySpec, init_ns_state, stokes_lambda1
+from nlchns.ns_step import ViscositySpec, init_ns_state
 from nlchns.potential import (
     PotentialSpec,
     SingularPotential,
@@ -345,59 +345,35 @@ def test_criterion_09_epsilon_cauchy_decrease(criterion, tmp_path):
 
 
 def test_criterion_10_dissipative_estimate(criterion, spinodal_run):
-    d = load_series(spinodal_run["out"])
-    cfg = spinodal_run["manifest"]["config"]
-    grid = Grid(cfg["grid_nx"], cfg["grid_ny"], cfg["grid_lx"], cfg["grid_ly"])
-    lam1 = stokes_lambda1(grid)
-    k = min(0.5, cfg["nu1"] * lam1)
-    horizon = float(d["t"][-1])
-    kd = build_kernel(
-        KernelSpec(cfg["kernel_family"], cfg["kernel_width"],
-                   cfg["kernel_j_l1"]), grid)
-    spec = PotentialSpec(cfg["theta"], cfg["theta_c"], cfg["q"],
-                         cfg["epsilon"]).with_beta(kd.beta)
-    feps = build_F_eps(spec)
-    floor = float(feps.f(float(d["mass"][0]))) * grid.area
-    result = dg.dissipative_estimate_check(d["t"], d["total"], k, floor)
-    ok = (horizon >= 10.0 / k - 1e-9 and result["status"] == "satisfied")
+    """The envelope check of diagnose's audit: k, floor and lambda1 are the
+    ones the audit derives from the run."""
+    _, checks, _ = cli._audit_run(spinodal_run["out"])
+    env = checks["dissipative_envelope"]
+    k = env["k"]
+    horizon = float(load_series(spinodal_run["out"])["t"][-1])
+    ok = (horizon >= 10.0 / k - 1e-9 and env["status"] == "satisfied")
     criterion(10, "energy under exp(-kt) envelope with fitted offset",
-              ok, f"lambda1 {lam1:.2f}, k {k:.3f}, horizon {horizon:.0f} "
-                  f">= {10.0 / k:.0f}, K {result['K']:.3e}, "
-                  f"status {result['status']}")
-    assert ok, result
+              ok, f"lambda1 {env['lambda1']:.2f}, k {k:.3f}, horizon "
+                  f"{horizon:.0f} >= {10.0 / k:.0f}, K {env['K']:.3e}, "
+                  f"floor {env['floor']:.3e}, status {env['status']}")
+    assert ok, env
 
 
 def test_criterion_11_gradient_lower_bound(criterion, spinodal_run,
                                            singular_runs, coupled_ladder):
-    """Every stored snapshot of the scenario runs plus sampled states of
-    the refinement trajectories."""
+    """Every stored snapshot of the scenario runs, as diagnose's audit
+    checks them, plus sampled states of the refinement trajectories."""
     checked = 0
     worst = np.inf
     ok = True
 
     for out in [spinodal_run["out"]] + list(singular_runs.values()):
-        manifest = json.loads((out / "manifest.json").read_text())
-        cfg = manifest["config"]
-        grid = Grid(cfg["grid_nx"], cfg["grid_ny"],
-                    cfg["grid_lx"], cfg["grid_ly"])
-        kd = build_kernel(
-            KernelSpec(cfg["kernel_family"], cfg["kernel_width"],
-                       cfg["kernel_j_l1"]), grid)
-        spec = PotentialSpec(cfg["theta"], cfg["theta_c"], cfg["q"],
-                             cfg["epsilon"]).with_beta(kd.beta)
-        pot = SingularPotential(spec) if cfg["epsilon"] == 0.0 \
-            else build_F_eps(spec)
-        index = json.loads((out / "snapshots.json").read_text())
-        for entry in index["snapshots"]:
-            values, _ = go.read_snapshot(str(out / entry["phi"]["file"]))
-            phi = ScalarField(grid, values)
-            mu = chemical_potential(phi, kd, pot)
-            res = dg.gradient_bound_check(phi, mu, kd, spec.c0)
-            ok = ok and res["satisfied"]
-            worst = min(worst, res["lhs"] - res["rhs"])
-            checked += 1
+        _, checks, rows = cli._audit_run(out)
+        ok = ok and checks["gradient_bound"]["passed"]
+        worst = min([worst] + [margin for *_, margin in rows])
+        checked += len(rows)
 
-    grid, kd, feps, _ = coupled_ladder["setup"]
+    _, kd, feps, _ = coupled_ladder["setup"]
     c0 = feps.spec.c0
     for traj in coupled_ladder["trajs"]:
         for idx in range(0, traj.n_snapshots, 10):

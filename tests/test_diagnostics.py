@@ -263,6 +263,85 @@ class TestGradientBoundAndSeries:
             assert res["satisfied"], f"violated at snapshot {k}: {res}"
 
 
+def audit_series(coupled, rows=5, dt=2e-3):
+    """Series columns of a quiet run: fixed mass, decaying energy."""
+    t = dt * np.arange(rows)
+    series = {"t": t, "mass": np.full(rows, 0.1), "max_abs_phi": np.full(rows, 0.5),
+              "total": 1.0 + np.exp(-t),
+              "identity_residual": np.r_[np.nan, np.full(rows - 1, -1e-3)]}
+    if coupled:
+        series["div_inf"] = np.r_[0.0, np.full(rows - 1, 1e-13)]
+    return series
+
+
+class TestAudit:
+    """diagnose's checks on series columns and fields held in memory."""
+
+    DT = 2e-3
+    NU1 = 0.01
+
+    def snapshots(self):
+        return [(0.0, smooth_field(GRID, 3)), (0.004, smooth_field(GRID, 4))]
+
+    def test_coupled_unforced_run(self):
+        checks, rows = dg.audit(audit_series(True), self.snapshots(), self.DT,
+                                True, False, self.NU1, KD, FEPS)
+        assert list(checks) == ["mass_conservation", "saturation",
+                                "energy_direction", "incompressibility",
+                                "gradient_bound", "dissipative_envelope"]
+        assert all(c["passed"] for c in checks.values())
+        assert checks["energy_direction"]["max_prefix"] == pytest.approx(-1e-3 * self.DT)
+        assert [r[0] for r in rows] == [0.0, 0.004]
+        assert checks["gradient_bound"]["snapshots"] == 2
+        env = checks["dissipative_envelope"]
+        assert env["lambda1"] == ns_step.stokes_lambda1(GRID)
+        assert env["k"] == min(0.5, self.NU1 * env["lambda1"])
+        assert env["floor"] == pytest.approx(float(FEPS.f(0.1)) * GRID.area)
+        assert env["status"] == "inconclusive"
+
+    def test_run_ch_series(self):
+        checks, rows = dg.audit(audit_series(False), None, self.DT, False, False,
+                                self.NU1, KD, FEPS)
+        assert "incompressibility" not in checks and "gradient_bound" not in checks
+        assert rows == []
+        env = checks["dissipative_envelope"]
+        assert env["k"] == 0.5 and env["lambda1"] is None
+
+    def test_forced_run_skips_the_envelope(self):
+        for coupled in (True, False):
+            checks, _ = dg.audit(audit_series(coupled), None, self.DT, coupled,
+                                 True, self.NU1, KD, FEPS)
+            assert checks["dissipative_envelope"] == {
+                "status": "skipped (forced run)"}
+
+    def test_series_checks_come_before_snapshots_and_lambda1(self, monkeypatch):
+        order = []
+        cumulative, lambda1 = dg.running_cumulative, ns_step.stokes_lambda1
+        monkeypatch.setattr(dg, "running_cumulative", lambda residuals, dt: (
+            order.append("series"), cumulative(residuals, dt))[1])
+        monkeypatch.setattr(ns_step, "stokes_lambda1", lambda grid: (
+            order.append("lambda1"), lambda1(grid))[1])
+
+        def snapshots():
+            order.append("snapshots")
+            yield from self.snapshots()
+
+        dg.audit(audit_series(True), snapshots(), self.DT, True, False,
+                 self.NU1, KD, FEPS)
+        assert order == ["series", "snapshots", "lambda1"]
+
+    def test_unconverged_lambda1_fails_envelope(self, monkeypatch):
+        # three Lanczos steps cannot settle lambda1 to 1e-10
+        lambda1 = ns_step.stokes_lambda1
+        monkeypatch.setattr(ns_step, "stokes_lambda1",
+                            lambda grid: lambda1(grid, maxiter=3))
+        checks, _ = dg.audit(audit_series(True), None, self.DT, True, False,
+                             self.NU1, KD, FEPS)
+        envelope = checks["dissipative_envelope"]
+        assert envelope["passed"] is False and envelope["status"] == "error"
+        assert "did not converge" in envelope["error"]
+
+
 def random_trajectory(seed, n=4, dt=0.5, grid=None):
     grid = grid or Grid(12, 12, 1.0, 1.0)
     rng = np.random.default_rng(seed)
