@@ -220,10 +220,11 @@ def dissipative_estimate_check(times, energies, k, floor):
     min(2/k, a quarter of the horizon), and is then frozen; every later
     snapshot must sit under the bound, up to a relative slack of 1e-12.
     A horizon shorter than 5/k cannot distinguish the decay from its
-    transient, so the status is "inconclusive" rather than pass or fail."""
+    transient, so the status is "inconclusive" rather than pass or fail;
+    so is a single sample, whose horizon is 0."""
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
-    if times.shape != energies.shape or times.ndim != 1 or times.size < 2:
+    if times.shape != energies.shape or times.ndim != 1 or times.size < 1:
         raise DiagnosticsError("times/energies must be matching 1d arrays")
     if not (k > 0.0):
         raise DiagnosticsError("decay rate k must be positive")

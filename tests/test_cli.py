@@ -595,6 +595,19 @@ class TestDiagnose:
         assert checks["energy_direction"]["max_prefix"] <= 1e-8
         assert (out / "gradient_bound.csv").exists()
 
+    def test_run_stopped_at_its_first_step(self, coupled_run, tmp_path, capsys):
+        # a run whose first step fails leaves the t = 0 row alone
+        rundir = tmp_path / "run"
+        shutil.copytree(coupled_run["out"], rundir)
+        series = rundir / "series.csv"
+        series.write_text("".join(series.read_text().splitlines(True)[:2]))
+        rc = cli.main(["diagnose", str(rundir), "--out", str(tmp_path / "d")])
+        assert rc == 0
+        assert "dissipative_envelope: pass" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "d" / "diagnose.json").read_text())
+        assert rep["checks"]["dissipative_envelope"]["status"] == "inconclusive"
+        assert "energy_direction" not in rep["checks"]
+
     def test_missing_rundir_exits_2(self, tmp_path, capsys):
         rc = cli.main(["diagnose", str(tmp_path / "nope")])
         assert rc == 2

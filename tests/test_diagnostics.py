@@ -246,11 +246,17 @@ class TestDissipativeEstimate:
         assert res["status"] == "inconclusive"
         assert res["K"] is None
 
+    def test_single_sample_is_inconclusive(self):
+        res = dg.dissipative_estimate_check([0.0], [2.0], 0.5, 0.5)
+        assert res["status"] == "inconclusive" and res["horizon"] == 0.0
+
     def test_input_validation(self):
         with pytest.raises(dg.DiagnosticsError):
             dg.dissipative_estimate_check([0.0, 1.0], [1.0], 0.5, 0.0)
         with pytest.raises(dg.DiagnosticsError):
             dg.dissipative_estimate_check([0.0, 1.0], [1.0, 0.9], -1.0, 0.0)
+        with pytest.raises(dg.DiagnosticsError):
+            dg.dissipative_estimate_check([], [], 0.5, 0.0)
 
 
 class TestGradientBoundAndSeries:
