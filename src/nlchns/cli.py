@@ -806,9 +806,10 @@ def run_eps_sweep(cfg, outdir):
 
 # -------------------------------------------------------------- diagnose
 
-def _snapshots(rundir, grid):
+def _snapshots(rundir, grid, singular):
     """(t, phi) of each entry of the run's snapshot index, each file read
-    only when its pair is drawn."""
+    only when its pair is drawn.  In a singular (epsilon = 0) run every
+    snapshot must hold |phi| < 1, the potential's domain."""
     try:
         with open(os.path.join(rundir, "snapshots.json")) as fh:
             entries = list(json.load(fh)["snapshots"])
@@ -822,6 +823,10 @@ def _snapshots(rundir, grid):
             phi = ScalarField(grid, values)
         except (OSError, GridError, KeyError, TypeError) as exc:
             raise ConfigError("io", f"bad snapshot: {exc}") from None
+        if singular and np.max(np.abs(values)) >= 1.0:
+            raise ConfigError("io", f"bad snapshot: {entry['phi']['file']} holds "
+                                    "|phi| >= 1, outside the singular potential's "
+                                    "domain")
         yield t, phi
 
 
@@ -862,7 +867,7 @@ def _audit_run(rundir):
 
     snapshots = None
     if os.path.exists(os.path.join(rundir, "snapshots.json")):
-        snapshots = _snapshots(rundir, grid)
+        snapshots = _snapshots(rundir, grid, cfg["epsilon"] == 0.0)
     forced = (cfg["forcing"] != "zero") if coupled else (cfg["velocity"] != "zero")
     return (manifest, *dg.audit(series, snapshots, cfg["dt"], coupled, forced,
                                 cfg["nu1"], kd, pot))

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -248,6 +249,11 @@ def _snapshot_edit(edit):
     return corrupt
 
 
+def _saturated_singular_snapshot(rundir):
+    _manifest_edit(lambda doc: doc["config"].update(epsilon=0.0))(rundir)
+    _snapshot_edit(lambda b: b[:48] + struct.pack("<d", 1.0) + b[56:])(rundir)
+
+
 class TestMalformedRunDirectory:
     """diagnose on a damaged run directory exits 2 with one error[<code>]
     line; a warning on the way there fails the test."""
@@ -266,6 +272,7 @@ class TestMalformedRunDirectory:
         ("series-header-only", _keep_series_header, "io"),
         ("series-empty", _empty_series, "io"),
         ("series-non-numeric", _non_numeric_mass, "io"),
+        ("saturated-singular-snapshot", _saturated_singular_snapshot, "io"),
     ]
 
     @pytest.mark.filterwarnings("error")
