@@ -286,7 +286,7 @@ def audit(series, snapshots, dt, coupled, forced, nu1, kernel, pot):
     checks = {}
     mass = series["mass"]
     drift = float(np.max(np.abs(mass - mass[0])))
-    mass_tol = MASS_DEFECT_LIMIT * max(1.0, abs(mass[0])) * max(1, len(mass) - 1)
+    mass_tol = MASS_DEFECT_LIMIT * max(1.0, abs(mass[0]))
     checks["mass_conservation"] = {
         "max_drift": drift, "tolerance": mass_tol, "passed": drift <= mass_tol,
     }

@@ -305,6 +305,13 @@ class TestAudit:
         assert env["floor"] == pytest.approx(float(FEPS.f(0.1)) * GRID.area)
         assert env["status"] == "inconclusive"
 
+    def test_mass_drift_limit_does_not_grow_with_the_rows(self):
+        series = audit_series(False, rows=1000)
+        series["mass"][-1] += 2e-12
+        checks, _ = dg.audit(series, None, self.DT, False, False, self.NU1, KD, FEPS)
+        mass = checks["mass_conservation"]
+        assert mass["tolerance"] == 1e-12 and mass["passed"] is False
+
     def test_run_ch_series(self):
         checks, rows = dg.audit(audit_series(False), None, self.DT, False, False,
                                 self.NU1, KD, FEPS)
