@@ -602,6 +602,25 @@ class TestDiagnose:
         assert checks["energy_direction"]["max_prefix"] <= 1e-8
         assert (out / "gradient_bound.csv").exists()
 
+    def test_report_on_run_ch(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+                        "epsilon = 1e-2\ninit = stripe\ninit_amplitude = 0.6\n"
+                        "velocity = zero\nhorizon = 0.02\nsnapshot_every = 5\n")
+        run = tmp_path / "o"
+        assert cli.main(["run-ch", "--config", cfg, "--out", str(run)]) == 0
+        assert cli.main(["diagnose", str(run)]) == 0
+        names = ["mass_conservation", "saturation", "energy_direction",
+                 "gradient_bound", "dissipative_envelope"]
+        assert capsys.readouterr().out.splitlines()[-5:] == [
+            f"{name}: pass" for name in names]
+        rep = json.loads((run / "diagnose.json").read_text())
+        assert rep["command"] == "run-ch" and sorted(rep["checks"]) == sorted(names)
+        assert rep["checks"]["gradient_bound"]["snapshots"] == 3
+        envelope = rep["checks"]["dissipative_envelope"]
+        assert envelope["k"] == 0.5 and envelope["lambda1"] is None
+        assert len((run / "gradient_bound.csv").read_text().splitlines()) == 1 + 3
+
     def test_run_stopped_at_its_first_step(self, coupled_run, tmp_path, capsys):
         # a run whose first step fails leaves the t = 0 row alone
         rundir = tmp_path / "run"
