@@ -864,6 +864,9 @@ def _audit_run(rundir):
         raise ConfigError("io", f"series.csv rows need {len(header)} columns, "
                                 f"got {body.shape[1]}")
     series = dict(zip(header, body.T))
+    # a run's mean stays inside the cap m0 < 1; the audit evaluates F there
+    if not np.all(np.abs(series["mass"]) < 1.0):
+        raise ConfigError("io", "series.csv mass must lie in (-1, 1)")
 
     snapshots = None
     if os.path.exists(os.path.join(rundir, "snapshots.json")):

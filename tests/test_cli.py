@@ -235,11 +235,13 @@ def _empty_series(rundir):
     (rundir / "series.csv").write_text("")
 
 
-def _non_numeric_mass(rundir):
-    path = rundir / "series.csv"
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    rows[2][rows[0].index("mass")] = "abc"
-    path.write_text("".join(",".join(r) + "\n" for r in rows))
+def _mass_edit(row, value):
+    def corrupt(rundir):
+        path = rundir / "series.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[row][rows[0].index("mass")] = value
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+    return corrupt
 
 
 def _snapshot_edit(edit):
@@ -271,7 +273,9 @@ class TestMalformedRunDirectory:
         ("series-without-mass", _drop_mass_column, "io"),
         ("series-header-only", _keep_series_header, "io"),
         ("series-empty", _empty_series, "io"),
-        ("series-non-numeric", _non_numeric_mass, "io"),
+        ("series-non-numeric", _mass_edit(2, "abc"), "io"),
+        ("series-mass-beyond-one", _mass_edit(1, "1.5"), "io"),
+        ("series-mass-nan", _mass_edit(2, "nan"), "io"),
         ("saturated-singular-snapshot", _saturated_singular_snapshot, "io"),
     ]
 
