@@ -286,9 +286,9 @@ def audit(series, snapshots, dt, coupled, forced, nu1, kernel, pot):
     checks = {}
     mass = series["mass"]
     drift = float(np.max(np.abs(mass - mass[0])))
-    mass_tol = MASS_DEFECT_LIMIT * max(1.0, abs(mass[0]))
     checks["mass_conservation"] = {
-        "max_drift": drift, "tolerance": mass_tol, "passed": drift <= mass_tol,
+        "max_drift": drift, "tolerance": MASS_DEFECT_LIMIT,
+        "passed": drift <= MASS_DEFECT_LIMIT,
     }
     sat = float(np.max(series["max_abs_phi"]))
     checks["saturation"] = {"max_abs_phi": sat, "passed": sat < 1.0}
