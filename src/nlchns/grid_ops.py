@@ -39,6 +39,13 @@ solve.  Two branches apply it, chosen by grid size:
 tensor_solve is the one fast-diagonalisation solve (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964): the momentum preconditioner and the exact stiffness
 inverse of ns_step call it with their own eigenbases.
+
+The velocity gradient D = mac_component_gradients (ux, vy at cells; uy, vx
+at corners) and its exact transpose D^T = mac_component_gradients_t are
+one pair and the one place that knows the no-slip wall ghost: the
+tangential velocity beyond a wall is the mirror -u, so the wall shear is
+2 u / h.  The velocity forms of ns_step are D^T of a weighted D: the
+viscous operator and the componentwise stiffness.
 """
 
 import struct
@@ -436,6 +443,40 @@ def mac_component_gradients(grid, u, v):
     vx[0, :] = 2.0 * v[0, :] / grid.hx
     vx[-1, :] = -2.0 * v[-1, :] / grid.hx
     return ux, uy, vx, vy
+
+
+def mac_component_gradients_t(grid, qx, ruy, rvx, qy):
+    """Exact transpose of mac_component_gradients on the interior faces:
+    cell fields qx, qy and corner fields ruy, rvx back onto (au, av), with
+    the same no-slip ghosts, so sum(au u) + sum(av v) equals
+    sum(qx ux) + sum(ruy uy) + sum(rvx vx) + sum(qy vy) for every (u, v)
+    with zero normal faces.  The normal faces of au, av are zero."""
+    nx, ny = grid.nx, grid.ny
+    a = qx / grid.hx
+    au = np.zeros((nx + 1, ny))
+    au[1:, :] += a
+    au[:-1, :] -= a
+    r = ruy / grid.hy
+    s = np.zeros((nx + 1, ny))
+    s[:, 1:] += r[:, 1:-1]
+    s[:, :-1] -= r[:, 1:-1]
+    s[:, 0] += 2.0 * r[:, 0]
+    s[:, -1] -= 2.0 * r[:, -1]
+    au += s
+    au[0, :] = au[-1, :] = 0.0
+    a = qy / grid.hy
+    av = np.zeros((nx, ny + 1))
+    av[:, 1:] += a
+    av[:, :-1] -= a
+    r = rvx / grid.hx
+    s = np.zeros((nx, ny + 1))
+    s[1:, :] += r[1:-1, :]
+    s[:-1, :] -= r[1:-1, :]
+    s[0, :] += 2.0 * r[0, :]
+    s[-1, :] -= 2.0 * r[-1, :]
+    av += s
+    av[:, 0] = av[:, -1] = 0.0
+    return au, av
 
 
 def vector_l2(w):

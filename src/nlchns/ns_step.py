@@ -6,15 +6,20 @@ The viscous term is built variationally: the dissipation form
     R(u) = int 2 nu |Du|^2
          = sum_cells 2 nu_c (ux^2 + vy^2) + sum_corners nu_n (uy + vx)^2
 
-(uniform cell weights, no-slip wall ghosts folded into the corner shears
-as 2 u / h) defines the operator A through exact transposes of the
-difference stencils.  That makes <A u, u> = R(u) hold to roundoff, so the
-flow's energy bookkeeping closes discretely, and I + dt A is symmetric
-positive definite for the conjugate-gradient momentum solve with frozen
-coefficients nu(phi^n).  Its condition number grows like n^2, so the CG is
-preconditioned by the constant-viscosity, uncoupled operator at the mean
-viscosity, 1 + dt nu_ref (2 Kx + Ky) on u and its mirror image on v (Kx, Ky
-the 1D factors of the stiffness blocks below), applied exactly by fast
+(uniform cell weights) defines the operator
+
+    A u = D^T (2 nu_c ux, nu_n s, nu_n s, 2 nu_c vy),  s = uy + vx,
+
+with D = grid_ops.mac_component_gradients, the MAC velocity gradient
+whose no-slip wall ghosts fold into the corner shears as 2 u / h, and D^T
+its exact transpose grid_ops.mac_component_gradients_t.  That makes
+<A u, u> = R(u) hold to roundoff, so the flow's energy bookkeeping closes
+discretely, and I + dt A is symmetric positive definite for the
+conjugate-gradient momentum solve with frozen coefficients nu(phi^n).  Its
+condition number grows like n^2, so the CG is preconditioned by the
+constant-viscosity, uncoupled operator at the mean viscosity,
+1 + dt nu_ref (2 Kx + Ky) on u and its mirror image on v (Kx, Ky the 1D
+factors of the stiffness blocks below), applied exactly by fast
 diagonalisation (grid_ops.tensor_solve; Lynch, Rice & Thomas 1964); the
 iteration count then stays bounded as the grid is refined.
 
@@ -30,8 +35,8 @@ is the exact DCT-II solve of grid_ops, so the post-step divergence sits at
 its roundoff floor (audited against 1e-10, observed around 1e-13).
 
 The Stokes eigenvalue and the momentum residual's dual norm both need the
-inverse of the componentwise stiffness A (grad_form_apply) restricted to
-solenoidal fields.  That is the Stokes problem A z + grad p = b, div z = 0,
+inverse of the componentwise stiffness A = D^T D (grad_form_apply)
+restricted to solenoidal fields.  That is the Stokes problem A z + grad p = b, div z = 0,
 solved by CG on the pressure Schur complement S p = -div(A^-1 grad p).  A
 itself is inverted exactly by fast diagonalisation: each velocity block is
 a sum of two 1D tridiagonal stiffnesses, whose eigenpairs are cached by
@@ -113,46 +118,6 @@ def cell_to_corner(grid, c):
                    + padded[:-1, 1:] + padded[1:, 1:])
 
 
-def strain_forward(grid, u, v):
-    """ux, vy at cells; shear s = uy + vx at corners (no-slip ghosts)."""
-    ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
-    return ux, vy, uy + vx
-
-
-def _scatter_uy(grid, r):
-    """Exact transpose of the uy block of go.mac_component_gradients
-    (corner field r back to u faces)."""
-    au = np.zeros((grid.nx + 1, grid.ny))
-    au[:, 1:] += r[:, 1:-1] / grid.hy
-    au[:, :-1] -= r[:, 1:-1] / grid.hy
-    au[:, 0] += 2.0 * r[:, 0] / grid.hy
-    au[:, -1] -= 2.0 * r[:, -1] / grid.hy
-    return au
-
-
-def _scatter_vx(grid, r):
-    av = np.zeros((grid.nx, grid.ny + 1))
-    av[1:, :] += r[1:-1, :] / grid.hx
-    av[:-1, :] -= r[1:-1, :] / grid.hx
-    av[0, :] += 2.0 * r[0, :] / grid.hx
-    av[-1, :] -= 2.0 * r[-1, :] / grid.hx
-    return av
-
-
-def _scatter_ux(grid, q):
-    au = np.zeros((grid.nx + 1, grid.ny))
-    au[1:, :] += q / grid.hx
-    au[:-1, :] -= q / grid.hx
-    return au
-
-
-def _scatter_vy(grid, q):
-    av = np.zeros((grid.nx, grid.ny + 1))
-    av[:, 1:] += q / grid.hy
-    av[:, :-1] -= q / grid.hy
-    return av
-
-
 def _zero_normal(u, v):
     u[0, :] = 0.0
     u[-1, :] = 0.0
@@ -162,24 +127,22 @@ def _zero_normal(u, v):
 
 
 def viscous_apply(grid, nu_c, nu_n, u, v):
-    """Discrete -div(2 nu Du) as the exact gradient of R(u)/2.
+    """Discrete -div(2 nu Du) as the exact gradient of R(u)/2: D^T of the
+    weighted D, with D = go.mac_component_gradients and the shear s = uy + vx.
 
     <A u, w> * vol equals the polarization of R, so the operator is
     symmetric and <A u, u> = R(u) = dissipation(...) to roundoff.  Output
-    boundary normal faces are zeroed (constrained, not unknowns)."""
-    ux, vy, s = strain_forward(grid, u, v)
-    qx = 2.0 * nu_c * ux
-    qy = 2.0 * nu_c * vy
-    r = nu_n * s
-    au = _scatter_ux(grid, qx) + _scatter_uy(grid, r)
-    av = _scatter_vy(grid, qy) + _scatter_vx(grid, r)
-    return _zero_normal(au, av)
+    boundary normal faces are zero (constrained, not unknowns)."""
+    ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
+    s = nu_n * (uy + vx)
+    return go.mac_component_gradients_t(grid, 2.0 * nu_c * ux, s, s,
+                                        2.0 * nu_c * vy)
 
 
 def dissipation(grid, nu_c, nu_n, u, v):
     """int 2 nu |Du|^2 with the same quadrature the operator derives from."""
-    ux, vy, s = strain_forward(grid, u, v)
-    total = 2.0 * np.sum(nu_c * (ux**2 + vy**2)) + np.sum(nu_n * s**2)
+    ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
+    total = 2.0 * np.sum(nu_c * (ux**2 + vy**2)) + np.sum(nu_n * (uy + vx)**2)
     return float(total * grid.cell_volume)
 
 
@@ -191,13 +154,11 @@ def viscosity_fields(grid, phi_values, visc):
 
 
 def grad_form_apply(grid, u, v):
-    """Componentwise stiffness with the same wall convention as the strain:
-    <A w, w> = sum(ux^2 + uy^2 + vx^2 + vy^2) vol exactly (the squared
-    velocity gradient seminorm).  Used for the Stokes eigenvalue."""
-    ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
-    au = _scatter_ux(grid, ux) + _scatter_uy(grid, uy)
-    av = _scatter_vy(grid, vy) + _scatter_vx(grid, vx)
-    return _zero_normal(au, av)
+    """Componentwise stiffness D^T D with the same wall convention as the
+    strain: <A w, w> = sum(ux^2 + uy^2 + vx^2 + vy^2) vol exactly (the
+    squared velocity gradient seminorm).  Used for the Stokes eigenvalue."""
+    return go.mac_component_gradients_t(
+        grid, *go.mac_component_gradients(grid, u, v))
 
 
 _stiffness_eigh_cache = {}
@@ -218,9 +179,10 @@ def _block_factors(grid):
     eigenpairs.  Each velocity block of the stiffness is, on its interior
     faces, a weighted tensor sum of two 1D stiffnesses.  The wall-normal
     factor is the Dirichlet tridiagonal on the n-1 interior faces.  The
-    tangential factor lives on the n cell rows; its end entries are 5, 1
-    from the interior difference plus 4 from the no-slip shear 2 u / h
-    scattered back with its own 2 / h.  That is not a sine basis, so every
+    tangential factor lives on the n cell rows; its end entries are 5: 1
+    from the interior difference plus 4 from the gradient pair's wall
+    ghost, the shear 2 u / h of mac_component_gradients sent back by its
+    transpose with another 2 / h.  That is not a sine basis, so every
     factor is diagonalised with eigh."""
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     return ((_stiffness_eigh(nx - 1, hx, 2.0), _stiffness_eigh(ny, hy, 5.0)),

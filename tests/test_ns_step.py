@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from nlchns import ch_step as ch
 from nlchns import grid_ops as go
@@ -72,21 +73,25 @@ class TestViscousOperator:
         nu_c = 0.5 + 0.4 * rng.random((grid.nx, grid.ny))
         return nu_c, ns.cell_to_corner(grid, nu_c)
 
-    def test_forward_scatter_adjoint_pairs(self):
-        grid = GRID
-        rng = np.random.default_rng(7)
-        u, v = random_interior(grid, 7)
-        q_cell = rng.standard_normal((grid.nx, grid.ny))
-        r_corner = rng.standard_normal((grid.nx + 1, grid.ny + 1))
-        ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
-        pairs = [
-            (np.sum(ns._scatter_ux(grid, q_cell) * u), np.sum(q_cell * ux)),
-            (np.sum(ns._scatter_vy(grid, q_cell) * v), np.sum(q_cell * vy)),
-            (np.sum(ns._scatter_uy(grid, r_corner) * u), np.sum(r_corner * uy)),
-            (np.sum(ns._scatter_vx(grid, r_corner) * v), np.sum(r_corner * vx)),
-        ]
-        for left, right in pairs:
-            assert abs(left - right) <= 1e-12 * max(abs(left), abs(right), 1.0)
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(8, 24), ny=st.integers(8, 24),
+           lx=st.floats(0.2, 3.0), ly=st.floats(0.2, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gradient_transpose_is_adjoint(self, nx, ny, lx, ly, seed):
+        """<D^T q, u> = <q, D u> for independent cell and corner fields in
+        all four slots at once, and D^T leaves the normal faces at zero."""
+        grid = Grid(nx, ny, lx, ly)
+        rng = np.random.default_rng(seed)
+        u, v = random_interior(grid, seed)
+        q = (rng.standard_normal((nx, ny)), rng.standard_normal((nx + 1, ny + 1)),
+             rng.standard_normal((nx + 1, ny + 1)), rng.standard_normal((nx, ny)))
+        au, av = go.mac_component_gradients_t(grid, *q)
+        assert np.all(au[[0, -1], :] == 0.0) and np.all(av[:, [0, -1]] == 0.0)
+        left = np.sum(au * u) + np.sum(av * v)
+        products = [a * b for a, b in zip(q, go.mac_component_gradients(grid, u, v))]
+        right = sum(np.sum(p) for p in products)
+        scale = sum(np.sum(np.abs(p)) for p in products)
+        assert abs(left - right) <= 1e-13 * scale
 
     def test_operator_symmetry(self):
         grid = GRID
