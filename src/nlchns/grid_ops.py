@@ -44,8 +44,9 @@ The velocity gradient D = mac_component_gradients (ux, vy at cells; uy, vx
 at corners) and its exact transpose D^T = mac_component_gradients_t are
 one pair and the one place that knows the no-slip wall ghost: the
 tangential velocity beyond a wall is the mirror -u, so the wall shear is
-2 u / h.  The velocity forms of ns_step are D^T of a weighted D: the
-viscous operator and the componentwise stiffness.
+2 u / h.  The velocity forms of ns_step are built on it: the viscous
+operator and the componentwise stiffness are D^T of a weighted D, and the
+advective tendency is -D^T of the momentum flux.
 """
 
 import struct

@@ -24,8 +24,9 @@ diagonalisation (grid_ops.tensor_solve; Lynch, Rice & Thomas 1964); the
 iteration count then stays bounded as the grid is refined.
 
 Advection is the conservative divergence-form MAC interpolation of
-div(u x u); no skew correction (the advective energy residual is part of
-the O(dt) identity residual, not hidden).  The capillary force is the
+div(u x u): -D^T of the momentum flux (uc^2, uv, uv, vc^2).  It has no
+skew correction (the advective energy residual is part of the O(dt)
+identity residual, not hidden).  The capillary force is the
 -phi grad(mu) form, interpolated with the same face averaging as the
 scalar transport flux, which makes <-phi grad mu, v> = <mu, div(phi v)>
 an exact discrete integration by parts.
@@ -250,9 +251,10 @@ def _schur_apply(f, p):
 # ------------------------------------------------------------- advection
 
 def advective_tendency(grid, u, v):
-    """Conservative div(u x u) on interior faces: products interpolated to
-    cells and corners, then differenced back to faces.  Wall corner fluxes
-    vanish because the stored normal faces are exactly zero."""
+    """Conservative div(u x u) on interior faces: -D^T of the momentum flux
+    (uc^2, uv, uv, vc^2), its products interpolated to cells and corners.
+    Wall corner fluxes vanish because the stored normal faces are exactly
+    zero."""
     uc = 0.5 * (u[1:, :] + u[:-1, :])       # u at cells
     vc = 0.5 * (v[:, 1:] + v[:, :-1])       # v at cells
     # corner interpolants; tangential wall values average to the no-slip 0
@@ -261,14 +263,8 @@ def advective_tendency(grid, u, v):
     v_corner = np.zeros((grid.nx + 1, grid.ny + 1))
     v_corner[1:-1, :] = 0.5 * (v[1:, :] + v[:-1, :])
     uv = u_corner * v_corner
-
-    adv_u = np.zeros_like(u)
-    adv_u[1:-1, :] = (uc[1:, :] ** 2 - uc[:-1, :] ** 2) / grid.hx
-    adv_u[:, :] += (uv[:, 1:] - uv[:, :-1]) / grid.hy
-    adv_v = np.zeros_like(v)
-    adv_v[:, 1:-1] = (vc[:, 1:] ** 2 - vc[:, :-1] ** 2) / grid.hy
-    adv_v[:, :] += (uv[1:, :] - uv[:-1, :]) / grid.hx
-    return _zero_normal(adv_u, adv_v)
+    au, av = go.mac_component_gradients_t(grid, uc**2, uv, uv, vc**2)
+    return -au, -av
 
 
 # ------------------------------------------------------- capillary force

@@ -144,6 +144,39 @@ class TestViscousOperator:
             assert np.all(arr >= 0.3 - 1e-15) and np.all(arr <= 0.9 + 1e-15)
 
 
+def flux_difference_advection(grid, u, v):
+    """div(u x u) as the cell and corner momentum fluxes differenced back
+    onto the faces in the form (x - y) / h: the oracle of the -D^T form."""
+    uc = 0.5 * (u[1:, :] + u[:-1, :])
+    vc = 0.5 * (v[:, 1:] + v[:, :-1])
+    u_corner = np.zeros((grid.nx + 1, grid.ny + 1))
+    u_corner[:, 1:-1] = 0.5 * (u[:, 1:] + u[:, :-1])
+    v_corner = np.zeros((grid.nx + 1, grid.ny + 1))
+    v_corner[1:-1, :] = 0.5 * (v[1:, :] + v[:-1, :])
+    uv = u_corner * v_corner
+    adv_u = np.zeros_like(u)
+    adv_u[1:-1, :] = (uc[1:, :] ** 2 - uc[:-1, :] ** 2) / grid.hx
+    adv_u[:, :] += (uv[:, 1:] - uv[:, :-1]) / grid.hy
+    adv_v = np.zeros_like(v)
+    adv_v[:, 1:-1] = (vc[:, 1:] ** 2 - vc[:, :-1] ** 2) / grid.hy
+    adv_v[:, :] += (uv[1:, :] - uv[:-1, :]) / grid.hx
+    adv_u[0, :] = adv_u[-1, :] = 0.0
+    adv_v[:, 0] = adv_v[:, -1] = 0.0
+    return adv_u, adv_v
+
+
+class TestAdvection:
+    @pytest.mark.parametrize("nx,ny", [(9, 12), (24, 24), (64, 67)])
+    def test_matches_flux_difference_form(self, nx, ny):
+        grid = Grid(nx, ny, 1.3, 0.8)
+        u, v = random_interior(grid, nx)
+        au, av = ns.advective_tendency(grid, u, v)
+        ou, ov = flux_difference_advection(grid, u, v)
+        assert np.all(au[[0, -1], :] == 0.0) and np.all(av[:, [0, -1]] == 0.0)
+        scale = max(np.abs(ou).max(), np.abs(ov).max())
+        assert max(np.abs(au - ou).max(), np.abs(av - ov).max()) <= 1e-15 * scale
+
+
 class TestCapillaryForce:
     def test_zero_for_constant_mu(self):
         grid = GRID
