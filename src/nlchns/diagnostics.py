@@ -378,7 +378,7 @@ def _windowed_norm(times, values, dt, power):
 def trajectory_metric(a, b, feps):
     """Distance between two runs; see the module docstring for the terms.
     Requires matching grids, step sizes, and horizons."""
-    if a.grid.key() != b.grid.key():
+    if a.grid != b.grid:
         raise DiagnosticsError("trajectory grids do not match")
     if a.dt != b.dt or a.n_snapshots != b.n_snapshots:
         raise DiagnosticsError("trajectory samplings do not match")

@@ -51,7 +51,7 @@ advective tendency is -D^T of the momentum flux.
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -108,9 +108,6 @@ class Grid:
         x = np.arange(self.nx + 1) * self.hx
         y = np.arange(self.ny + 1) * self.hy
         return np.meshgrid(x, y, indexing="ij")
-
-    def key(self):
-        return (self.nx, self.ny, self.lx, self.ly)
 
 
 @dataclass
@@ -287,15 +284,9 @@ class _NeumannWorkspace:
                             stiffness_1d(g.ny, g.hy, 1.0), eig_nomean)
 
 
-_workspaces = {}
-
-
+@cache
 def workspace(grid):
-    ws = _workspaces.get(grid.key())
-    if ws is None:
-        ws = _NeumannWorkspace(grid)
-        _workspaces[grid.key()] = ws
-    return ws
+    return _NeumannWorkspace(grid)
 
 
 def tensor_solve(qx, qy, lam, f):

@@ -53,6 +53,7 @@ reorthogonalisation, in 10-12 Stokes solves.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -162,17 +163,11 @@ def grad_form_apply(grid, u, v):
         grid, *go.mac_component_gradients(grid, u, v))
 
 
-_stiffness_eigh_cache = {}
-
-
+@cache
 def _stiffness_eigh(n, h, end):
     """Eigenpairs (lam, Q) of the 1D stiffness tridiag(-1, 2, -1) / h^2 on
     n nodes with both end diagonal entries set to end, cached by (n, h, end)."""
-    pair = _stiffness_eigh_cache.get((n, h, end))
-    if pair is None:
-        pair = _stiffness_eigh_cache[(n, h, end)] = np.linalg.eigh(
-            go.stiffness_1d(n, h, end))
-    return pair
+    return np.linalg.eigh(go.stiffness_1d(n, h, end))
 
 
 def _block_factors(grid):
@@ -205,23 +200,18 @@ class _StokesFactors(NamedTuple):
     wy: np.ndarray  # Qy_v^T Gy
 
 
-_stokes_factors_cache = {}
-
-
+@cache
 def _stokes_factors(grid):
     """_StokesFactors of grid, built at the first Stokes solve on it and
     kept per grid: one eigenvalue costs about 200 Schur applications, and
     rebuilding a broadcast eigenvalue sum costs more than the division it
     feeds."""
-    f = _stokes_factors_cache.get(grid.key())
-    if f is None:
-        (ux, uy), (vx, vy) = _block_factors(grid)
-        gx = np.diff(np.eye(grid.nx), axis=0) / grid.hx
-        gy = np.diff(np.eye(grid.ny), axis=0) / grid.hy
-        f = _stokes_factors_cache[grid.key()] = _StokesFactors(
-            ux[1], uy[1], ux[0][:, None] + uy[0][None, :], ux[1].T @ gx,
-            vx[1], vy[1], vx[0][:, None] + vy[0][None, :], vy[1].T @ gy)
-    return f
+    (ux, uy), (vx, vy) = _block_factors(grid)
+    gx = np.diff(np.eye(grid.nx), axis=0) / grid.hx
+    gy = np.diff(np.eye(grid.ny), axis=0) / grid.hy
+    return _StokesFactors(
+        ux[1], uy[1], ux[0][:, None] + uy[0][None, :], ux[1].T @ gx,
+        vx[1], vy[1], vx[0][:, None] + vy[0][None, :], vy[1].T @ gy)
 
 
 def grad_form_inverse(grid, fu, fv):
@@ -383,7 +373,7 @@ def ns_step(ns, phi, mu, forcing, visc, dt):
     if not (dt > 0.0):
         raise NSError(f"dt must be positive, got {dt}")
     grid = ns.u.grid
-    if phi.grid.key() != grid.key() or mu.grid.key() != grid.key():
+    if phi.grid != grid or mu.grid != grid:
         raise NSError("phi/mu grid does not match the velocity grid")
     if not (np.all(np.isfinite(phi.values)) and np.all(np.isfinite(mu.values))):
         raise NSError("non-finite phi or mu input")
