@@ -844,6 +844,7 @@ def _audit_run(rundir):
         raise ConfigError("io", "diagnose needs a run or run-ch directory")
     cfg = _apply_manifest(dict(DEFAULTS), manifest)
     grid, kd, _, pot = _physics(cfg)
+    _nsteps(cfg)  # the audit weighs every residual by dt
     coupled = manifest["command"] == "run"
     header = COUPLED_HEADER if coupled else CH_HEADER
     try:
@@ -864,15 +865,28 @@ def _audit_run(rundir):
         raise ConfigError("io", f"series.csv rows need {len(header)} columns, "
                                 f"got {body.shape[1]}")
     series = dict(zip(header, body.T))
+    # the columns the audit reads; a run writes the first row's residual,
+    # which no step precedes, as nan
+    audited = {name: series[name] for name in
+               ("t", "mass", "max_abs_phi", "total", "div_inf") if name in series}
+    audited["identity_residual"] = series["identity_residual"][1:]
+    for name, column in audited.items():
+        if not np.all(np.isfinite(column)):
+            raise ConfigError("io", f"series.csv {name} must be finite")
     # a run's mean stays inside the cap m0 < 1; the audit evaluates F there
     if not np.all(np.abs(series["mass"]) < 1.0):
         raise ConfigError("io", "series.csv mass must lie in (-1, 1)")
+    # row n is written at t = n dt; the rule is _nsteps' horizon test
+    t, dt = series["t"], cfg["dt"]
+    if np.any(np.abs(t - np.arange(t.size) * dt) > 1e-9 * np.maximum(1.0, np.abs(t))):
+        raise ConfigError("io", f"series.csv t is not n dt for the manifest's "
+                                f"dt {dt:.6g}")
 
     snapshots = None
     if os.path.exists(os.path.join(rundir, "snapshots.json")):
         snapshots = _snapshots(rundir, grid, cfg["epsilon"] == 0.0)
     forced = (cfg["forcing"] != "zero") if coupled else (cfg["velocity"] != "zero")
-    return (manifest, *dg.audit(series, snapshots, cfg["dt"], coupled, forced,
+    return (manifest, *dg.audit(series, snapshots, dt, coupled, forced,
                                 cfg["nu1"], kd, pot))
 
 

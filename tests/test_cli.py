@@ -235,11 +235,11 @@ def _empty_series(rundir):
     (rundir / "series.csv").write_text("")
 
 
-def _mass_edit(row, value):
+def _series_edit(column, row, value):
     def corrupt(rundir):
         path = rundir / "series.csv"
         rows = [line.split(",") for line in path.read_text().splitlines()]
-        rows[row][rows[0].index("mass")] = value
+        rows[row][rows[0].index(column)] = value
         path.write_text("".join(",".join(r) + "\n" for r in rows))
     return corrupt
 
@@ -273,10 +273,21 @@ class TestMalformedRunDirectory:
         ("series-without-mass", _drop_mass_column, "io"),
         ("series-header-only", _keep_series_header, "io"),
         ("series-empty", _empty_series, "io"),
-        ("series-non-numeric", _mass_edit(2, "abc"), "io"),
-        ("series-mass-beyond-one", _mass_edit(1, "1.5"), "io"),
-        ("series-mass-nan", _mass_edit(2, "nan"), "io"),
+        ("series-non-numeric", _series_edit("mass", 2, "abc"), "io"),
+        ("series-mass-beyond-one", _series_edit("mass", 1, "1.5"), "io"),
+        ("series-mass-nan", _series_edit("mass", 2, "nan"), "io"),
+        ("series-residual-nan", _series_edit("identity_residual", 3, "nan"), "io"),
+        ("series-total-inf", _series_edit("total", 2, "inf"), "io"),
         ("saturated-singular-snapshot", _saturated_singular_snapshot, "io"),
+        # the audit weighs each residual by the manifest's dt
+        ("manifest-dt-zero", _manifest_edit(lambda doc: doc["config"].update(dt=0.0)),
+         "time"),
+        ("manifest-dt-negative",
+         _manifest_edit(lambda doc: doc["config"].update(dt=-0.002)), "time"),
+        ("manifest-dt-huge",
+         _manifest_edit(lambda doc: doc["config"].update(dt=1e300)), "time"),
+        ("manifest-dt-not-the-series-step",
+         _manifest_edit(lambda doc: doc["config"].update(dt=0.001)), "io"),
     ]
 
     @pytest.mark.filterwarnings("error")
