@@ -15,8 +15,9 @@ once with PYTHONPATH set to each tree, and each output file is compared:
 - every other file, and stdout, byte for byte.
 
 A file that differs is reported by how far its numbers moved: each CSV
-column as max |change| / max |parent column| (nan matching nan), each .fld
-snapshot likewise over its payload.  With --diagnose, ``diagnose`` then
+column as max |change| and as max |change| / max |parent column| (nan
+matching nan), each .fld snapshot likewise over its payload, and each JSON
+file by the entries that changed.  With --diagnose, ``diagnose`` then
 runs on each run directory and its report is compared the same way.  The
 exit status is 0 when every file matches and 1 otherwise.
 """
@@ -63,17 +64,15 @@ def run_cli(src, args, out):
     return proc.returncode, proc.stdout
 
 
-def relative_move(old, new):
-    """max |new - old| / max |old|, with nan matching nan in place."""
+def move(old, new):
+    """max |new - old| as text, followed by its ratio to max |old|; nan
+    matching nan in place counts as no change."""
     both_nan = np.isnan(old) & np.isnan(new)
     delta = np.where(both_nan, 0.0, np.abs(new - old))
-    if np.any(np.isnan(delta)):
-        return np.inf
+    change = np.inf if np.any(np.isnan(delta)) else np.max(delta, initial=0.0)
     top = np.max(np.abs(np.where(both_nan, 0.0, old)), initial=0.0)
-    change = np.max(delta, initial=0.0)
-    if change == 0.0:
-        return 0.0
-    return change / top if top > 0.0 else np.inf
+    rel = 0.0 if change == 0.0 else change / top if top > 0.0 else np.inf
+    return f"{change:.3g}  (relative {rel:.3g})"
 
 
 def _read_csv(path):
@@ -90,33 +89,38 @@ def csv_moves(old_path, new_path):
     if old_names != new_names or old.shape != new.shape:
         return [f"      shape {old.shape} -> {new.shape}, header "
                 f"{'same' if old_names == new_names else 'differs'}"]
-    return [f"      {name:<20} {relative_move(old[:, k], new[:, k]):.3g}"
+    return [f"      {name:<20} {move(old[:, k], new[:, k])}"
             for k, name in enumerate(old_names)]
 
 
-def fld_moves(old_path, new_path):
-    with open(old_path, "rb") as fh:
-        old = fh.read()
-    with open(new_path, "rb") as fh:
-        new = fh.read()
+def fld_moves(old, new):
+    """The movement of a snapshot's payload, given both files' bytes."""
     if old[:FLD_HEADER] != new[:FLD_HEADER] or len(old) != len(new):
         return ["      header or size differs"]
-    move = relative_move(np.frombuffer(old, dtype=float, offset=FLD_HEADER),
-                         np.frombuffer(new, dtype=float, offset=FLD_HEADER))
-    return [f"      payload {move:.3g}"]
+    old, new = (np.frombuffer(b, dtype=float, offset=FLD_HEADER) for b in (old, new))
+    return ["      payload " + move(old, new)]
 
 
-def same_content(name, old_path, new_path):
-    with open(old_path, "rb") as fh:
-        old = fh.read()
-    with open(new_path, "rb") as fh:
-        new = fh.read()
-    if name.endswith(".json"):
-        old, new = json.loads(old), json.loads(new)
-        for key in VOLATILE.get(name, ()):
-            old.pop(key, None)
-            new.pop(key, None)
-    return old == new
+def json_moves(old, new, path=""):
+    """Lines naming each changed leaf of two JSON documents."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [line for key in sorted(set(old) | set(new))
+                for line in json_moves(old.get(key), new.get(key), f"{path}.{key}")]
+    if old == new:
+        return []
+    return [f"      {path or '.'}: {old!r} -> {new!r}"]
+
+
+def load(name, path):
+    """The bytes of a file, or for JSON its document without VOLATILE keys."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not name.endswith(".json"):
+        return blob
+    doc = json.loads(blob)
+    for key in VOLATILE.get(name, ()):
+        doc.pop(key, None)
+    return doc
 
 
 def compare_dirs(old_dir, new_dir):
@@ -133,7 +137,8 @@ def compare_dirs(old_dir, new_dir):
         old_path, new_path = os.path.join(old_dir, name), os.path.join(new_dir, name)
         aside = VOLATILE.get(name)
         label = f"{name} ({', '.join(aside)} aside)" if aside else name
-        if same_content(name, old_path, new_path):
+        old, new = load(name, old_path), load(name, new_path)
+        if old == new:
             lines.append(f"  identical  {label}")
             continue
         clean = False
@@ -141,7 +146,9 @@ def compare_dirs(old_dir, new_dir):
         if name.endswith(".csv"):
             lines += csv_moves(old_path, new_path)
         elif name.endswith(".fld"):
-            lines += fld_moves(old_path, new_path)
+            lines += fld_moves(old, new)
+        elif name.endswith(".json"):
+            lines += json_moves(old, new)
     return lines, clean
 
 
