@@ -37,12 +37,13 @@ its roundoff floor (audited against 1e-10, observed around 1e-13).
 
 The Stokes eigenvalue and the momentum residual's dual norm both need the
 inverse of the componentwise stiffness A = D^T D (grad_form_apply)
-restricted to solenoidal fields.  That is the Stokes problem A z + grad p = b, div z = 0,
-solved by CG on the pressure Schur complement S p = -div(A^-1 grad p).  A
-itself is inverted exactly by fast diagonalisation: each velocity block is
-a sum of two 1D tridiagonal stiffnesses, whose eigenpairs are cached by
-(n, h, end entry) and shared with the momentum preconditioner; both solve
-through grid_ops.tensor_solve.  The CG applies S without forming grad p,
+restricted to solenoidal fields.  That is the Stokes problem
+A z + grad p = b, div z = 0, solved by CG on the pressure Schur complement
+S p = -div(A^-1 grad p).  A itself is inverted exactly by fast
+diagonalisation: each velocity block is a sum of two 1D tridiagonal
+stiffnesses, whose eigenpairs are cached by (n, h, end entry) and shared
+with the momentum preconditioner; both solve through
+grid_ops.tensor_solve.  The CG applies S without forming grad p,
 A^-1 grad p or its divergence: the 1D cell-to-face difference of each
 block's wall-normal axis is folded into that axis's eigenbasis once per
 grid, so S is four matrix products per velocity block.  S is
