@@ -81,7 +81,7 @@ class TestViscousOperator:
         """<D^T q, u> = <q, D u> for independent cell and corner fields in
         all four slots at once, and D^T leaves the normal faces at zero."""
         grid = Grid(nx, ny, lx, ly)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed + 1)  # a stream apart from u, v's
         u, v = random_interior(grid, seed)
         q = (rng.standard_normal((nx, ny)), rng.standard_normal((nx + 1, ny + 1)),
              rng.standard_normal((nx + 1, ny + 1)), rng.standard_normal((nx, ny)))
