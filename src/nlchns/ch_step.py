@@ -27,11 +27,11 @@ positive definite and solved by conjugate gradients, preconditioned by
 median(W') + dt A in the DCT-II basis.  Up to grid_ops.DENSE_MAX_N the CG
 applies A and that inverse as dense 1D matrix products (the workspace's
 stiffnesses and grid_ops.tensor_solve); on larger grids through the
-stencil and the scipy.fft pair.  The Newton residual always takes the
-stencil, whose sums telescope, so the mass argument below holds on both.
-Newton starts at psi = m(phi0), which needs no inverse.  W
-itself is a safeguarded pointwise Newton inside the bracket
-|W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
+stencil and the scipy.fft pair, which only those grids import.  The
+Newton residual always takes the stencil, whose sums telescope, so the
+mass argument below holds on both.  Newton starts at psi = m(phi0), which
+needs no inverse.  W itself is a safeguarded pointwise Newton inside the
+bracket |W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
 makes the energy non-increasing for u = 0 at any dt (up to the kernel's
 departure from positive semidefiniteness, which is roundoff-level for the
 gaussian family), keeps constant states exact fixed points, and conserves
@@ -51,13 +51,16 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import diagnostics as dg
 from . import grid_ops as go
 from .grid_ops import ScalarField, face_phi
 
 log = logging.getLogger(__name__)
+
+# the preconditioner's own binding, imported at its first DCT (grids above
+# go.DENSE_MAX_N); the benchmark's ch_step.dct span wraps its dctn/idctn
+sfft = go.LazyModule("scipy.fft")
 
 SATURATION_GUARD = 1.0 - 1e-10
 MASS_DEFECT_LIMIT = 1e-12

@@ -68,6 +68,7 @@ from collections import namedtuple
 from itertools import chain
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import diagnostics as dg
 from . import grid_ops as go
@@ -600,7 +601,7 @@ class _Stepper:
     def __init__(self, cfg, phys):
         self.grid, self.kd, self.pot = phys.grid, phys.kd, phys.pot
         self.dt = cfg["dt"]
-        rng = np.random.default_rng(cfg["seed"])
+        rng = default_rng(cfg["seed"])
         self.ch = init_state(_initial_phi(cfg, self.grid, rng), self.kd, self.pot)
 
 

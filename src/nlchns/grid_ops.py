@@ -35,6 +35,8 @@ solve.  Two branches apply it, chosen by grid size:
   the transform pair is tensor_solve over the cosine matrices, O(N^1.5)
   in matrix products that beat the FFT's per-call cost on such grids;
 - larger grids: the scipy.fft DCT-II pair, O(N log N), and the stencil.
+  Only this branch needs scipy.fft, so it is imported at the first
+  transform (LazyModule): no command on a grid within DENSE_MAX_N loads it.
 
 tensor_solve is the one fast-diagonalisation solve (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964): the momentum preconditioner and the exact stiffness
@@ -49,13 +51,27 @@ operator and the componentwise stiffness are D^T of a weighted D, and the
 advective tendency is -D^T of the momentum flux.
 """
 
+import importlib
 import struct
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as sfft
+
+
+class LazyModule:
+    """Stands for the module ``name``, imported at the first attribute
+    lookup.  An attribute set on the instance shadows the module's."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sfft = LazyModule("scipy.fft")
 
 
 class GridError(Exception):

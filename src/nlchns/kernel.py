@@ -8,12 +8,15 @@ an amplitude normalization fixing the whole-plane L1 mass:
 
 The convolution is restricted to the domain: (J*phi)(x) = sum_y h^2
 J(x - y) phi(y) over cells y, no periodic wraparound.  It is evaluated with
-real FFTs against a tabulated displacement table J(x_i - y_k), 2n - 1
-entries per axis, zero-padded to next_fast_len(2n - 1): the smallest
-length at which the circular wrap misses the n restricted outputs.  This
-makes the fast path equal to a fixed-quadrature direct sum up to FFT
-roundoff.  The coefficient field a(x) = (J * 1)(x) is produced by the
-same code path at build time, so the constant-state identity
+numpy.fft's real FFTs against a tabulated displacement table J(x_i - y_k),
+2n - 1 entries per axis, zero-padded to fast_len(2n - 1): the first
+length with no prime factor above 11 (scipy.fft.next_fast_len's rule) at
+or past 2n - 1, the shortest at which the circular wrap misses the n
+restricted outputs.  This makes the fast path equal to a fixed-quadrature
+direct sum up to FFT roundoff, and keeps scipy.fft out of every grid
+within grid_ops.DENSE_MAX_N.  The coefficient field a(x) = (J * 1)(x) is
+produced by the same code path at build time, so the constant-state
+identity
 
     a c - J * c + F'(c) = F'(c)
 
@@ -27,7 +30,7 @@ computed here once and frozen into the kernel data.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
+from numpy.fft import irfft2, rfft2
 
 from .grid_ops import Grid, ScalarField
 
@@ -111,8 +114,8 @@ class KernelData:
     _jhat: np.ndarray = field(repr=False, default=None)
 
     def convolve_raw(self, arr):
-        f = sfft.rfft2(arr, self._fshape)
-        full = sfft.irfft2(f * self._jhat, self._fshape)
+        f = rfft2(arr, self._fshape)
+        full = irfft2(f * self._jhat, self._fshape)
         nx, ny = self.grid.nx, self.grid.ny
         out = full[nx - 1: 2 * nx - 1, ny - 1: 2 * ny - 1]
         return out * self.grid.cell_volume
@@ -128,6 +131,20 @@ class KernelData:
             "grad_j_l1_discrete": self.grad_j_l1,
             "grad_j_l1_continuum": self.spec.grad_l1_continuum(),
         }
+
+
+def fast_len(n):
+    """The smallest integer >= n >= 1 with no prime factor above 11: the
+    FFT length that scipy.fft.next_fast_len picks for complex input."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 def _displacements(n, h):
@@ -157,11 +174,9 @@ def build_kernel(spec, grid):
     # the linear convolution has 3n-2 entries per axis; at a circular length
     # L >= 2n-1 the one that wraps onto output index k >= n-1 is k + L >=
     # 3n-2, past the last, so the slice [n-1, 2n-1) is alias-free
-    fshape = (
-        sfft.next_fast_len(2 * grid.nx - 1),
-        sfft.next_fast_len(2 * grid.ny - 1),
-    )
-    jhat = sfft.rfft2(jtab, fshape)
+    fshape = (fast_len(2 * grid.nx - 1), fast_len(2 * grid.ny - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        jhat = rfft2(jtab, fshape)
 
     kd = KernelData(
         spec=spec, grid=grid, Jtab=jtab, a_field=None,

@@ -58,6 +58,7 @@ from functools import cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import grid_ops as go
 from .grid_ops import ScalarField, VectorField
@@ -493,7 +494,7 @@ def stokes_lambda1(grid, tol=1e-10, maxiter=50):
     an invariant subspace, whose Ritz value is exact.  Raises NSError when
     successive estimates still differ by more than tol (relative) after
     maxiter solves."""
-    rng = np.random.default_rng(1234)
+    rng = default_rng(1234)
     u = rng.standard_normal((grid.nx + 1, grid.ny))
     v = rng.standard_normal((grid.nx, grid.ny + 1))
     w = _pack(*project_divfree(grid, *_zero_normal(u, v)))

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 EPS_MAX_DEFAULT = 0.2
 S_RANGE = 3.0  # |s| range of the d_q scan and of the sampled lemma audit
@@ -357,7 +358,7 @@ def verify_potential_lemmas(spec, samples=100_000,
     if spec.beta is None:
         raise PotentialBuildError("verify_potential_lemmas needs spec.beta for "
                                   "the convexity-shift check")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     pots = {eps: build_F_eps(PotentialSpec(spec.theta, spec.theta_c, spec.q,
                                            eps, spec.beta))
             for eps in eps_grid}

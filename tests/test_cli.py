@@ -782,22 +782,27 @@ class TestConsoleEntry:
         assert "error[epsilon-range]:" in proc.stderr
 
 
-# In a fresh interpreter: the stepping and audit commands, then the
-# potential table, recording after each whether scipy.optimize is loaded.
+# In a fresh interpreter: the stepping and audit commands on a 16^2 grid,
+# one step of run-ch on a grid above go.DENSE_MAX_N, then the potential
+# table, recording after each whether scipy.optimize and scipy.fft are
+# loaded.
 FOOTPRINT_SCRIPT = """
 import json, sys
 from nlchns import cli
 
-out, cfg, sweep = sys.argv[1:]
+out, cfg, sweep, big = sys.argv[1:]
 loaded = {}
-for argv in (["run", "--config", cfg, "--out", out + "/run"],
-             ["diagnose", out + "/run"],
-             ["run-ch", "--config", cfg, "--out", out + "/run-ch"],
-             ["eps-sweep", "--config", sweep, "--out", out + "/sweep"],
-             ["kernel-report", "--config", cfg],
-             ["potential-table", "--config", cfg, "--out", out + "/table"]):
+for name, argv in (
+        ("run", ["run", "--config", cfg, "--out", out + "/run"]),
+        ("diagnose", ["diagnose", out + "/run"]),
+        ("run-ch", ["run-ch", "--config", cfg, "--out", out + "/run-ch"]),
+        ("eps-sweep", ["eps-sweep", "--config", sweep, "--out", out + "/sweep"]),
+        ("kernel-report", ["kernel-report", "--config", cfg]),
+        ("run-ch-big", ["run-ch", "--config", big, "--out", out + "/big"]),
+        ("potential-table",
+         ["potential-table", "--config", cfg, "--out", out + "/table"])):
     rc = cli.main(argv)
-    loaded[argv[0]] = [rc, "scipy.optimize" in sys.modules]
+    loaded[name] = [rc, "scipy.optimize" in sys.modules, "scipy.fft" in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -810,13 +815,21 @@ class TestImportFootprint:
         sweep = write_cfg(tmp_path / "sweep.cfg",
                           small + "dt = 1e-3\nhorizon = 0.002\n"
                                   "eps_grid = 1e-1,5e-2\n")
+        n = go.DENSE_MAX_N + 4
+        big = write_cfg(tmp_path / "big.cfg",
+                        f"grid_nx = {n}\ngrid_ny = {n}\nkernel_width = 0.05\n"
+                        "dt = 1e-3\nhorizon = 1e-3\n")
         proc = subprocess.run(
-            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path), cfg, sweep],
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path), cfg, sweep,
+             big],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert loaded.pop("potential-table") == [0, True]
-        assert loaded == {cmd: [0, False] for cmd in
+        # only the DCT of a grid above DENSE_MAX_N needs scipy.fft; the
+        # potential table loads it through scipy.optimize
+        assert loaded.pop("run-ch-big") == [0, False, True]
+        assert loaded.pop("potential-table") == [0, True, True]
+        assert loaded == {cmd: [0, False, False] for cmd in
                           ("run", "diagnose", "run-ch", "eps-sweep",
                            "kernel-report")}
         table = (tmp_path / "table" / "potential_table.csv").read_text()

@@ -9,6 +9,7 @@ adaptive quadrature.
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.fft import next_fast_len
 
 from nlchns.grid_ops import Grid
 from nlchns.kernel import (
@@ -17,6 +18,7 @@ from nlchns.kernel import (
     KernelResolutionError,
     KernelSpec,
     build_kernel,
+    fast_len,
 )
 from nlchns.potential import PotentialBuildError, PotentialSpec
 
@@ -148,6 +150,10 @@ class TestBuildAndConvolve:
         want = direct_convolve("gaussian", 0.08, 1.0, g, f)
         got = kd.convolve_raw(f)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_padding_is_scipy_next_fast_len(self):
+        ns = range(1, 4097)
+        assert [fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
 
     @pytest.mark.parametrize("family,width,shape", [
         ("gaussian", 0.4, (11, 17, 1.1, 1.7)),
