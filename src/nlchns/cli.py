@@ -357,11 +357,17 @@ def _nsteps(cfg):
             "time", f"horizon / dt = {ratio:.6g} steps, more than the "
                     f"{MAX_STEPS} a run may take")
     n = int(round(ratio))
-    if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
+    if _off_step(horizon, n, dt):
         raise ConfigError(
             "time", f"horizon {horizon:.6g} is not an integer multiple of dt {dt:.6g}"
         )
     return n
+
+
+def _off_step(t, n, dt):
+    """Whether time t misses step n, n dt, by more than 1e-9 max(1, |t|);
+    elementwise on arrays."""
+    return np.abs(t - n * dt) > 1e-9 * np.maximum(1.0, np.abs(t))
 
 
 def _eps_list(cfg):
@@ -807,10 +813,11 @@ def run_eps_sweep(cfg, outdir):
 
 # -------------------------------------------------------------- diagnose
 
-def _snapshots(rundir, grid, singular):
+def _snapshots(rundir, grid, dt, singular):
     """(t, phi) of each entry of the run's snapshot index, each file read
-    only when its pair is drawn.  In a singular (epsilon = 0) run every
-    snapshot must hold |phi| < 1, the potential's domain."""
+    only when its pair is drawn.  An entry's step must be a count and its t
+    a number at step dt.  In a singular (epsilon = 0) run every snapshot
+    must hold |phi| < 1, the potential's domain."""
     try:
         with open(os.path.join(rundir, "snapshots.json")) as fh:
             entries = list(json.load(fh)["snapshots"])
@@ -818,12 +825,19 @@ def _snapshots(rundir, grid, singular):
         raise ConfigError("io", f"bad snapshot index: {exc}") from None
     for entry in entries:
         try:
-            t = entry["t"]
+            step, t = entry["step"], entry["t"]
             values, _meta = go.read_snapshot(
                 os.path.join(rundir, entry["phi"]["file"]))
             phi = ScalarField(grid, values)
         except (OSError, GridError, KeyError, TypeError) as exc:
             raise ConfigError("io", f"bad snapshot: {exc}") from None
+        # a step count, and a finite number t (a float's range, which an
+        # int may pass) at step dt
+        if not (type(step) is int and 0 <= step <= MAX_STEPS
+                and type(t) in (int, float) and abs(t) <= sys.float_info.max
+                and not _off_step(t, step, dt)):
+            raise ConfigError("io", f"bad snapshot index: step {step!r} at "
+                                    f"t {t!r} is not a step of dt {dt:.6g}")
         if singular and np.max(np.abs(values)) >= 1.0:
             raise ConfigError("io", f"bad snapshot: {entry['phi']['file']} holds "
                                     "|phi| >= 1, outside the singular potential's "
@@ -877,15 +891,15 @@ def _audit_run(rundir):
     # a run's mean stays inside the cap m0 < 1; the audit evaluates F there
     if not np.all(np.abs(series["mass"]) < 1.0):
         raise ConfigError("io", "series.csv mass must lie in (-1, 1)")
-    # row n is written at t = n dt; the rule is _nsteps' horizon test
+    # row n is written at t = n dt
     t, dt = series["t"], cfg["dt"]
-    if np.any(np.abs(t - np.arange(t.size) * dt) > 1e-9 * np.maximum(1.0, np.abs(t))):
+    if np.any(_off_step(t, np.arange(t.size), dt)):
         raise ConfigError("io", f"series.csv t is not n dt for the manifest's "
                                 f"dt {dt:.6g}")
 
     snapshots = None
     if os.path.exists(os.path.join(rundir, "snapshots.json")):
-        snapshots = _snapshots(rundir, grid, cfg["epsilon"] == 0.0)
+        snapshots = _snapshots(rundir, grid, dt, cfg["epsilon"] == 0.0)
     forced = (cfg["forcing"] != "zero") if coupled else (cfg["velocity"] != "zero")
     return (manifest, *dg.audit(series, snapshots, dt, coupled, forced,
                                 cfg["nu1"], kd, pot))

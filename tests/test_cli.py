@@ -219,6 +219,14 @@ def _drop_first_phi(text):
     return json.dumps(doc)
 
 
+def _second_snapshot_t(value):
+    def edit(text):
+        doc = json.loads(text)
+        doc["snapshots"][1]["t"] = value
+        return json.dumps(doc)
+    return _index_edit(edit)
+
+
 def _drop_mass_column(rundir):
     path = rundir / "series.csv"
     rows = [line.split(",") for line in path.read_text().splitlines()]
@@ -270,6 +278,11 @@ class TestMalformedRunDirectory:
         ("wrong-magic", _snapshot_edit(lambda b: b"NOTAFLD1" + b[8:]), "io"),
         ("index-not-json", _index_edit(lambda text: text[:-5]), "io"),
         ("entry-without-phi", _index_edit(_drop_first_phi), "io"),
+        # the second snapshot is step 5 at t = 5 dt = 0.01
+        ("snapshot-t-text", _second_snapshot_t("abc"), "io"),
+        ("snapshot-t-nan", _second_snapshot_t(float("nan")), "io"),
+        ("snapshot-t-list", _second_snapshot_t([1, 2]), "io"),
+        ("snapshot-t-off-step", _second_snapshot_t(0.011), "io"),
         ("series-without-mass", _drop_mass_column, "io"),
         ("series-header-only", _keep_series_header, "io"),
         ("series-empty", _empty_series, "io"),
