@@ -30,7 +30,7 @@ computed here once and frozen into the kernel data.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import irfft2, rfft2
+from numpy.fft import ifft, irfft, rfft2
 
 from .grid_ops import Grid, ScalarField
 
@@ -114,10 +114,13 @@ class KernelData:
     _jhat: np.ndarray = field(repr=False, default=None)
 
     def convolve_raw(self, arr):
-        f = rfft2(arr, self._fshape)
-        full = irfft2(f * self._jhat, self._fshape)
         nx, ny = self.grid.nx, self.grid.ny
-        out = full[nx - 1: 2 * nx - 1, ny - 1: 2 * ny - 1]
+        f = rfft2(arr, self._fshape)
+        f *= self._jhat
+        # irfft2, with its last stage run on the nx kept rows only: each
+        # row's transform is unchanged, bit for bit
+        rows = ifft(f, axis=0)[nx - 1: 2 * nx - 1]
+        out = irfft(rows, self._fshape[1], axis=1)[:, ny - 1: 2 * ny - 1]
         return out * self.grid.cell_volume
 
     def report(self):

@@ -151,6 +151,17 @@ class TestBuildAndConvolve:
         got = kd.convolve_raw(f)
         assert np.max(np.abs(got - want)) <= 1e-10
 
+    @pytest.mark.parametrize("nx,ny", [(16, 16), (9, 13), (32, 32), (48, 40)])
+    def test_matches_full_inverse_transform_bitwise(self, nx, ny):
+        # convolve_raw runs irfft2's last stage on the kept rows only
+        g = Grid(nx, ny)
+        kd = build_kernel(KernelSpec("gaussian", 0.25), g)
+        f = np.random.default_rng(4).standard_normal((nx, ny))
+        s = kd._fshape
+        full = np.fft.irfft2(np.fft.rfft2(f, s) * kd._jhat, s)
+        want = full[nx - 1: 2 * nx - 1, ny - 1: 2 * ny - 1] * g.cell_volume
+        assert np.array_equal(kd.convolve_raw(f), want)
+
     def test_padding_is_scipy_next_fast_len(self):
         ns = range(1, 4097)
         assert [fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
