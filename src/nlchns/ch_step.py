@@ -27,11 +27,11 @@ positive definite and solved by conjugate gradients, preconditioned by
 median(W') + dt A in the DCT-II basis.  Up to grid_ops.DENSE_MAX_N the CG
 applies A and that inverse as dense 1D matrix products (the workspace's
 stiffnesses and grid_ops.tensor_solve); on larger grids through the
-stencil and the scipy.fft pair, which only those grids import.  The
-Newton residual always takes the stencil, whose sums telescope, so the
-mass argument below holds on both.  Newton starts at psi = m(phi0), which
-needs no inverse.  W itself is a safeguarded pointwise Newton inside the
-bracket |W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
+stencil and the scipy.fft pair, which only those grids import.  The Newton
+residual always takes the stencil, whose sums telescope, so the mass
+argument below holds on both.  Newton starts at psi = m(phi0), which needs
+no inverse.  W itself is a safeguarded pointwise Newton inside the bracket
+|W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
 makes the energy non-increasing for u = 0 at any dt (up to the kernel's
 departure from positive semidefiniteness, which is roundoff-level for the
 gaussian family), keeps constant states exact fixed points, and conserves

@@ -831,8 +831,8 @@ def _snapshots(rundir, grid, dt, singular):
             phi = ScalarField(grid, values)
         except (OSError, GridError, KeyError, TypeError) as exc:
             raise ConfigError("io", f"bad snapshot: {exc}") from None
-        # a step count, and a finite number t (a float's range, which an
-        # int may pass) at step dt
+        # step is a count and t a number at step dt; the bound on |t|
+        # refuses nan, inf and an int past a float's range
         if not (type(step) is int and 0 <= step <= MAX_STEPS
                 and type(t) in (int, float) and abs(t) <= sys.float_info.max
                 and not _off_step(t, step, dt)):

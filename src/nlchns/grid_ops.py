@@ -36,7 +36,7 @@ solve.  Two branches apply it, chosen by grid size:
   in matrix products that beat the FFT's per-call cost on such grids;
 - larger grids: the scipy.fft DCT-II pair, O(N log N), and the stencil.
   Only this branch needs scipy.fft, so it is imported at the first
-  transform (LazyModule): no command on a grid within DENSE_MAX_N loads it.
+  transform (LazyModule), and a run within DENSE_MAX_N never loads it.
 
 tensor_solve is the one fast-diagonalisation solve (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964): the momentum preconditioner and the exact stiffness
