@@ -52,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics as dg
 from . import grid_ops as go
 from .grid_ops import ScalarField, face_phi
 
@@ -117,11 +116,6 @@ def chemical_potential(phi, kd, pot, conv=None):
         conv = kd.convolve_raw(p)
     vals = kd.a_field.values * p - conv + pot.fprime(p)
     return ScalarField(phi.grid, vals)
-
-
-def ch_energy(phi, kd, pot):
-    """1/2 <a phi, phi> - 1/2 <phi, J*phi> + int F(phi)."""
-    return dg.energy_terms(phi, None, kd, pot)[3]
 
 
 def convective_divergence(u, p):
@@ -209,8 +203,7 @@ def ch_step(state, u, dt, kd, pot):
     adv = convective_divergence(u, p0) if u is not None else 0.0
     b = p0 - dt * adv - dt * go.laplace_arrays(grid, state.conv)
     imap = ImplicitMap(kd.a_field.values, pot)
-    ws = go.workspace(grid)
-    lam, dense = ws.eig, ws.dense  # A = -laplace on the DCT-II basis
+    lam, dense = go.workspace(grid)  # A = -laplace on the DCT-II basis
     scale = max(1.0, float(np.max(np.abs(b))))
     tol = 1e-13 * np.sqrt(b.size) * scale
 
@@ -250,6 +243,8 @@ def ch_step(state, u, dt, kd, pot):
         try:
             delta, _ = go.cg(mv, -residual, precond, rtol=rtol_cg,
                              maxiter=2000)
+        except go.CGNonFinite as exc:
+            raise CHError(f"implicit update: {exc}") from None
         except go.CGStall:
             raise StepRejection("inner CG for the implicit update stalled",
                                 dt / 2.0) from None
@@ -287,24 +282,6 @@ def ch_step(state, u, dt, kd, pot):
 
     return _accepted_state(ScalarField(grid, p1), kd, pot,
                            state.t + dt, state.mass0, saturated or state.saturated)
-
-
-def ch_energy_identity_residual(states, u, kd, pot, dt):
-    """Per-step residuals of the standalone energy balance
-
-        [E(phi1) - E(phi0)]/dt + ||grad mu1||^2 - <u phibar1, grad mu1>.
-
-    First order in dt for the semi-implicit scheme; identically zero on
-    constant states.
-    """
-    energies = [ch_energy(s.phi, kd, pot) for s in states]
-    out = np.empty(len(states) - 1)
-    for n in range(len(states) - 1):
-        s1 = states[n + 1]
-        power = convective_power(u, s1.phi.values, s1.mu.values) if u is not None else 0.0
-        out[n] = dg.identity_residual(energies[n], energies[n + 1], dt, 0.0,
-                                      go.h1_seminorm(s1.mu) ** 2, power)
-    return out
 
 
 def fprime_l1(phi, pot):

@@ -50,7 +50,7 @@ trajectory.  For coupled runs it is
 
 with the same frozen-coefficient convention the flow stepper uses; for
 transport-only runs the viscous and forcing terms are replaced by the
-convective power, matching ch_step.ch_energy_identity_residual.
+convective power, matching diagnostics.ch_energy_identity_residual.
 
 Exit codes: 0 success, 2 config rejection (stderr line
 ``error[<code>]: message``), 3 numerical failure mid-run.  On a mid-run
@@ -445,8 +445,12 @@ def _initial_velocity(cfg, grid):
     return _swirl(grid, cfg["init_u_amplitude"], "init")
 
 
-def _cos_in_time(field, omega):
-    """field scaled by cos(omega t), as a callable of time."""
+def _cos_in_time(field, omega, horizon, key):
+    """field scaled by cos(omega t), as a callable of time; a phase
+    omega * horizon that is not finite is a ConfigError naming key."""
+    if not math.isfinite(omega * horizon):
+        raise ConfigError("parse", f"{key} gives angular frequency {omega:.6g}, "
+                                   f"whose phase over the horizon is not finite")
     return lambda t: VectorField(field.grid, np.cos(omega * t) * field.u,
                                  np.cos(omega * t) * field.v)
 
@@ -465,7 +469,8 @@ def _forcing_fn(cfg, grid):
     if kind == "steady":
         return lambda t: steady
     if kind == "time-periodic":
-        return _cos_in_time(steady, cfg["forcing_omega"])
+        return _cos_in_time(steady, cfg["forcing_omega"], cfg["horizon"],
+                            "forcing_omega")
     raise ConfigError("parse", f"unknown forcing kind {kind!r}")
 
 
@@ -483,7 +488,7 @@ def _velocity_fn(cfg, grid):
         if period <= 0.0:
             raise ConfigError("parse", f"velocity_period must be positive, got {period}")
         return _cos_in_time(_swirl(grid, cfg["velocity_amplitude"], "parse"),
-                            2.0 * np.pi / period)
+                            2.0 * np.pi / period, cfg["horizon"], "velocity_period")
     raise ConfigError("parse", f"unknown velocity kind {kind!r}")
 
 

@@ -24,8 +24,9 @@ For the exact time discretization the residual is O(dt) on smooth data,
 and its cumulative integral stays nonpositive up to roundoff (the scheme
 dissipates at least as much as the identity claims).  energy_terms and
 identity_residual are the one energy formula and the one residual formula:
-the run series, the post-hoc residuals here and the transport-only
-residual in ch_step all evaluate them, in the same float order.
+the run series and both identities here, the coupled
+energy_identity_residuals and the transport-only
+ch_energy_identity_residual, evaluate them in the same float order.
 
 audit holds every check of ``nlchns diagnose`` (mass, saturation, energy
 direction, incompressibility, the gradient comparison bound per snapshot
@@ -55,6 +56,7 @@ import numpy as np
 
 from . import grid_ops as go
 from . import ns_step
+from .ch_step import MASS_DEFECT_LIMIT, chemical_potential, convective_power
 from .grid_ops import ScalarField, VectorField
 
 WINDOW_WIDTH = 1.0
@@ -173,8 +175,6 @@ def energy_identity_residuals(traj, kernel, feps, visc):
     """Residual series r_n, n = 0 .. n_snapshots - 2, per the module
     docstring for an unforced run (h = 0), with chemical potentials
     recomputed from phi as the stepper does."""
-    from .ch_step import chemical_potential
-
     n = traj.n_snapshots
     if n < 2:
         raise DiagnosticsError("need at least two snapshots for residuals")
@@ -190,6 +190,24 @@ def energy_identity_residuals(traj, kernel, feps, visc):
         diss_m = go.h1_seminorm(mu_next) ** 2
         out[k] = identity_residual(energies[k], energies[k + 1], traj.dt,
                                    diss_v, diss_m, 0.0)
+    return out
+
+
+def ch_energy_identity_residual(states, u, kd, pot, dt):
+    """Per-step residuals of the standalone CH energy balance over a list
+    of CHState,
+
+        [E(phi1) - E(phi0)]/dt + ||grad mu1||^2 - <u phibar1, grad mu1>.
+
+    First order in dt for the semi-implicit scheme; identically zero on
+    constant states."""
+    energies = [energy_terms(s.phi, None, kd, pot)[3] for s in states]
+    out = np.empty(len(states) - 1)
+    for n in range(len(states) - 1):
+        s1 = states[n + 1]
+        power = convective_power(u, s1.phi.values, s1.mu.values) if u is not None else 0.0
+        out[n] = identity_residual(energies[n], energies[n + 1], dt, 0.0,
+                                   go.h1_seminorm(s1.mu) ** 2, power)
     return out
 
 
@@ -280,8 +298,6 @@ def audit(series, snapshots, dt, coupled, forced, nu1, kernel, pot):
     c0 the potential's.  Returns the checks, by name, and the gradient
     bound's rows (t, ||grad mu||^2, comparison rhs, margin), one per
     snapshot."""
-    from .ch_step import MASS_DEFECT_LIMIT, chemical_potential
-
     grid = kernel.grid
     checks = {}
     mass = series["mass"]

@@ -26,12 +26,12 @@ with eigenvalues (4/hx^2) sin^2(kx pi / 2nx) + (4/hy^2) sin^2(ky pi / 2ny).
 Every Neumann Poisson solve (the pressure and Leray projections, the
 zero-mean inverse N and the V0' norm) is therefore one direct transform
 pair, exact to roundoff: the staggered-grid direct method of Schumann &
-Sweet, J. Comput. Phys. 75 (1988).  The per-grid workspace holds the
-eigenvalue table, shared with the DCT preconditioner of the implicit CH
-solve.  Two branches apply it, chosen by grid size:
+Sweet, J. Comput. Phys. 75 (1988).  workspace(grid), built once per grid,
+holds the eigenvalue table, shared with the DCT preconditioner of the
+implicit CH solve.  Two branches apply it, chosen by grid size:
 
-- both sides at most DENSE_MAX_N: the workspace also holds, built at first
-  use, the dense cosine matrices and 1D stiffnesses (A = Kx x + x Ky), and
+- both sides at most DENSE_MAX_N: the workspace also holds the dense
+  cosine matrices and 1D stiffnesses (A = Kx x + x Ky), and
   the transform pair is tensor_solve over the cosine matrices, O(N^1.5)
   in matrix products that beat the FFT's per-call cost on such grids;
 - larger grids: the scipy.fft DCT-II pair, O(N log N), and the stencil.
@@ -54,7 +54,7 @@ advective tendency is -D^T of the momentum flux.
 import importlib
 import struct
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -147,9 +147,6 @@ class ScalarField:
     def integral(self):
         return float(self.values.sum() * self.grid.cell_volume)
 
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VectorField:
@@ -178,9 +175,6 @@ class VectorField:
             raise GridError(
                 f"boundary normal faces must be zero, max |normal| = {wall:.3g}"
             )
-
-    def copy(self):
-        return VectorField(self.grid, self.u.copy(), self.v.copy())
 
 
 def zeros(grid):
@@ -276,33 +270,26 @@ class _DenseFactors(NamedTuple):
     eig_nomean: np.ndarray  # eig with inf at the constant mode
 
 
-class _NeumannWorkspace:
-    """Per-grid DCT-II eigenvalues of A = -laplace, and on grids with both
-    sides at most DENSE_MAX_N its dense factors."""
-
-    def __init__(self, grid):
-        nx, ny = grid.nx, grid.ny
-        self.grid = grid
-        lx = (4.0 / grid.hx**2) * np.sin(np.arange(nx) * np.pi / (2 * nx)) ** 2
-        ly = (4.0 / grid.hy**2) * np.sin(np.arange(ny) * np.pi / (2 * ny)) ** 2
-        self.eig = lx[:, None] + ly[None, :]  # eig[0, 0] = 0: the constants
-
-    @cached_property
-    def dense(self):
-        """_DenseFactors, built at first use; None above DENSE_MAX_N."""
-        g = self.grid
-        if max(g.nx, g.ny) > DENSE_MAX_N:
-            return None
-        eig_nomean = self.eig.copy()
-        eig_nomean[0, 0] = np.inf  # dividing by it drops the mean
-        return _DenseFactors(_cosine_basis(g.nx), _cosine_basis(g.ny),
-                            stiffness_1d(g.nx, g.hx, 1.0),
-                            stiffness_1d(g.ny, g.hy, 1.0), eig_nomean)
+class NeumannWorkspace(NamedTuple):
+    eig: np.ndarray  # DCT-II eigenvalues of A = -laplace; eig[0, 0] = 0
+    dense: _DenseFactors | None  # None above DENSE_MAX_N
 
 
 @cache
 def workspace(grid):
-    return _NeumannWorkspace(grid)
+    """The per-grid NeumannWorkspace, built once: the eigenvalue table and,
+    with both sides at most DENSE_MAX_N, the dense factors."""
+    nx, ny = grid.nx, grid.ny
+    lx = (4.0 / grid.hx**2) * np.sin(np.arange(nx) * np.pi / (2 * nx)) ** 2
+    ly = (4.0 / grid.hy**2) * np.sin(np.arange(ny) * np.pi / (2 * ny)) ** 2
+    eig = lx[:, None] + ly[None, :]
+    if max(nx, ny) > DENSE_MAX_N:
+        return NeumannWorkspace(eig, None)
+    eig_nomean = eig.copy()
+    eig_nomean[0, 0] = np.inf  # dividing by it drops the mean
+    return NeumannWorkspace(eig, _DenseFactors(
+        _cosine_basis(nx), _cosine_basis(ny), stiffness_1d(nx, grid.hx, 1.0),
+        stiffness_1d(ny, grid.hy, 1.0), eig_nomean))
 
 
 def tensor_solve(qx, qy, lam, f):
@@ -319,11 +306,9 @@ def solve_neumann_direct(grid, rhs):
     One DCT-II pair: transform, divide by the eigenvalues, zero the
     constant mode, transform back; as a dense tensor_solve on small grids.
     """
-    ws = workspace(grid)
-    dense = ws.dense
+    eig, dense = workspace(grid)
     if dense is not None:
         return tensor_solve(dense.qx, dense.qy, dense.eig_nomean, rhs)
-    eig = ws.eig
     coef = sfft.dctn(rhs, type=2, norm="ortho")
     coef = np.divide(coef, eig, out=np.zeros_like(coef), where=eig > 0.0)
     return sfft.idctn(coef, type=2, norm="ortho")

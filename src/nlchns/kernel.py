@@ -150,10 +150,6 @@ def fast_len(n):
         m += 1
 
 
-def _displacements(n, h):
-    return np.arange(-(n - 1), n) * h
-
-
 def build_kernel(spec, grid):
     """Tabulate J on the displacement lattice, build the FFT plan, compute
     a(x) = (J * 1)(x) through that plan, and freeze the derived scalars.
@@ -169,10 +165,14 @@ def build_kernel(spec, grid):
             f"kernel width {spec.width:.6g} under-resolved: need width >= 2h "
             f"= {2.0 * h:.6g}"
         )
-    dx = _displacements(grid.nx, grid.hx)
-    dy = _displacements(grid.ny, grid.hy)
-    rad = np.hypot(dx[:, None], dy[None, :])
-    jtab = spec.profile(rad)
+    # J on the displacement lattice padded by one step per side: the
+    # interior (2n-1 entries per axis) is the convolution table, and the
+    # padding covers every difference in a face gradient of J*phi
+    dx = np.arange(-grid.nx, grid.nx + 1) * grid.hx
+    dy = np.arange(-grid.ny, grid.ny + 1) * grid.hy
+    padded = spec.profile(np.hypot(dx[:, None], dy[None, :]))
+    # contiguous, as sum() over a strided view would add in another order
+    jtab = padded[1:-1, 1:-1].copy()
 
     # the linear convolution has 3n-2 entries per axis; at a circular length
     # L >= 2n-1 the one that wraps onto output index k >= n-1 is k + L >=
@@ -202,24 +202,12 @@ def build_kernel(spec, grid):
             f"coefficient field must stay positive, got min a = {kd.beta:.3g}"
         )
 
-    kd.tv_x = _directional_tv(spec, grid, axis=0)
-    kd.tv_y = _directional_tv(spec, grid, axis=1)
+    # sum_z h^2 |J(z + h e) - J(z)| / h per axis: the directional TV that
+    # majorizes ||grad_axis (J*phi)||_L2 / ||phi||_L2
+    tv = np.abs(np.diff(padded[:, 1:-1], axis=0)).sum()
+    kd.tv_x = float(tv * grid.cell_volume / grid.hx)
+    tv = np.abs(np.diff(padded[1:-1, :], axis=1)).sum()
+    kd.tv_y = float(tv * grid.cell_volume / grid.hy)
     kd.grad_j_l1 = max(kd.tv_x, kd.tv_y)
     return kd
 
-
-def _directional_tv(spec, grid, axis):
-    """sum_z h^2 |J(z + h e) - J(z)| / h over a lattice padded by one row,
-    so every displacement difference occurring in a face gradient of J*phi
-    is covered.  This majorizes ||grad_axis (J*phi)||_L2 / ||phi||_L2."""
-    if axis == 0:
-        dx = np.arange(-grid.nx, grid.nx + 1) * grid.hx
-        dy = _displacements(grid.ny, grid.hy)
-        step = grid.hx
-    else:
-        dx = _displacements(grid.nx, grid.hx)
-        dy = np.arange(-grid.ny, grid.ny + 1) * grid.hy
-        step = grid.hy
-    vals = spec.profile(np.hypot(dx[:, None], dy[None, :]))
-    diffs = np.abs(np.diff(vals, axis=axis))
-    return float(diffs.sum() * grid.cell_volume / step)

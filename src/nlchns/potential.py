@@ -139,26 +139,9 @@ def _check_orders(spec, ks):
             raise PotentialError(f"derivative order k={k} outside 0..{spec.order}")
 
 
-def eval_F1_derivatives(spec, ks, s):
-    """[F1^(k)(s) for k in ks], closed form, with one domain check shared
-    by every order (see eval_F1_derivative)."""
-    _check_orders(spec, ks)
-    s = np.asarray(s, dtype=float)
-    outside = np.abs(s) >= 1.0
-    if np.any(outside):
-        raise PotentialDomainError(f"singular potential evaluated at or beyond "
-                                   f"+-1 (s={float(s[outside][0])!r})")
-    return [_F1_closed_form(spec.theta, k, s) for k in ks]
-
-
-def eval_F1_derivative(spec, k, s):
-    """k-th derivative of the convex logarithmic part, closed form.
-
-    F1'(s)    = (theta/2) log((1+s)/(1-s))
-    F1^(k)(s) = (theta/2) (k-2)! [(-1)^k/(1+s)^(k-1) + 1/(1-s)^(k-1)], k >= 2
-    """
-    (out,) = eval_F1_derivatives(spec, (k,), s)
-    return out if np.ndim(out) else float(out)
+def _scalar(out, s):
+    """out as a float when the argument s was a scalar."""
+    return out if np.ndim(s) else float(out)
 
 
 class LogPotential:
@@ -174,31 +157,28 @@ class LogPotential:
     def f1(self, s, k=0):
         """k-th derivative of F1 (of F1_eps when regularized)."""
         (out,) = self.f1_orders(s, (k,))
-        return out if np.ndim(out) else float(out)
+        return _scalar(out, s)
 
     def f(self, s):
         s_arr = np.asarray(s, dtype=float)
-        out = self.f1(s, 0) - 0.5 * self.spec.theta_c * s_arr**2
-        return float(out) if np.ndim(s) == 0 else out
+        (d0,) = self.f1_orders(s_arr, (0,))
+        return _scalar(d0 - 0.5 * self.spec.theta_c * s_arr**2, s)
 
     def fprime(self, s):
         s_arr = np.asarray(s, dtype=float)
-        out = self.f1(s, 1) - self.spec.theta_c * s_arr
-        return float(out) if np.ndim(s) == 0 else out
+        (d1,) = self.f1_orders(s_arr, (1,))
+        return _scalar(d1 - self.spec.theta_c * s_arr, s)
 
     def fsecond(self, s):
-        out = self.f1(s, 2) - self.spec.theta_c
-        return float(out) if np.ndim(s) == 0 else out
+        (d2,) = self.f1_orders(s, (2,))
+        return _scalar(d2 - self.spec.theta_c, s)
 
     def fprime_fsecond(self, s):
         """(F'(s), F''(s)) from one f1 pass, bit for bit the separate calls."""
         s_arr = np.asarray(s, dtype=float)
         d1, d2 = self.f1_orders(s_arr, (1, 2))
-        fp = d1 - self.spec.theta_c * s_arr
-        fpp = d2 - self.spec.theta_c
-        if np.ndim(s) == 0:
-            return float(fp), float(fpp)
-        return fp, fpp
+        return (_scalar(d1 - self.spec.theta_c * s_arr, s),
+                _scalar(d2 - self.spec.theta_c, s))
 
 
 class SingularPotential(LogPotential):
@@ -211,7 +191,19 @@ class SingularPotential(LogPotential):
     singular = True
 
     def f1_orders(self, s, ks):
-        return eval_F1_derivatives(self.spec, ks, s)
+        """[F1^(k)(s) for k in ks] in closed form, with one domain check
+        shared by every order:
+
+        F1'(s)    = (theta/2) log((1+s)/(1-s))
+        F1^(k)(s) = (theta/2) (k-2)! [(-1)^k/(1+s)^(k-1) + 1/(1-s)^(k-1)], k >= 2
+        """
+        _check_orders(self.spec, ks)
+        s = np.asarray(s, dtype=float)
+        outside = np.abs(s) >= 1.0
+        if np.any(outside):
+            raise PotentialDomainError(f"singular potential evaluated at or beyond "
+                                       f"+-1 (s={float(s[outside][0])!r})")
+        return [_F1_closed_form(self.spec.theta, k, s) for k in ks]
 
 
 class RegularizedPotential(LogPotential):
@@ -243,9 +235,10 @@ class RegularizedPotential(LogPotential):
         self.knot = 1.0 - spec.epsilon
 
         K = spec.order
+        singular = SingularPotential(spec)
         # taylor[m][j] = F1^(j+m)(knot) / j!  -> m-th derivative of the right
         # tail is sum_j taylor[m][j] * (s - knot)^j
-        derivs = np.array([eval_F1_derivative(spec, k, self.knot) for k in range(K + 1)])
+        derivs = singular.f1_orders(self.knot, range(K + 1))
         self._tail = [
             np.array([derivs[j + m] / _factorial(j) for j in range(K + 1 - m)])
             for m in range(K + 1)
@@ -255,7 +248,7 @@ class RegularizedPotential(LogPotential):
         # eps <= EPS_MAX_DEFAULT; F1^(K) is even and increasing toward +-1,
         # so the minimum sits at the inner edge 1 - EPS_MAX_DEFAULT.  This
         # makes c1 (and hence c_q) independent of the eps of this instance.
-        self.c1 = eval_F1_derivative(spec, K, 1.0 - EPS_MAX_DEFAULT)
+        self.c1 = singular.f1(1.0 - EPS_MAX_DEFAULT, K)
         self.c_q = self.c1 / (2.0 * _factorial(K))
 
     def f1_orders(self, s, ks):
@@ -379,6 +372,7 @@ def verify_potential_lemmas(spec, samples=100_000,
                 report.violations.append(LemmaViolation(
                     name, eps, float("nan"), float(idx.size), float("nan")))
 
+    singular = SingularPotential(spec)
     alpha = spec.alpha
     c0 = spec.c0
     slack = 1e-12
@@ -402,12 +396,12 @@ def verify_potential_lemmas(spec, samples=100_000,
         record("shifted_convexity", eps, lhs < rhs, s_wide, lhs, rhs)
 
         # monotone comparison with the singular potential on (-1, 1)
-        f1_sing = eval_F1_derivative(spec, 0, s_open)
+        f1_sing = singular.f1(s_open, 0)
         lhs = pot.f1(s_open, 0)
         tol = slack * (1 + np.abs(f1_sing))
         record("f1eps_le_f1", eps, lhs > f1_sing + tol, s_open, lhs, f1_sing)
 
-        d1_sing = np.abs(eval_F1_derivative(spec, 1, s_open))
+        d1_sing = np.abs(singular.f1(s_open, 1))
         lhs = np.abs(pot.f1(s_open, 1))
         tol = slack * (1 + d1_sing)
         record("abs_f1eps_prime_le", eps, lhs > d1_sing + tol, s_open, lhs, d1_sing)

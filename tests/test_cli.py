@@ -32,6 +32,9 @@ def run_module(*args):
                           capture_output=True, text=True)
 
 
+# a grid and a kernel that build in milliseconds
+SMALL = "grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+
 # a coupled run small enough to keep the whole module fast
 FAST_COUPLED = """
 grid_nx = 24
@@ -143,12 +146,17 @@ class TestRejectionCodes:
         ("horizon = 1e300\ndt = 1e-300", "time"),
         ("horizon = 0.01\ndt = 1e-300", "time"),
         ("eps_grid = 1e-1,1e-2\nhorizon = 0.01\ndt = 1e-300", "time"),
+        # finite, but the phase omega t of a periodic input overflows
+        ("velocity = swirl-periodic\nvelocity_period = 1e-308\n" + SMALL, "parse"),
+        ("forcing = time-periodic\nforcing_fx = 1\nforcing_omega = 1e308\n"
+         "dt = 0.5\nhorizon = 2\n" + SMALL, "parse"),
     ]
 
     @pytest.mark.parametrize("text,code", CASES, ids=[c for _, c in CASES])
     def test_exit_2_with_code(self, tmp_path, capsys, text, code):
         cfg = write_cfg(tmp_path / "bad.cfg", text + "\n")
-        cmd = "eps-sweep" if "eps_grid" in text else "run"
+        cmd = ("eps-sweep" if "eps_grid" in text
+               else "run-ch" if text.startswith("velocity") else "run")
         rc = cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"error[{code}]:" in capsys.readouterr().err
@@ -572,6 +580,19 @@ class TestEpsSweep:
         assert rc == 2
 
 
+def test_periodic_forcing_at_zero_frequency_is_steady(tmp_path):
+    # cos(0 t) = 1 exactly, so the series matches the steady force bit for bit
+    text = SMALL + "horizon = 0.02\nforcing_fx = 0.5\n"
+    series = []
+    for kind in ("steady", "time-periodic"):
+        cfg = write_cfg(tmp_path / f"{kind}.cfg",
+                        text + f"forcing = {kind}\nforcing_omega = 0\n")
+        out = tmp_path / kind
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        series.append((out / "series.csv").read_bytes())
+    assert series[0] == series[1]
+
+
 class TestNumericalFailure:
     def test_blowup_flushes_and_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg",
@@ -606,6 +627,19 @@ class TestNumericalFailure:
         assert m["status"] == "failed"
         assert m["outputs"]["steps_completed"] == 0
         assert m["error"].startswith("NSError: momentum solve:")
+        assert "non-finite norm" in m["error"] and "dt" not in m["error"]
+
+    def test_overflowing_implicit_update_fails_the_run(self, tmp_path):
+        # J * phi overflows, so the CH right-hand side has an infinite norm:
+        # a numerical failure that a smaller dt cannot mend
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        SMALL + "horizon = 0.01\nkernel_j_l1 = 1e300\n")
+        out = tmp_path / "o"
+        proc = run_module("run-ch", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["status"] == "failed"
+        assert m["error"].startswith("CHError")
         assert "non-finite norm" in m["error"] and "dt" not in m["error"]
 
 
@@ -648,6 +682,22 @@ class TestDiagnose:
         envelope = rep["checks"]["dissipative_envelope"]
         assert envelope["k"] == 0.5 and envelope["lambda1"] is None
         assert len((run / "gradient_bound.csv").read_text().splitlines()) == 1 + 3
+
+    def test_compact_mollifier_run(self, tmp_path):
+        # energy_direction is not asserted: the series residual uses the
+        # end-of-step mu, not the split scheme's a phi1 + F'(phi1) - J*phi0,
+        # so its prefix carries an O(dt) term of either sign
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        SMALL + "kernel_family = compact-mollifier\n"
+                        "horizon = 0.02\nsnapshot_every = 5\n")
+        run = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(run)]) == 0
+        assert cli.main(["diagnose", str(run)]) == 0
+        checks = json.loads((run / "diagnose.json").read_text())["checks"]
+        for name in ("mass_conservation", "saturation", "incompressibility",
+                     "gradient_bound"):
+            assert checks[name]["passed"], (name, checks[name])
+        assert checks["gradient_bound"]["snapshots"] == 3
 
     def test_run_stopped_at_its_first_step(self, coupled_run, tmp_path, capsys):
         # a run whose first step fails leaves the t = 0 row alone

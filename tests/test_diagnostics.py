@@ -7,8 +7,7 @@ import pytest
 from nlchns import diagnostics as dg
 from nlchns import grid_ops as go
 from nlchns import ns_step
-from nlchns.ch_step import (ch_energy_identity_residual, chemical_potential,
-                            ch_step, init_state)
+from nlchns.ch_step import chemical_potential, ch_step, init_state
 from nlchns.grid_ops import Grid, ScalarField
 from nlchns.kernel import KernelSpec, build_kernel
 from nlchns.potential import PotentialSpec, build_F_eps
@@ -207,7 +206,7 @@ class TestEnergyIdentity:
             GRID, dt, np.stack([s.phi.values for s in states]),
             np.zeros((6, 17, 16)), np.zeros((6, 16, 17)))
         ours = dg.energy_identity_residuals(traj, KD, FEPS, VISC)
-        theirs = ch_energy_identity_residual(states, still, KD, FEPS, dt)
+        theirs = dg.ch_energy_identity_residual(states, still, KD, FEPS, dt)
         scale = max(np.abs(theirs).max(), 1.0)
         assert np.abs(ours - np.asarray(theirs)).max() <= 1e-11 * scale
 

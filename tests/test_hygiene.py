@@ -5,7 +5,8 @@ property of those classes is referenced from the package, the tests or the
 benchmark, every one that only the tests use is listed in TEST_ORACLES,
 and every defaulted parameter or dataclass field of the package is passed
 by some call there (a default nobody overrides is a constant, not a
-setting).
+setting), and no function of the package imports a package module, so
+an import cycle cannot hide in a function body.
 
 A name counts as used when it appears as a bare name anywhere in the
 module, including as the root of an attribute chain (``np.linalg``), or
@@ -274,6 +275,40 @@ def test_parameter_checker_reads_positions_keywords_and_fields():
     assert unpassed_parameters([source], [callers]) == [
         (1, "f", "c"), (3, "C", "y"), (9, "D", "s")]
     assert unpassed_parameters([source], [callers + "D(*xs)\nC(**kw)\nf(c=1)\n"]) == []
+
+
+def function_package_imports(source):
+    """(line, module) of every import inside a function or method body that
+    names an nlchns module, relatively (``from .x import y``) or absolutely;
+    the module is written as in the source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Import):
+                found.update((inner.lineno, alias.name) for alias in inner.names
+                             if alias.name.partition(".")[0] == "nlchns")
+            elif isinstance(inner, ast.ImportFrom) and (
+                    inner.level or (inner.module or "").partition(".")[0] == "nlchns"):
+                found.add((inner.lineno, "." * inner.level + (inner.module or "")))
+    return sorted(found)
+
+
+def test_no_function_imports_the_package():
+    found = [f"{p.name}:{line} {module}" for p in PACKAGE
+             for line, module in function_package_imports(p.read_text())]
+    assert not found, "import these at module top: " + ", ".join(found)
+
+
+def test_function_import_checker_reads_relative_and_absolute():
+    source = ("from . import a\nimport nlchns\n"
+              "def f():\n    from .b import c\n    import nlchns.d\n"
+              "    from nlchns import e\n    from scipy import optimize\n"
+              "    def g():\n        import os\n"
+              "class C:\n    def m(self):\n        from .. import h\n")
+    assert function_package_imports(source) == [
+        (4, ".b"), (5, "nlchns.d"), (6, "nlchns"), (12, "..")]
 
 
 def bench_table(path, name):

@@ -377,7 +377,7 @@ class TestSinglePhaseDecay:
         visc = ns.ViscositySpec(nu, nu)
         phi = ScalarField(grid, np.zeros((grid.nx, grid.ny)))
         mu = ScalarField(grid, np.zeros((grid.nx, grid.ny)))
-        state = ns.init_ns_state(w0.copy())
+        state = ns.init_ns_state(w0)
         ke0 = ns.kinetic_energy(state.u)
         for _ in range(nsteps):
             state = ns.ns_step(state, phi, mu, None, visc, dt)

@@ -18,7 +18,6 @@ from nlchns.potential import (
     PotentialSpec,
     SingularPotential,
     build_F_eps,
-    eval_F1_derivative,
     exhibit_dq,
     verify_potential_lemmas,
 )
@@ -44,11 +43,10 @@ def fd_centered(f, s, h):
 
 class TestSingularClosedForms:
     def test_trivial_values_at_zero(self):
-        spec = PotentialSpec(theta=1.0, theta_c=2.0)
-        assert eval_F1_derivative(spec, 0, 0.0) == 0.0
-        assert eval_F1_derivative(spec, 1, 0.0) == 0.0
-        assert eval_F1_derivative(spec, 2, 0.0) == pytest.approx(1.0, abs=1e-15)
-        pot = SingularPotential(spec)
+        pot = SingularPotential(PotentialSpec(theta=1.0, theta_c=2.0))
+        assert pot.f1(0.0, 0) == 0.0
+        assert pot.f1(0.0, 1) == 0.0
+        assert pot.f1(0.0, 2) == pytest.approx(1.0, abs=1e-15)
         assert pot.f(0.0) == 0.0
         assert pot.fprime(0.0) == 0.0
         assert pot.fsecond(0.0) == pytest.approx(-1.0, abs=1e-15)
@@ -58,21 +56,22 @@ class TestSingularClosedForms:
         spec = PotentialSpec(theta=theta, theta_c=theta + 2.0, q=2)
         oracle = sympy_f1_derivatives(theta, spec.order)
         s = np.linspace(-0.97, 0.97, 41)
+        pot = SingularPotential(spec)
         for k in range(spec.order + 1):
-            got = eval_F1_derivative(spec, k, s)
+            got = pot.f1(s, k)
             want = oracle[k](s)
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
     def test_third_derivative_frozen_value(self):
         # exact rational: F1'''(1/2) = (theta/2) * (-4/9 + 4) = theta * 16/9
-        spec = PotentialSpec(theta=2.0, theta_c=4.0, q=1)
-        assert eval_F1_derivative(spec, 3, 0.5) == pytest.approx(32.0 / 9.0, rel=1e-15)
+        pot = SingularPotential(PotentialSpec(theta=2.0, theta_c=4.0, q=1))
+        assert pot.f1(0.5, 3) == pytest.approx(32.0 / 9.0, rel=1e-15)
 
     def test_third_derivative_fd_cross_check(self):
-        spec = PotentialSpec(theta=2.0, theta_c=4.0, q=1)
+        pot = SingularPotential(PotentialSpec(theta=2.0, theta_c=4.0, q=1))
         h = 1e-6 * 0.5
-        fd = fd_centered(lambda s: eval_F1_derivative(spec, 2, s), 0.5, h)
-        assert fd == pytest.approx(eval_F1_derivative(spec, 3, 0.5), rel=1e-6)
+        fd = fd_centered(lambda s: pot.f1(s, 2), 0.5, h)
+        assert fd == pytest.approx(pot.f1(0.5, 3), rel=1e-6)
 
     def test_high_precision_value(self):
         # mpmath oracle at s = 0.9, theta = 1, theta_c = 2
@@ -93,22 +92,21 @@ class TestSingularClosedForms:
 
     @pytest.mark.parametrize("s", [1.0, -1.0, 1.5, -2.0])
     def test_domain_errors(self, s):
-        spec = PotentialSpec(theta=1.0, theta_c=2.0)
+        pot = SingularPotential(PotentialSpec(theta=1.0, theta_c=2.0))
         with pytest.raises(PotentialDomainError):
-            SingularPotential(spec).f(s)
+            pot.f(s)
         with pytest.raises(PotentialDomainError):
-            eval_F1_derivative(spec, 1, s)
+            pot.f1(s, 1)
 
     def test_fd_all_orders_away_from_walls(self):
         # the acceptance-level derivative/FD agreement, singular branch
-        spec = PotentialSpec(theta=1.0, theta_c=2.0, q=2)
+        pot = SingularPotential(PotentialSpec(theta=1.0, theta_c=2.0, q=2))
         rng = np.random.default_rng(7)
         s = rng.uniform(-1 + 1e-3, 1 - 1e-3, 1000)
-        for k in range(1, spec.order + 1):
+        for k in range(1, pot.spec.order + 1):
             h = 1e-6 * (1 - np.abs(s))
-            fd = (eval_F1_derivative(spec, k - 1, s + h)
-                  - eval_F1_derivative(spec, k - 1, s - h)) / (2 * h)
-            got = eval_F1_derivative(spec, k, s)
+            fd = (pot.f1(s + h, k - 1) - pot.f1(s - h, k - 1)) / (2 * h)
+            got = pot.f1(s, k)
             np.testing.assert_allclose(fd, got, rtol=1e-6, atol=1e-9)
 
 
@@ -139,14 +137,15 @@ class TestRegularizedFamily:
     def test_core_region_is_shared_code_path(self):
         spec = PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=0.1)
         pot = build_F_eps(spec)
+        sing = SingularPotential(spec)
         s = np.linspace(-0.9, 0.9, 101)
         for k in range(pot.spec.order + 1):
             got = pot.f1(s, k)
-            want = eval_F1_derivative(spec, k, s)
+            want = sing.f1(s, k)
             assert np.array_equal(got, want)  # bitwise: same code path
-        assert pot.f1(0.5, 0) == eval_F1_derivative(spec, 0, 0.5)
-        assert pot.f1(0.0, 0) == eval_F1_derivative(spec, 0, 0.0)
-        assert pot.f1(0.0, 1) == eval_F1_derivative(spec, 1, 0.0)
+        assert pot.f1(0.5, 0) == sing.f1(0.5, 0)
+        assert pot.f1(0.0, 0) == sing.f1(0.0, 0)
+        assert pot.f1(0.0, 1) == sing.f1(0.0, 1)
 
     def test_tail_matches_independent_taylor_oracle(self):
         # sympy-exact Taylor polynomial of F1 about 9/10, degree 4, at s = 1
@@ -270,8 +269,9 @@ class TestComparisonLemmas:
 def test_monotone_comparison_property(s, eps):
     spec = PotentialSpec(theta=1.0, theta_c=2.0, q=1, epsilon=eps)
     pot = build_F_eps(spec)
-    f1 = eval_F1_derivative(spec, 0, s)
-    d1 = eval_F1_derivative(spec, 1, s)
+    sing = SingularPotential(spec)
+    f1 = sing.f1(s, 0)
+    d1 = sing.f1(s, 1)
     assert pot.f1(s, 0) <= f1 + 1e-12 * (1 + abs(f1))
     assert abs(pot.f1(s, 1)) <= abs(d1) + 1e-12 * (1 + abs(d1))
 
