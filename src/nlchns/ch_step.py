@@ -84,18 +84,16 @@ class CHState:
     phi: ScalarField
     mu: ScalarField
     conv: np.ndarray  # J*phi, computed once per accepted state
-    t: float
     mass0: float
     saturated: bool = False  # |phi| reached 1 somewhere (monitor, not error)
 
 
-def _accepted_state(phi, kd, pot, t, mass0, saturated):
+def _accepted_state(phi, kd, pot, mass0, saturated):
     """The state at phi: J*phi is convolved here, once, and reused by mu,
     the next step's explicit term and the energy of the series row."""
     conv = kd.convolve_raw(phi.values)
     mu = chemical_potential(phi, kd, pot, conv)
-    return CHState(phi=phi, mu=mu, conv=conv, t=t, mass0=mass0,
-                   saturated=saturated)
+    return CHState(phi=phi, mu=mu, conv=conv, mass0=mass0, saturated=saturated)
 
 
 def init_state(phi, kd, pot):
@@ -103,7 +101,7 @@ def init_state(phi, kd, pot):
     if abs(mass) >= 1.0:
         raise CHError(f"mean of phi must lie strictly inside (-1, 1), got {mass:.6g}")
     sat = bool(np.max(np.abs(phi.values)) >= 1.0)
-    return _accepted_state(phi, kd, pot, 0.0, mass, sat)
+    return _accepted_state(phi, kd, pot, mass, sat)
 
 
 def chemical_potential(phi, kd, pot, conv=None):
@@ -277,11 +275,10 @@ def ch_step(state, u, dt, kd, pot):
 
     saturated = bool(np.max(np.abs(p1)) >= 1.0)
     if saturated and not state.saturated and not pot.singular:
-        log.warning("phi reached |phi| >= 1 at t = %.6g (monitor flag set)",
-                    state.t + dt)
+        log.warning("phi reached |phi| >= 1 (monitor flag set)")
 
-    return _accepted_state(ScalarField(grid, p1), kd, pot,
-                           state.t + dt, state.mass0, saturated or state.saturated)
+    return _accepted_state(ScalarField(grid, p1), kd, pot, state.mass0,
+                           saturated or state.saturated)
 
 
 def fprime_l1(phi, pot):

@@ -29,10 +29,10 @@ snapshots.json   index of field snapshots with shape/spacing/time metadata
 manifest.json    resolved config, derived constants, tolerances, status
 
 Every command resolves its grid, kernel and potential through _physics.
-run and run-ch share one time loop, _run_series, over a small stepper
-(_Coupled or _Transport) that provides step, energy_terms, row and fields;
-eps-sweep keeps its own loop because it writes a Cauchy table, not a
-series, but steps through _Transport too.
+One loop, _steps, owns the clock: it steps a small stepper (_Coupled or
+_Transport) from t = 0 and is the only place that turns a step count and
+dt into a time.  run and run-ch drive it from _run_series, which also
+writes the rows and snapshots; eps-sweep drives it once per epsilon.
 diagnose only reads and writes: _audit_run reads the manifest and the
 series, hands the snapshots over lazily to diagnostics.audit, which holds
 every check, and run_diagnose writes the report.
@@ -64,7 +64,7 @@ import math
 import os
 import sys
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import chain
 
 import numpy as np
@@ -604,14 +604,13 @@ def _power(h, vel):
 
 
 class _Stepper:
-    """What _run_series needs of a run command: ``step(t)`` advances one dt,
-    ``energy_terms`` gives the state's diagnostics.energy_terms,
-    ``row(t, terms, prev_total)`` the series row (prev_total None before
-    the first step), ``fields`` the arrays to snapshot."""
+    """What _run_series needs of a run command: ``step(t, dt)`` advances
+    from t by dt, ``energy_terms`` gives diagnostics.energy_terms, ``row(t,
+    dt, terms, prev_total)`` the series row (prev_total None before the
+    first step), ``fields`` the arrays to snapshot."""
 
     def __init__(self, cfg, phys):
         self.grid, self.kd, self.pot = phys.grid, phys.kd, phys.pot
-        self.dt = cfg["dt"]
         rng = default_rng(cfg["seed"])
         self.ch = init_state(_initial_phi(cfg, self.grid, rng), self.kd, self.pot)
 
@@ -634,10 +633,10 @@ class _Coupled(_Stepper):
         self.h_n = None  # forcing of the step just taken
         self.nu = None  # nu(phi) at cells and corners of the last row's state
 
-    def step(self, t):
+    def step(self, t, dt):
         h = self.forcing(t)
-        flow = ns.ns_step(self.flow, self.ch.phi, self.ch.mu, h, self.visc, self.dt)
-        self.ch = ch_step(self.ch, flow.u, self.dt, self.kd, self.pot)
+        flow = ns.ns_step(self.flow, self.ch.phi, self.ch.mu, h, self.visc, dt)
+        self.ch = ch_step(self.ch, flow.u, dt, self.kd, self.pot)
         self.flow = flow  # (phi, u) stays a coherent pair on failure
         self.h_n = h
 
@@ -645,7 +644,7 @@ class _Coupled(_Stepper):
         return dg.energy_terms(self.ch.phi, self.flow.u, self.kd, self.pot,
                                self.ch.conv)
 
-    def row(self, t, terms, prev_total):
+    def row(self, t, dt, terms, prev_total):
         """Instantaneous columns (viscous dissipation, forcing power) use the
         row's own state; the residual is the balance over the step that
         ended here, with coefficients frozen at phi_n as in the step.  A row
@@ -656,7 +655,7 @@ class _Coupled(_Stepper):
         div_inf, residual = 0.0, float("nan")
         if prev_total is not None:
             diss = ns.dissipation(grid, *self.nu, vel.u, vel.v)
-            residual = dg.identity_residual(prev_total, terms[3], self.dt, diss,
+            residual = dg.identity_residual(prev_total, terms[3], dt, diss,
                                             gm2, _power(self.h_n, vel))
             div_inf = float(np.max(np.abs(go.div_arrays(grid, vel.u, vel.v))))
         self.nu = ns.viscosity_fields(grid, ch.phi.values, self.visc)
@@ -681,15 +680,15 @@ class _Transport(_Stepper):
         super().__init__(cfg, phys)
         self.u_n = None  # velocity of the step just taken
 
-    def step(self, t):
+    def step(self, t, dt):
         u = self.velocity(t)
-        self.ch = ch_step(self.ch, u, self.dt, self.kd, self.pot)
+        self.ch = ch_step(self.ch, u, dt, self.kd, self.pot)
         self.u_n = u
 
     def energy_terms(self):
         return dg.energy_terms(self.ch.phi, None, self.kd, self.pot, self.ch.conv)
 
-    def row(self, t, terms, prev_total):
+    def row(self, t, dt, terms, prev_total):
         """The balance over the step uses the new energy, the new mu and the
         stepping velocity."""
         ch = self.ch
@@ -697,7 +696,7 @@ class _Transport(_Stepper):
         power, residual = 0.0, float("nan")
         if prev_total is not None:
             power = convective_power(self.u_n, ch.phi.values, ch.mu.values)
-            residual = dg.identity_residual(prev_total, terms[3], self.dt, 0.0,
+            residual = dg.identity_residual(prev_total, terms[3], dt, 0.0,
                                             gm2, power)
         return (t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))), *terms[1:], gm2,
                 fprime_l1(ch.phi, self.pot), power, residual)
@@ -706,14 +705,28 @@ class _Transport(_Stepper):
         return {"phi": self.ch.phi.values}
 
 
+def _steps(stepper, nsteps, dt):
+    """The one clock: steps stepper from t = 0 by dt, nsteps times, and
+    yields (n, t_n) after step n."""
+    for n in range(nsteps):
+        stepper.step(n * dt, dt)
+        yield n + 1, (n + 1) * dt
+
+
 def _run_series(cfg, outdir, make_stepper):
-    """The time loop of run and run-ch.  Each step's energies are computed
-    once and feed both its row and the next row's residual.  On a numerical
-    failure the partial series, a final snapshot and a manifest with status
-    "failed" are written before RunFailure is raised."""
+    """run and run-ch: rows and snapshots along _steps; each step's energies
+    feed its row and the next row's residual.  A non-finite first row is
+    refused before anything is written; a numerical failure flushes the
+    partial series, a final snapshot and a "failed" manifest (RunFailure)."""
     phys = _physics(cfg)
-    nsteps = _nsteps(cfg)
+    nsteps, dt, snap_every = _nsteps(cfg), cfg["dt"], cfg["snapshot_every"]
     stepper = make_stepper(cfg, phys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = stepper.energy_terms()
+        rows = [stepper.row(0.0, dt, terms, None)]
+    bad = [k for k, v in zip(stepper.header[:-1], rows[0]) if not math.isfinite(v)]
+    if bad:  # the last column, the residual, is nan before the first step
+        raise ConfigError("init", f"initial state is not finite in {', '.join(bad)}")
 
     _prepare_outdir(outdir)
     t_start = time.perf_counter()
@@ -737,27 +750,22 @@ def _run_series(cfg, outdir, make_stepper):
         return _finish(outdir, stepper.command, cfg, derived, t_start,
                        {"steps_completed": 0})
 
-    dt, snap_every = cfg["dt"], cfg["snapshot_every"]
     snapshots = SnapshotWriter(outdir, grid)
-    terms = stepper.energy_terms()
-    rows = [stepper.row(0.0, terms, None)]
     snapshots.write(0, 0.0, stepper.fields())
 
-    error, steps_done = None, 0
+    error, steps_done, t = None, 0, 0.0
     try:
-        for n in range(nsteps):
-            stepper.step(n * dt)
-            steps_done = n + 1
+        for steps_done, t in _steps(stepper, nsteps, dt):
             prev_total = terms[3]
             terms = stepper.energy_terms()
-            rows.append(stepper.row(steps_done * dt, terms, prev_total))
+            rows.append(stepper.row(t, dt, terms, prev_total))
             if snap_every and steps_done % snap_every == 0:
-                snapshots.write(steps_done, steps_done * dt, stepper.fields())
+                snapshots.write(steps_done, t, stepper.fields())
     except RUN_FAILURES as exc:
         error = f"{type(exc).__name__}: {exc}"
 
     if steps_done and not (snap_every and steps_done % snap_every == 0):
-        snapshots.write(steps_done, steps_done * dt, stepper.fields())
+        snapshots.write(steps_done, t, stepper.fields())
     _write_series(os.path.join(outdir, "series.csv"), stepper.header, rows)
     snapshots.flush()
     return _finish(outdir, stepper.command, cfg, derived, t_start,
@@ -787,14 +795,13 @@ def run_eps_sweep(cfg, outdir):
 
     _prepare_outdir(outdir)
     t_start = time.perf_counter()
-    finals, error = [], None
+    finals, t_final, error = [], None, None
     try:
         for eps, run in zip(eps_values, runs):
-            for n in range(nsteps):
-                run.step(n * dt)
+            t_final = deque(_steps(run, nsteps, dt), maxlen=1)[0][1]  # the last t
             finals.append(run.ch.phi.values)
             go.write_snapshot(os.path.join(outdir, f"phi_eps_{eps:.6e}.fld"),
-                              finals[-1], grid, time=nsteps * dt)
+                              finals[-1], grid, time=t_final)
     except RUN_FAILURES as exc:
         error = f"{type(exc).__name__}: {exc}"
 
@@ -806,7 +813,7 @@ def run_eps_sweep(cfg, outdir):
                   ("eps_coarse", "eps_fine", "l2_difference"), rows)
     derived = {
         "hx": grid.hx, "hy": grid.hy, "beta": kd.beta, "a_inf": kd.a_inf,
-        "eps_grid": eps_values, "nsteps": nsteps, "t_final": nsteps * dt,
+        "eps_grid": eps_values, "nsteps": nsteps, "t_final": t_final,
         "cauchy_table": [list(r) for r in rows],
         "monotone_decreasing": bool(monotone and len(rows) >= 2),
         "completed_runs": len(finals),

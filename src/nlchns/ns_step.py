@@ -102,11 +102,10 @@ class ViscositySpec:
 class NSState:
     u: VectorField
     pressure: ScalarField
-    t: float
 
 
 def init_ns_state(u):
-    return NSState(u=u, pressure=go.zeros(u.grid), t=0.0)
+    return NSState(u=u, pressure=go.zeros(u.grid))
 
 
 def kinetic_energy(w):
@@ -407,21 +406,18 @@ def ns_step(ns, phi, mu, forcing, visc, dt):
         raise NSError(f"projection left divergence {div_inf:.3e}")
     p1 = p1 - p1.mean()
 
-    vel = VectorField(grid, u1, v1)
-    return NSState(u=vel, pressure=ScalarField(grid, p1),
-                   t=ns.t + dt)
+    return NSState(u=VectorField(grid, u1, v1), pressure=ScalarField(grid, p1))
 
 
 # ------------------------------------------------- momentum weak residual
 
-def momentum_residual(grid, ns0, ns1, phi, mu, forcing, visc):
+def momentum_residual(grid, ns0, ns1, phi, mu, forcing, visc, dt):
     """Dual norm of the momentum residual over divergence-free test fields.
 
     r(w) = <(u1 - u0)/dt + adv(u0) - cap - h, w> + <2 nu Du1, Dw>
     for solenoidal w (the pressure gradient drops out).  The splitting
     error makes this O(dt).  Returned in the gradient-seminorm dual norm,
-    computed by a Stokes solve."""
-    dt = ns1.t - ns0.t
+    computed by a Stokes solve.  ns1 is ns0 advanced by dt."""
     u0, v0 = ns0.u.u, ns0.u.v
     u1, v1 = ns1.u.u, ns1.u.v
     nu_c, nu_n = viscosity_fields(grid, phi.values, visc)

@@ -193,6 +193,21 @@ class TestRejectionCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[parse]:"), proc.stderr
 
+    @pytest.mark.parametrize("command", ["run", "run-ch"])
+    def test_nonfinite_initial_row(self, tmp_path, command):
+        # J * phi is finite but its gradient squared overflows: the t = 0
+        # row would hold grad_mu_sq = inf, so the run is refused before
+        # any output, with no numpy warning on stderr
+        cfg = write_cfg(tmp_path / "j.cfg",
+                        SMALL + "horizon = 0.01\nkernel_j_l1 = 1e300\n")
+        out = tmp_path / "o"
+        proc = run_module(command, "--config", cfg, "--out", str(out))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[init]:"), proc.stderr
+        assert "grad_mu_sq" in lines[0]
+        assert not out.exists()
+
     def test_missing_out_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["run"])
@@ -362,10 +377,17 @@ class TestRunOutputs:
         index = json.loads((out / "snapshots.json").read_text())
         steps = [e["step"] for e in index["snapshots"]]
         assert steps == [0, 5, 10]
+        # one clock: the .fld header, the index and the series row of a
+        # snapshot's step hold the same float
+        t = np.genfromtxt(out / "series.csv", delimiter=",", names=True)["t"]
+        for entry in index["snapshots"]:
+            for name in ("phi", "u", "v", "p"):
+                _, meta = go.read_snapshot(str(out / entry[name]["file"]))
+                assert meta["time"] == entry["t"] == t[entry["step"]]
         entry = index["snapshots"][-1]
-        phi, meta = go.read_snapshot(str(out / entry["phi"]["file"]))
+        assert entry["t"] == 0.02
+        phi, _ = go.read_snapshot(str(out / entry["phi"]["file"]))
         assert phi.shape == (24, 24)
-        assert meta["time"] == pytest.approx(0.02)
         u, _ = go.read_snapshot(str(out / entry["u"]["file"]))
         assert u.shape == (25, 24)
         assert np.all(u[0] == 0.0) and np.all(u[-1] == 0.0)
@@ -562,6 +584,9 @@ class TestEpsSweep:
         m = json.loads((out / "manifest.json").read_text())
         assert "monotone_decreasing" in m["derived"]
         assert len(m["derived"]["cauchy_table"]) == 2
+        # the final fields carry the loop's time, which the manifest records
+        _, meta = go.read_snapshot(str(out / "phi_eps_2.500000e-02.fld"))
+        assert meta["time"] == m["derived"]["t_final"] == 0.02
 
     def test_preset_strictly_decreasing(self, tmp_path):
         out = tmp_path / "o"
@@ -630,10 +655,12 @@ class TestNumericalFailure:
         assert "non-finite norm" in m["error"] and "dt" not in m["error"]
 
     def test_overflowing_implicit_update_fails_the_run(self, tmp_path):
-        # J * phi overflows, so the CH right-hand side has an infinite norm:
-        # a numerical failure that a smaller dt cannot mend
+        # the advective flux of a finite but huge swirl gives the CH
+        # right-hand side an infinite norm: a numerical failure that a
+        # smaller dt cannot mend (the t = 0 row does not see the velocity)
         cfg = write_cfg(tmp_path / "c.cfg",
-                        SMALL + "horizon = 0.01\nkernel_j_l1 = 1e300\n")
+                        SMALL + "horizon = 0.01\nvelocity = swirl\n"
+                                "velocity_amplitude = 1e200\n")
         out = tmp_path / "o"
         proc = run_module("run-ch", "--config", cfg, "--out", str(out))
         assert proc.returncode == 3, proc.stderr

@@ -1,0 +1,55 @@
+"""tools/compare_runs.py, the check that a refactor leaves every output
+byte-identical: a tree against itself reads identical, and an edited
+series value is reported with its column's movement."""
+
+import importlib.util
+import pathlib
+import shutil
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_runs = load_tool("compare_runs")
+
+FAST_RUN = ("grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+            "horizon = 0.01\ninit_u = swirl\ninit_u_amplitude = 0.2\n")
+
+
+def test_tree_against_itself_is_identical(tmp_path, capsys):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_RUN)
+    work = tmp_path / "work"
+    src = str(ROOT / "src")
+    rc = compare_runs.main([src, src, f"run:{cfg}", "--work", str(work)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.splitlines()[-1] == "all outputs identical"
+    assert "  identical  series.csv" in out
+
+    # one edited series value: the file moves, and only its column does
+    parent = work / "parent" / "00-fast.cfg"
+    change = tmp_path / "edited"
+    shutil.copytree(parent, change)
+    lines = (change / "series.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    column = header.index("total")
+    row[column] = repr(float(row[column]) + 0.5)
+    lines[2] = ",".join(row)
+    (change / "series.csv").write_text("\n".join(lines) + "\n")
+
+    report, clean = compare_runs.compare_dirs(str(parent), str(change))
+    assert not clean
+    assert "  moved      series.csv" in report
+    assert "  identical  manifest.json (timing aside)" in report
+    moves = {line.split()[0]: line.split()[1] for line in report
+             if line.startswith("      ")}
+    assert float(moves["total"]) == 0.5
+    assert all(float(moves[name]) == 0.0 for name in header if name != "total")
