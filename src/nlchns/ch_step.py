@@ -24,10 +24,10 @@ semidefinite J) and the advective flux are explicit:
 Substituting psi = m(phi1) turns the update into W(psi) - dt lap psi = b
 with W = m^{-1}, whose Newton systems diag(W') + dt A are symmetric
 positive definite and solved by conjugate gradients, preconditioned by
-median(W') + dt A in the DCT-II basis.  Up to grid_ops.DENSE_MAX_N the CG
-applies A and that inverse as dense 1D matrix products (the workspace's
-stiffnesses and grid_ops.tensor_solve); on larger grids through the
-stencil and the scipy.fft pair, which only those grids import.  The Newton
+median(W') + dt A in the DCT-II basis.  The pair (A, that inverse) is
+chosen once per step: up to grid_ops.DENSE_MAX_N dense 1D matrix products
+(the workspace's stiffnesses and grid_ops.tensor_solve), on larger grids
+the stencil and the scipy.fft pair, which only those grids import.  The Newton
 residual always takes the stencil, whose sums telescope, so the mass
 argument below holds on both.  Newton starts at psi = m(phi0), which needs
 no inverse.  W itself is a safeguarded pointwise Newton inside the bracket
@@ -202,44 +202,47 @@ def ch_step(state, u, dt, kd, pot):
     b = p0 - dt * adv - dt * go.laplace_arrays(grid, state.conv)
     imap = ImplicitMap(kd.a_field.values, pot)
     lam, dense = go.workspace(grid)  # A = -laplace on the DCT-II basis
-    scale = max(1.0, float(np.max(np.abs(b))))
-    tol = 1e-13 * np.sqrt(b.size) * scale
+    if dense is None:  # the stencil and the scipy.fft DCT pair
+        def apply_a(x):
+            return -go.laplace_arrays(grid, x)
+
+        def solve_a(r, denom):
+            rh = sfft.dctn(r, type=2, norm="ortho")
+            return sfft.idctn(rh / denom, type=2, norm="ortho")
+    else:  # the same operators as dense 1D matrix products
+        def apply_a(x):
+            return dense.kx @ x + x @ dense.ky
+
+        def solve_a(r, denom):
+            return go.tensor_solve(dense.qx, dense.qy, denom, r)
+
+    def newton_op(x):  # diag(w) + dt A at this sweep's w
+        return w * x + dt * apply_a(x)
+
+    def precond(r):  # its inverse with w replaced by its median
+        return solve_a(r, denom)
+
+    tol = 1e-13 * np.sqrt(b.size) * max(1.0, float(np.max(np.abs(b))))
 
     # Newton starts at p0; one fused pass gives psi = m(p0) and m'(p0)
     fp, fpp = pot.fprime_fsecond(p0)
-    phi, psi, mprime = p0, imap.a * p0 + fp, imap.a + fpp
-    converged = False
+    p1, psi, mprime = p0, imap.a * p0 + fp, imap.a + fpp
     for _ in range(NEWTON_MAX_OUTER):
-        residual = phi - dt * go.laplace_arrays(grid, psi) - b
-        rnorm = np.linalg.norm(residual)
+        residual = p1 - dt * go.laplace_arrays(grid, psi) - b
+        with np.errstate(over="ignore"):  # an inf norm fails the CG below
+            rnorm = np.linalg.norm(residual)
         # the norm test alone admits a mean defect of 1e-13 max|b|, which
         # at large dt exceeds the absolute mass gate below
         if rnorm <= tol and abs(residual.mean()) <= 0.5 * MASS_DEFECT_LIMIT:
-            converged = True
             break
         w = 1.0 / mprime
-        shift = float(np.median(w))
-        denom = shift + dt * lam
-
-        if dense is None:  # the stencil and the scipy.fft DCT pair
-            def mv(x, w=w):
-                return w * x + dt * (-go.laplace_arrays(grid, x))
-
-            def precond(r, denom=denom):
-                rh = sfft.dctn(r, type=2, norm="ortho")
-                return sfft.idctn(rh / denom, type=2, norm="ortho")
-        else:  # the same operators as dense 1D matrix products
-            def mv(x, w=w):
-                return w * x + dt * (dense.kx @ x + x @ dense.ky)
-
-            def precond(r, denom=denom):
-                return go.tensor_solve(dense.qx, dense.qy, denom, r)
+        denom = float(np.median(w)) + dt * lam
 
         # inexact Newton: only resolve the linear model down to what the
         # outer tolerance actually needs this sweep
         rtol_cg = min(1e-2, max(0.3 * tol / rnorm, 1e-13))
         try:
-            delta, _ = go.cg(mv, -residual, precond, rtol=rtol_cg,
+            delta, _ = go.cg(newton_op, -residual, precond, rtol=rtol_cg,
                              maxiter=2000)
         except go.CGNonFinite as exc:
             raise CHError(f"implicit update: {exc}") from None
@@ -247,13 +250,12 @@ def ch_step(state, u, dt, kd, pot):
             raise StepRejection("inner CG for the implicit update stalled",
                                 dt / 2.0) from None
         psi = psi + delta
-        phi, mprime = imap.invert(psi, phi, dt)
-    if not converged:
+        p1, mprime = imap.invert(psi, p1, dt)
+    else:
         raise StepRejection(
             f"implicit Newton did not converge in {NEWTON_MAX_OUTER} iterations",
             dt / 2.0,
         )
-    p1 = phi
 
     if not np.all(np.isfinite(p1)):
         raise CHError("step produced non-finite phi")

@@ -31,8 +31,9 @@ manifest.json    resolved config, derived constants, tolerances, status
 Every command resolves its grid, kernel and potential through _physics.
 One loop, _steps, owns the clock: it steps a small stepper (_Coupled or
 _Transport) from t = 0 and is the only place that turns a step count and
-dt into a time.  run and run-ch drive it from _run_series, which also
-writes the rows and snapshots; eps-sweep drives it once per epsilon.
+dt into a time.  A stepper answers step(t, dt), row(t, dt) and fields().
+run and run-ch drive it from _run_series, which also writes the rows and
+snapshots; eps-sweep drives it once per epsilon.
 diagnose only reads and writes: _audit_run reads the manifest and the
 series, hands the snapshots over lazily to diagnostics.audit, which holds
 every check, and run_diagnose writes the report.
@@ -40,10 +41,10 @@ The implicit CH solve, the momentum solve and the Stokes eigenvalue all
 use the one conjugate-gradient loop, grid_ops.cg.
 
 The per-row ``identity_residual`` column is the discrete energy balance
-over the step ending at that row's time (first row: nan), evaluated by
-diagnostics.identity_residual on energies from diagnostics.energy_terms,
-the formulas diagnostics.energy_identity_residuals applies to a snapshot
-trajectory.  For coupled runs it is
+over the step ending at that row's time (first row: nan): the row applies
+diagnostics.identity_residual to its energy_terms and the last row's total
+energy, which the stepper keeps, as diagnostics.energy_identity_residuals
+does over a snapshot trajectory.  For coupled runs it is
 
     [E(n+1) - E(n)]/dt + 2||sqrt(nu(phi_n)) Du_(n+1)||^2
         + ||grad mu_(n+1)||^2 - <h(t_n), u_(n+1)>
@@ -605,14 +606,15 @@ def _power(h, vel):
 
 class _Stepper:
     """What _run_series needs of a run command: ``step(t, dt)`` advances
-    from t by dt, ``energy_terms`` gives diagnostics.energy_terms, ``row(t,
-    dt, terms, prev_total)`` the series row (prev_total None before the
-    first step), ``fields`` the arrays to snapshot."""
+    from t by dt, ``row(t, dt)`` gives the series row at t, whose residual
+    balances the step of length dt from ``total``, the last row's energy
+    (None before the first row), and ``fields`` the arrays to snapshot."""
 
     def __init__(self, cfg, phys):
         self.grid, self.kd, self.pot = phys.grid, phys.kd, phys.pot
         rng = default_rng(cfg["seed"])
         self.ch = init_state(_initial_phi(cfg, self.grid, rng), self.kd, self.pot)
+        self.total = None
 
 
 class _Coupled(_Stepper):
@@ -640,25 +642,22 @@ class _Coupled(_Stepper):
         self.flow = flow  # (phi, u) stays a coherent pair on failure
         self.h_n = h
 
-    def energy_terms(self):
-        return dg.energy_terms(self.ch.phi, self.flow.u, self.kd, self.pot,
-                               self.ch.conv)
-
-    def row(self, t, dt, terms, prev_total):
+    def row(self, t, dt):
         """Instantaneous columns (viscous dissipation, forcing power) use the
-        row's own state; the residual is the balance over the step that
-        ended here, with coefficients frozen at phi_n as in the step.  A row
-        follows every step, so phi_n is the previous row's phi and its
-        nu(phi_n) is the one that row kept."""
+        row's own state; the residual balances the step that ended here,
+        with coefficients frozen at phi_n as in the step: a row follows
+        every step, so the previous row kept nu(phi_n) and E_n."""
         grid, ch, vel = self.grid, self.ch, self.flow.u
+        terms = dg.energy_terms(ch.phi, vel, self.kd, self.pot, ch.conv)
         gm2 = go.h1_seminorm(ch.mu) ** 2
         div_inf, residual = 0.0, float("nan")
-        if prev_total is not None:
+        if self.total is not None:
             diss = ns.dissipation(grid, *self.nu, vel.u, vel.v)
-            residual = dg.identity_residual(prev_total, terms[3], dt, diss,
+            residual = dg.identity_residual(self.total, terms[3], dt, diss,
                                             gm2, _power(self.h_n, vel))
             div_inf = float(np.max(np.abs(go.div_arrays(grid, vel.u, vel.v))))
         self.nu = ns.viscosity_fields(grid, ch.phi.values, self.visc)
+        self.total = terms[3]
         return (t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))), *terms, gm2,
                 ns.dissipation(grid, *self.nu, vel.u, vel.v),
                 fprime_l1(ch.phi, self.pot), div_inf,
@@ -685,19 +684,18 @@ class _Transport(_Stepper):
         self.ch = ch_step(self.ch, u, dt, self.kd, self.pot)
         self.u_n = u
 
-    def energy_terms(self):
-        return dg.energy_terms(self.ch.phi, None, self.kd, self.pot, self.ch.conv)
-
-    def row(self, t, dt, terms, prev_total):
+    def row(self, t, dt):
         """The balance over the step uses the new energy, the new mu and the
         stepping velocity."""
         ch = self.ch
+        terms = dg.energy_terms(ch.phi, None, self.kd, self.pot, ch.conv)
         gm2 = go.h1_seminorm(ch.mu) ** 2
         power, residual = 0.0, float("nan")
-        if prev_total is not None:
+        if self.total is not None:
             power = convective_power(self.u_n, ch.phi.values, ch.mu.values)
-            residual = dg.identity_residual(prev_total, terms[3], dt, 0.0,
+            residual = dg.identity_residual(self.total, terms[3], dt, 0.0,
                                             gm2, power)
+        self.total = terms[3]
         return (t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))), *terms[1:], gm2,
                 fprime_l1(ch.phi, self.pot), power, residual)
 
@@ -714,16 +712,15 @@ def _steps(stepper, nsteps, dt):
 
 
 def _run_series(cfg, outdir, make_stepper):
-    """run and run-ch: rows and snapshots along _steps; each step's energies
-    feed its row and the next row's residual.  A non-finite first row is
+    """run and run-ch: rows and snapshots along _steps, a row after every
+    step, so each row balances the step before it.  A non-finite first row is
     refused before anything is written; a numerical failure flushes the
     partial series, a final snapshot and a "failed" manifest (RunFailure)."""
     phys = _physics(cfg)
     nsteps, dt, snap_every = _nsteps(cfg), cfg["dt"], cfg["snapshot_every"]
     stepper = make_stepper(cfg, phys)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = stepper.energy_terms()
-        rows = [stepper.row(0.0, dt, terms, None)]
+        rows = [stepper.row(0.0, dt)]
     bad = [k for k, v in zip(stepper.header[:-1], rows[0]) if not math.isfinite(v)]
     if bad:  # the last column, the residual, is nan before the first step
         raise ConfigError("init", f"initial state is not finite in {', '.join(bad)}")
@@ -756,9 +753,7 @@ def _run_series(cfg, outdir, make_stepper):
     error, steps_done, t = None, 0, 0.0
     try:
         for steps_done, t in _steps(stepper, nsteps, dt):
-            prev_total = terms[3]
-            terms = stepper.energy_terms()
-            rows.append(stepper.row(t, dt, terms, prev_total))
+            rows.append(stepper.row(t, dt))
             if snap_every and steps_done % snap_every == 0:
                 snapshots.write(steps_done, t, stepper.fields())
     except RUN_FAILURES as exc:

@@ -65,8 +65,10 @@ class KernelSpec:
         if not (self.width > 0 and np.isfinite(self.width * self.width)):
             raise KernelError(f"kernel width must be positive and its square "
                               f"finite, got {self.width}")
-        if not (self.j_l1 > 0):
-            raise KernelError(f"L1 normalization must be positive, got {self.j_l1}")
+        with np.errstate(over="ignore"):
+            if not (self.j_l1 > 0 and np.isfinite(self.grad_l1_continuum())):
+                raise KernelError(f"L1 mass {self.j_l1} at width {self.width} must "
+                                  f"be positive with a finite gradient norm")
 
     @property
     def support_radius(self):
@@ -154,10 +156,10 @@ def build_kernel(spec, grid):
     """Tabulate J on the displacement lattice, build the FFT plan, compute
     a(x) = (J * 1)(x) through that plan, and freeze the derived scalars.
 
-    Raises KernelError if a overflows and KernelAssumptionError unless
-    beta = min a > 0.  The pairing
-    premise beta > theta_c - theta belongs to the potential: it is checked
-    by PotentialSpec.with_beta(kd.beta).
+    Raises KernelError if a or the L1 mass overflows and
+    KernelAssumptionError unless beta = min a > 0.  The pairing premise
+    beta > theta_c - theta belongs to the potential: it is checked by
+    PotentialSpec.with_beta(kd.beta).
     """
     h = max(grid.hx, grid.hy)
     if spec.width < 2.0 * h:
@@ -180,19 +182,19 @@ def build_kernel(spec, grid):
     fshape = (fast_len(2 * grid.nx - 1), fast_len(2 * grid.ny - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         jhat = rfft2(jtab, fshape)
+        j_l1 = float(jtab.sum() * grid.cell_volume)
 
     kd = KernelData(
         spec=spec, grid=grid, Jtab=jtab, a_field=None,
-        beta=np.nan, a_inf=np.nan,
-        j_l1_discrete=float(jtab.sum() * grid.cell_volume),
+        beta=np.nan, a_inf=np.nan, j_l1_discrete=j_l1,
         grad_j_l1=np.nan, tv_x=np.nan, tv_y=np.nan,
         _fshape=fshape, _jhat=jhat,
     )
 
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         a_vals = kd.convolve_raw(np.ones((grid.nx, grid.ny)))
-    if not np.all(np.isfinite(a_vals)):
-        raise KernelError(f"coefficient field a = J * 1 overflows for width "
+    if not (np.all(np.isfinite(a_vals)) and np.isfinite(j_l1)):
+        raise KernelError(f"a = J * 1 or the L1 mass of J overflows for width "
                           f"{spec.width:.6g} and L1 mass {spec.j_l1:.6g}")
     kd.a_field = ScalarField(grid, a_vals)
     kd.beta = float(a_vals.min())

@@ -170,6 +170,19 @@ class TestRejectionCodes:
         assert rc == 2
         assert "error[kernel]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["0.5", "1e12"])
+    @pytest.mark.parametrize("cmd", ["run", "kernel-report"])
+    def test_huge_kernel_mass(self, tmp_path, capsys, cmd, width):
+        # the largest float as L1 mass: its closed-form gradient norm
+        # overflows (at width 0.5 so does the table's sum)
+        cfg = write_cfg(tmp_path / "m.cfg",
+                        "grid_nx = 32\ngrid_ny = 32\n"
+                        f"kernel_j_l1 = 1.7976931348623157e308\nkernel_width = {width}\n")
+        rc = cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[kernel]:"), lines
+
     @pytest.mark.parametrize("n,bad", [(16, np.nan), (16, np.inf), (12, 0.0)],
                              ids=["nan", "inf", "shape"])
     def test_bad_init_file(self, tmp_path, capsys, n, bad):
@@ -588,16 +601,6 @@ class TestEpsSweep:
         _, meta = go.read_snapshot(str(out / "phi_eps_2.500000e-02.fld"))
         assert meta["time"] == m["derived"]["t_final"] == 0.02
 
-    def test_preset_strictly_decreasing(self, tmp_path):
-        out = tmp_path / "o"
-        rc = cli.main(["eps-sweep", "--preset", "cauchy-sweep",
-                       "--out", str(out)])
-        assert rc == 0
-        d = np.genfromtxt(out / "eps_sweep.csv", delimiter=",", names=True)
-        assert np.all(np.diff(d["l2_difference"]) < 0.0)
-        m = json.loads((out / "manifest.json").read_text())
-        assert m["derived"]["monotone_decreasing"] is True
-
     def test_zero_horizon_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", "horizon = 0\n")
         rc = cli.main(["eps-sweep", "--config", cfg,
@@ -664,10 +667,29 @@ class TestNumericalFailure:
         out = tmp_path / "o"
         proc = run_module("run-ch", "--config", cfg, "--out", str(out))
         assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure"), proc.stderr
         m = json.loads((out / "manifest.json").read_text())
         assert m["status"] == "failed"
         assert m["error"].startswith("CHError")
         assert "non-finite norm" in m["error"] and "dt" not in m["error"]
+
+    def test_overflowing_implicit_update_fails_the_sweep(self, tmp_path):
+        # run refuses this kernel's t = 0 row (error[init]); eps-sweep builds
+        # no rows, so it fails at its first step, where the Newton residual's
+        # norm overflows
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        SMALL + "horizon = 0.01\nkernel_j_l1 = 1e300\n"
+                                "eps_grid = 1e-1,5e-2\n")
+        out = tmp_path / "o"
+        proc = run_module("eps-sweep", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure"), proc.stderr
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["status"] == "failed"
+        assert m["error"].startswith("CHError")
+        assert m["derived"]["completed_runs"] == 0
 
 
 class TestDiagnose:
@@ -851,6 +873,10 @@ class TestProperties:
            q=st.sampled_from([1, 1, 1, 2, 2, 0, 10**6]))
     @example(cmd="kernel-report", values={"kernel_width": 1e300}, q=1)
     @example(cmd="potential-table", values={"kernel_width": 1e300}, q=1)
+    @example(cmd="kernel-report", q=1, values={
+        "kernel_j_l1": 1.7976931348623157e308, "kernel_width": 0.5})
+    @example(cmd="kernel-report", q=1, values={
+        "kernel_j_l1": 1.7976931348623157e308, "kernel_width": 1e12})
     def test_reports_exit_0_or_2(self, tmp_path, cmd, values, q):
         # at most two keys off their defaults, so most draws reach the
         # kernel and potential builds instead of the first rejection
@@ -858,10 +884,13 @@ class TestProperties:
                  "eps_grid = 1e-1,1e-2"]
         lines += [f"{key} = {val!r}" for key, val in values.items()]
         cfg = write_cfg(tmp_path / "odd.cfg", "\n".join(lines) + "\n")
-        with contextlib.redirect_stdout(io.StringIO()), \
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             rc = cli.main([cmd, "--config", cfg])
         assert rc in (0, 2)
+        if cmd == "kernel-report":  # a report is strict JSON: finite numbers
+            assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
 
 
 class TestConsoleEntry:
