@@ -29,8 +29,12 @@ chosen once per step: up to grid_ops.DENSE_MAX_N dense 1D matrix products
 (the workspace's stiffnesses and grid_ops.tensor_solve), on larger grids
 the stencil and the scipy.fft pair, which only those grids import.  The Newton
 residual always takes the stencil, whose sums telescope, so the mass
-argument below holds on both.  Newton starts at psi = m(phi0), which needs
-no inverse.  W itself is a safeguarded pointwise Newton inside the bracket
+argument below holds on both.  Newton starts at psi = m(2 phi0 - phi_prev),
+the linear extrapolation of the last two states, which needs no inverse and
+lies O(dt^2) from phi1 on a smooth trajectory; the singular potential's
+start is clipped into |s| <= SINGULAR_EDGE first.  A state with no
+predecessor (the first step of a run) starts at psi = m(phi0).  W itself is
+a safeguarded pointwise Newton inside the bracket
 |W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
 makes the energy non-increasing for u = 0 at any dt (up to the kernel's
 departure from positive semidefiniteness, which is roundoff-level for the
@@ -62,6 +66,7 @@ log = logging.getLogger(__name__)
 sfft = go.LazyModule("scipy.fft")
 
 SATURATION_GUARD = 1.0 - 1e-10
+SINGULAR_EDGE = 1.0 - 1e-14  # the implicit map's reach under the singular F
 MASS_DEFECT_LIMIT = 1e-12
 NEWTON_MAX_OUTER = 50
 NEWTON_MAX_POINTWISE = 80
@@ -86,14 +91,16 @@ class CHState:
     conv: np.ndarray  # J*phi, computed once per accepted state
     mass0: float
     saturated: bool = False  # |phi| reached 1 somewhere (monitor, not error)
+    prev: np.ndarray | None = None  # the previous state's phi; None at a start
 
 
-def _accepted_state(phi, kd, pot, mass0, saturated):
+def _accepted_state(phi, kd, pot, mass0, saturated, prev):
     """The state at phi: J*phi is convolved here, once, and reused by mu,
     the next step's explicit term and the energy of the series row."""
     conv = kd.convolve_raw(phi.values)
     mu = chemical_potential(phi, kd, pot, conv)
-    return CHState(phi=phi, mu=mu, conv=conv, mass0=mass0, saturated=saturated)
+    return CHState(phi=phi, mu=mu, conv=conv, mass0=mass0, saturated=saturated,
+                   prev=prev)
 
 
 def init_state(phi, kd, pot):
@@ -101,7 +108,7 @@ def init_state(phi, kd, pot):
     if abs(mass) >= 1.0:
         raise CHError(f"mean of phi must lie strictly inside (-1, 1), got {mass:.6g}")
     sat = bool(np.max(np.abs(phi.values)) >= 1.0)
-    return _accepted_state(phi, kd, pot, mass, sat)
+    return _accepted_state(phi, kd, pot, mass, sat, None)
 
 
 def chemical_potential(phi, kd, pot, conv=None):
@@ -148,7 +155,7 @@ class ImplicitMap:
         m(0) = 0 and m' >= c0 place every root in |x| <= |psi| / c0, so the
         bracket is known before any evaluation: radius 2 |psi| / c0 (the 2
         is headroom for roundoff in m'), widened to contain x0 and, for the
-        singular potential, cut to |x| <= edge = 1 - 1e-14 (|psi| beyond
+        singular potential, cut to |x| <= edge = SINGULAR_EDGE (|psi| beyond
         m(edge) = a edge + F'(edge), F' odd, is refused).  A Newton step that
         leaves the bracket falls back to bisection, so monotonicity of m
         guarantees convergence.  A node stays put once it meets the
@@ -162,7 +169,7 @@ class ImplicitMap:
         lo = np.minimum(x0, -rad)
         hi = np.maximum(x0, rad)
         if self.pot.singular:
-            edge = 1.0 - 1e-14
+            edge = SINGULAR_EDGE
             if np.any(np.abs(psi) > self.a * edge + self.pot.fprime(edge)):
                 raise CHError(
                     "singular-potential saturation guard: implicit update "
@@ -224,9 +231,15 @@ def ch_step(state, u, dt, kd, pot):
 
     tol = 1e-13 * np.sqrt(b.size) * max(1.0, float(np.max(np.abs(b))))
 
-    # Newton starts at p0; one fused pass gives psi = m(p0) and m'(p0)
-    fp, fpp = pot.fprime_fsecond(p0)
-    p1, psi, mprime = p0, imap.a * p0 + fp, imap.a + fpp
+    # Newton starts at 2 p0 - prev, or at p0 after a start; one fused pass
+    # gives psi = m(p1) and m'(p1)
+    p1 = p0
+    if state.prev is not None:
+        p1 = 2.0 * p0 - state.prev
+        if pot.singular:
+            p1 = np.clip(p1, -SINGULAR_EDGE, SINGULAR_EDGE)
+    fp, fpp = pot.fprime_fsecond(p1)
+    psi, mprime = imap.a * p1 + fp, imap.a + fpp
     for _ in range(NEWTON_MAX_OUTER):
         residual = p1 - dt * go.laplace_arrays(grid, psi) - b
         with np.errstate(over="ignore"):  # an inf norm fails the CG below
@@ -280,7 +293,7 @@ def ch_step(state, u, dt, kd, pot):
         log.warning("phi reached |phi| >= 1 (monitor flag set)")
 
     return _accepted_state(ScalarField(grid, p1), kd, pot, state.mass0,
-                           saturated or state.saturated)
+                           saturated or state.saturated, p0)
 
 
 def fprime_l1(phi, pot):

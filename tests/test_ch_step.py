@@ -200,6 +200,84 @@ class TestOperatorPair:
         assert dct.mean() == pytest.approx(st.mass0, abs=1e-16)
 
 
+def newton_tol(grid):
+    """ch_step's outer Newton tolerance on the residual norm for max|b| <= 1."""
+    return 1e-13 * np.sqrt(grid.nx * grid.ny)
+
+
+class TestExtrapolatedStart:
+    """Newton starts at 2 phi_n - phi_{n-1} when the state has a
+    predecessor, and at phi_n when it does not."""
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_only_the_start_changed(self, setup32, singular):
+        # prev = phi gives 2 p - p = p exactly (Sterbenz), so the step must
+        # be the plain-start step bit for bit
+        g, kd, pot, spec = setup32
+        if singular:
+            pot = SingularPotential(spec)
+        st = ch.init_state(spinodal_phi(g, seed=2, amp=0.05), kd, pot)
+        assert st.prev is None
+        u = swirl(g, amp=0.2)
+        plain = ch.ch_step(st, u, 2e-3, kd, pot)
+        assert plain.prev is st.phi.values
+        same = dataclasses.replace(st, prev=st.phi.values.copy())
+        assert np.array_equal(ch.ch_step(same, u, 2e-3, kd, pot).phi.values,
+                              plain.phi.values)
+
+    def test_warm_start_saves_inner_cg_work(self, setup32, monkeypatch):
+        g, kd, pot, _ = setup32
+        iters = []
+        cg = go.cg
+
+        def counted(*args, **kwargs):
+            x, n = cg(*args, **kwargs)
+            iters.append(n)
+            return x, n
+
+        monkeypatch.setattr(go, "cg", counted)
+
+        def run(plain):
+            iters.clear()
+            st = ch.init_state(spinodal_phi(g), kd, pot)
+            for _ in range(50):
+                if plain:
+                    st = dataclasses.replace(st, prev=None)
+                st = ch.ch_step(st, None, 2e-3, kd, pot)
+            return st, sum(iters)
+
+        warm, warm_iters = run(plain=False)
+        plain, plain_iters = run(plain=True)
+        # observed 686 against 895 CG iterations, a ratio of 0.77
+        assert warm_iters <= 0.8 * plain_iters
+        # observed 1.3e-11 apart (max) and 2e-19 in mean
+        assert np.max(np.abs(warm.phi.values - plain.phi.values)) \
+            <= 10 * newton_tol(g)
+        assert abs(warm.phi.mean() - plain.phi.mean()) <= 1e-16
+
+    def test_singular_start_is_clipped_into_the_bracket(self):
+        # the cauchy-sweep stripe (peak 0.999) with eps = 0, relaxed 3 steps
+        g = Grid(32, 32)
+        kd = build_kernel(KernelSpec("gaussian", 0.1, j_l1=6.0), g)
+        pot = SingularPotential(PotentialSpec(0.4, 1.66, 1, 0.0).with_beta(kd.beta))
+        _, y = g.cell_mesh()
+        stripe = -np.tanh((np.abs(y - 0.5 * g.ly) - 0.25 * g.ly) / 0.08)
+        stripe -= stripe.mean()
+        stripe *= 0.999 / np.max(np.abs(stripe))
+        st = ch.init_state(ScalarField(g, stripe), kd, pot)
+        for _ in range(3):
+            st = ch.ch_step(st, None, 2e-3, kd, pot)
+        phi = st.phi.values
+        prev = 0.95 * phi  # the extrapolant 1.05 phi
+        assert np.any(np.abs(2.0 * phi - prev) >= 1.0)
+        warm = ch.ch_step(dataclasses.replace(st, prev=prev), None, 2e-3, kd, pot)
+        plain = ch.ch_step(dataclasses.replace(st, prev=None), None, 2e-3, kd, pot)
+        assert np.max(np.abs(warm.phi.values)) < 1.0
+        # observed 1.0e-13 apart (max)
+        assert np.max(np.abs(warm.phi.values - plain.phi.values)) \
+            <= 10 * newton_tol(g)
+
+
 class TestConvolutionCache:
     """CHState.conv is the J*phi of its own phi, bit for bit, whichever
     path built the state."""
