@@ -33,7 +33,8 @@ argument below holds on both.  Newton starts at psi = m(2 phi0 - phi_prev),
 the linear extrapolation of the last two states, which needs no inverse and
 lies O(dt^2) from phi1 on a smooth trajectory; the singular potential's
 start is clipped into |s| <= SINGULAR_EDGE first.  A state with no
-predecessor (the first step of a run) starts at psi = m(phi0).  W itself is
+predecessor (the first step of a run) keeps its own phi as phi_prev, so
+2 phi0 - phi0 = phi0 exactly and it starts at psi = m(phi0).  W itself is
 a safeguarded pointwise Newton inside the bracket
 |W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
 makes the energy non-increasing for u = 0 at any dt (up to the kernel's
@@ -90,8 +91,8 @@ class CHState:
     mu: ScalarField
     conv: np.ndarray  # J*phi, computed once per accepted state
     mass0: float
-    saturated: bool = False  # |phi| reached 1 somewhere (monitor, not error)
-    prev: np.ndarray | None = None  # the previous state's phi; None at a start
+    saturated: bool  # |phi| reached 1 somewhere (monitor, not error)
+    prev: np.ndarray  # the previous state's phi; phi's own values at a start
 
 
 def _accepted_state(phi, kd, pot, mass0, saturated, prev):
@@ -108,7 +109,7 @@ def init_state(phi, kd, pot):
     if abs(mass) >= 1.0:
         raise CHError(f"mean of phi must lie strictly inside (-1, 1), got {mass:.6g}")
     sat = bool(np.max(np.abs(phi.values)) >= 1.0)
-    return _accepted_state(phi, kd, pot, mass, sat, None)
+    return _accepted_state(phi, kd, pot, mass, sat, phi.values)
 
 
 def chemical_potential(phi, kd, pot, conv=None):
@@ -231,13 +232,11 @@ def ch_step(state, u, dt, kd, pot):
 
     tol = 1e-13 * np.sqrt(b.size) * max(1.0, float(np.max(np.abs(b))))
 
-    # Newton starts at 2 p0 - prev, or at p0 after a start; one fused pass
-    # gives psi = m(p1) and m'(p1)
-    p1 = p0
-    if state.prev is not None:
-        p1 = 2.0 * p0 - state.prev
-        if pot.singular:
-            p1 = np.clip(p1, -SINGULAR_EDGE, SINGULAR_EDGE)
+    # Newton starts at 2 p0 - prev (p0 itself, bit for bit, when prev is p0);
+    # one fused pass gives psi = m(p1) and m'(p1)
+    p1 = 2.0 * p0 - state.prev
+    if pot.singular:
+        p1 = np.clip(p1, -SINGULAR_EDGE, SINGULAR_EDGE)
     fp, fpp = pot.fprime_fsecond(p1)
     psi, mprime = imap.a * p1 + fp, imap.a + fpp
     for _ in range(NEWTON_MAX_OUTER):

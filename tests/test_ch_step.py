@@ -206,24 +206,33 @@ def newton_tol(grid):
 
 
 class TestExtrapolatedStart:
-    """Newton starts at 2 phi_n - phi_{n-1} when the state has a
-    predecessor, and at phi_n when it does not."""
+    """Newton starts at 2 phi_n - phi_{n-1}; a state with no predecessor
+    keeps phi_n as phi_{n-1} and so starts at phi_n."""
 
     @pytest.mark.parametrize("singular", [False, True])
-    def test_only_the_start_changed(self, setup32, singular):
-        # prev = phi gives 2 p - p = p exactly (Sterbenz), so the step must
-        # be the plain-start step bit for bit
+    def test_only_the_start_changed(self, setup32, singular, monkeypatch):
+        # init_state's prev is phi itself and 2 p - p = p exactly (Sterbenz),
+        # so a run's first Newton solve starts at phi_n bit for bit
         g, kd, pot, spec = setup32
         if singular:
             pot = SingularPotential(spec)
         st = ch.init_state(spinodal_phi(g, seed=2, amp=0.05), kd, pot)
-        assert st.prev is None
+        assert st.prev is st.phi.values
+        starts = []
+        fused = pot.fprime_fsecond
+
+        def recorded(s):
+            starts.append(s.copy())
+            return fused(s)
+
+        monkeypatch.setattr(pot, "fprime_fsecond", recorded)
         u = swirl(g, amp=0.2)
-        plain = ch.ch_step(st, u, 2e-3, kd, pot)
-        assert plain.prev is st.phi.values
+        first = ch.ch_step(st, u, 2e-3, kd, pot)
+        assert np.array_equal(starts[0], st.phi.values)
+        assert first.prev is st.phi.values
         same = dataclasses.replace(st, prev=st.phi.values.copy())
         assert np.array_equal(ch.ch_step(same, u, 2e-3, kd, pot).phi.values,
-                              plain.phi.values)
+                              first.phi.values)
 
     def test_warm_start_saves_inner_cg_work(self, setup32, monkeypatch):
         g, kd, pot, _ = setup32
@@ -242,7 +251,7 @@ class TestExtrapolatedStart:
             st = ch.init_state(spinodal_phi(g), kd, pot)
             for _ in range(50):
                 if plain:
-                    st = dataclasses.replace(st, prev=None)
+                    st = dataclasses.replace(st, prev=st.phi.values)
                 st = ch.ch_step(st, None, 2e-3, kd, pot)
             return st, sum(iters)
 
@@ -271,7 +280,7 @@ class TestExtrapolatedStart:
         prev = 0.95 * phi  # the extrapolant 1.05 phi
         assert np.any(np.abs(2.0 * phi - prev) >= 1.0)
         warm = ch.ch_step(dataclasses.replace(st, prev=prev), None, 2e-3, kd, pot)
-        plain = ch.ch_step(dataclasses.replace(st, prev=None), None, 2e-3, kd, pot)
+        plain = ch.ch_step(dataclasses.replace(st, prev=phi), None, 2e-3, kd, pot)
         assert np.max(np.abs(warm.phi.values)) < 1.0
         # observed 1.0e-13 apart (max)
         assert np.max(np.abs(warm.phi.values - plain.phi.values)) \
