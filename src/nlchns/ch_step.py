@@ -210,26 +210,29 @@ def ch_step(state, u, dt, kd, pot):
     b = p0 - dt * adv - dt * go.laplace_arrays(grid, state.conv)
     imap = ImplicitMap(kd.a_field.values, pot)
     lam, dense = go.workspace(grid)  # A = -laplace on the DCT-II basis
-    if dense is None:  # the stencil and the scipy.fft DCT pair
-        def apply_a(x):
-            return -go.laplace_arrays(grid, x)
+    if dense is None:  # the scipy.fft DCT-II pair
+        def fwd(x):
+            return sfft.dctn(x, type=2, norm="ortho")
 
-        def solve_a(r, denom):
-            rh = sfft.dctn(r, type=2, norm="ortho")
-            return sfft.idctn(rh / denom, type=2, norm="ortho")
-    else:  # the same operators as dense 1D matrix products
-        def apply_a(x):
-            return dense.kx @ x + x @ dense.ky
+        def inv(xh):
+            return sfft.idctn(xh, type=2, norm="ortho")
+    else:  # the same pair as dense 1D matrix products
+        def fwd(x):
+            return dense.qx.T @ x @ dense.qy
 
-        def solve_a(r, denom):
-            return go.tensor_solve(dense.qx, dense.qy, denom, r)
+        def inv(xh):
+            return dense.qx @ xh @ dense.qy.T
 
-    def newton_op(x):  # diag(w) + dt A at this sweep's w
-        return w * x + dt * apply_a(x)
+    # the Newton system on DCT-II coefficients, where A is the diagonal
+    # dt lam: the operator costs one transform pair and its preconditioner
+    # none; the transform is orthonormal, so norms and rtol are unchanged
+    def newton_op(xh):  # diag(w) + dt A at this sweep's w
+        return fwd(w * inv(xh)) + dt_lam * xh
 
-    def precond(r):  # its inverse with w replaced by its median
-        return solve_a(r, denom)
+    def precond(rh):  # its inverse with w replaced by its median
+        return rh / denom
 
+    dt_lam = dt * lam
     tol = 1e-13 * np.sqrt(b.size) * max(1.0, float(np.max(np.abs(b))))
 
     # Newton starts at 2 p0 - prev (p0 itself, bit for bit, when prev is p0);
@@ -248,21 +251,24 @@ def ch_step(state, u, dt, kd, pot):
         if rnorm <= tol and abs(residual.mean()) <= 0.5 * MASS_DEFECT_LIMIT:
             break
         w = 1.0 / mprime
-        denom = float(np.median(w)) + dt * lam
+        denom = float(np.median(w)) + dt_lam
 
         # inexact Newton: only resolve the linear model down to what the
         # outer tolerance actually needs this sweep
         rtol_cg = min(1e-2, max(0.3 * tol / rnorm, 1e-13))
         try:
-            delta, _ = go.cg(newton_op, -residual, precond, rtol=rtol_cg,
-                             maxiter=2000)
+            delta_h, _ = go.cg(newton_op, fwd(-residual), precond,
+                               rtol=rtol_cg, maxiter=2000)
         except go.CGNonFinite as exc:
             raise CHError(f"implicit update: {exc}") from None
         except go.CGStall:
             raise StepRejection("inner CG for the implicit update stalled",
                                 dt / 2.0) from None
+        delta = inv(delta_h)
         psi = psi + delta
-        p1, mprime = imap.invert(psi, p1, dt)
+        # W' = w, so p1 + w delta is the sweep's own linear prediction of
+        # W(psi); the pointwise inverse starts there instead of at p1
+        p1, mprime = imap.invert(psi, p1 + w * delta, dt)
     else:
         raise StepRejection(
             f"implicit Newton did not converge in {NEWTON_MAX_OUTER} iterations",

@@ -262,11 +262,10 @@ def _cosine_basis(n):
 
 
 class _DenseFactors(NamedTuple):
-    """A = Kx x + x Ky on a small grid, and its eigenbasis."""
+    """The DCT-II pair of a small grid as dense matrices: qx.T @ f @ qy is
+    dctn(f, type=2, norm="ortho") and qx @ c @ qy.T its inverse."""
     qx: np.ndarray  # cosine bases: A = Q lam Q^T per axis
     qy: np.ndarray
-    kx: np.ndarray  # Neumann stiffnesses
-    ky: np.ndarray
     eig_nomean: np.ndarray  # eig with inf at the constant mode
 
 
@@ -288,8 +287,7 @@ def workspace(grid):
     eig_nomean = eig.copy()
     eig_nomean[0, 0] = np.inf  # dividing by it drops the mean
     return NeumannWorkspace(eig, _DenseFactors(
-        _cosine_basis(nx), _cosine_basis(ny), stiffness_1d(nx, grid.hx, 1.0),
-        stiffness_1d(ny, grid.hy, 1.0), eig_nomean))
+        _cosine_basis(nx), _cosine_basis(ny), eig_nomean))
 
 
 def tensor_solve(qx, qy, lam, f):
