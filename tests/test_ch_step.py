@@ -637,15 +637,16 @@ class TestSpinodalRegression:
         assert 0.5 < peak < 1.0
 
 
-# Frozen from the run with the extrapolated Newton start.  The pin tracks
-# one float trajectory: spinodal growth over 250 steps amplifies
-# differences at the Newton tolerance to a few 1e-10 relative, about what
-# the start moved it by, so the constants are refrozen, not loosened, when
-# such a change lands.  A dt/4 run (1000 steps at 5e-4) reaches the same
+# Frozen from the run whose inner CG works on DCT-II coefficients and whose
+# pointwise inverse starts at the Newton prediction.  The pin tracks one
+# float trajectory: spinodal growth over 250 steps amplifies differences at
+# the Newton tolerance to a few 1e-10 relative (tightening that tolerance
+# tenfold moves it by as much), so the constants are refrozen, not
+# loosened, when such a change lands.  A dt/4 run (1000 steps at 5e-4) reaches the same
 # two-plateau morphology (peak 0.882, deeper energy -0.0190), confirming the
 # numbers describe the flow rather than an artifact.
-REGRESSION_ENERGY = -0.010611628781841267
-REGRESSION_PEAK = 0.7940762167252245
+REGRESSION_ENERGY = -0.010611628784688593
+REGRESSION_PEAK = 0.7940762167847527
 
 
 class TestTailRegimeRegression:
