@@ -53,3 +53,19 @@ def test_tree_against_itself_is_identical(tmp_path, capsys):
              if line.startswith("      ")}
     assert float(moves["total"]) == 0.5
     assert all(float(moves[name]) == 0.0 for name in header if name != "total")
+
+
+def test_diagnose_skips_eps_sweep_outputs(tmp_path, capsys):
+    # diagnose reads run and run-ch directories only; on an eps-sweep
+    # directory it would exit 2 with error[io] on both sides
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+                   "dt = 1e-3\nhorizon = 0.002\neps_grid = 1e-1,5e-2\n")
+    src = str(ROOT / "src")
+    rc = compare_runs.main([src, src, f"eps-sweep:{cfg}", "--diagnose",
+                            "--work", str(tmp_path / "work")])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.out
+    assert "== diagnose eps-sweep" not in captured.out
+    assert "error[" not in captured.out + captured.err
+    assert "  diagnose does not apply to eps-sweep outputs; skipped" in captured.out

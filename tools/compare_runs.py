@@ -18,8 +18,9 @@ A file that differs is reported by how far its numbers moved: each CSV
 column as max |change| and as max |change| / max |parent column| (nan
 matching nan), each .fld snapshot likewise over its payload, and each JSON
 file by the entries that changed.  With --diagnose, ``diagnose`` then
-runs on each run directory and its report is compared the same way.  The
-exit status is 0 when every file matches and 1 otherwise.
+runs on each run and run-ch directory (not on eps-sweep outputs, which it
+does not read) and its report is compared the same way.  The exit status
+is 0 when every file matches and 1 otherwise.
 """
 
 import argparse
@@ -34,6 +35,7 @@ import numpy as np
 # keys that differ between two runs of the same code
 VOLATILE = {"manifest.json": ("timing",), "diagnose.json": ("rundir",)}
 COMMANDS = ("run", "run-ch", "eps-sweep")
+DIAGNOSED = ("run", "run-ch")  # the outputs diagnose reads
 FLD_HEADER = 48  # magic, <qqddd (n0, n1, hx, hy, t)
 
 
@@ -189,12 +191,14 @@ def main(argv=None):
         for side, src in trees:
             out = os.path.join(work, side, tag)
             runs.append((*run_cli(src, [command, *source, *seed], out), out))
-            if args.diagnose:
+            if args.diagnose and command in DIAGNOSED:
                 report = os.path.join(work, side, tag + "-diagnose")
                 reports.append((*run_cli(src, ["diagnose", out], report), report))
         clean = compare(spec, runs) and clean
         if reports:
             clean = compare(f"diagnose {spec}", reports) and clean
+        elif args.diagnose:
+            print(f"  diagnose does not apply to {command} outputs; skipped")
     print("all outputs identical" if clean else "outputs differ")
     return 0 if clean else 1
 
