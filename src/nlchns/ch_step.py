@@ -23,20 +23,23 @@ semidefinite J) and the advective flux are explicit:
 
 Substituting psi = m(phi1) turns the update into W(psi) - dt lap psi = b
 with W = m^{-1}, whose Newton systems diag(W') + dt A are symmetric
-positive definite and solved by conjugate gradients, preconditioned by
-median(W') + dt A in the DCT-II basis.  The pair (A, that inverse) is
-chosen once per step: up to grid_ops.DENSE_MAX_N dense 1D matrix products
-(the workspace's stiffnesses and grid_ops.tensor_solve), on larger grids
-the stencil and the scipy.fft pair, which only those grids import.  The Newton
-residual always takes the stencil, whose sums telescope, so the mass
-argument below holds on both.  Newton starts at psi = m(2 phi0 - phi_prev),
-the linear extrapolation of the last two states, which needs no inverse and
-lies O(dt^2) from phi1 on a smooth trajectory; the singular potential's
-start is clipped into |s| <= SINGULAR_EDGE first.  A state with no
-predecessor (the first step of a run) keeps its own phi as phi_prev, so
+positive definite and solved by conjugate gradients on the orthonormal
+DCT-II coefficients of the update, where A is the diagonal of its
+eigenvalues and the preconditioner median(W') + dt A a division.  The
+transform pair is chosen once per step: up to grid_ops.DENSE_MAX_N dense
+1D matrix products over the workspace's cosine bases, on larger grids the
+scipy.fft pair, which only those grids import.  The Newton residual always
+takes the stencil, whose sums telescope, so the mass argument below holds
+on both.  Newton starts at psi = m(2 phi0 - phi_prev), the linear
+extrapolation of the last two states, which needs no inverse and lies
+O(dt^2) from phi1 on a smooth trajectory; the singular potential's start
+is clipped into |s| <= SINGULAR_EDGE first.  A state with no predecessor
+(the first step of a run) keeps its own phi as phi_prev, so
 2 phi0 - phi0 = phi0 exactly and it starts at psi = m(phi0).  W itself is
 a safeguarded pointwise Newton inside the bracket
-|W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front.  This
+|W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front; after
+a sweep's update delta it starts at p1 + W' delta, that sweep's own
+linear prediction of W(psi + delta).  This
 makes the energy non-increasing for u = 0 at any dt (up to the kernel's
 departure from positive semidefiniteness, which is roundoff-level for the
 gaussian family), keeps constant states exact fixed points, and conserves
@@ -223,16 +226,17 @@ def ch_step(state, u, dt, kd, pot):
         def inv(xh):
             return dense.qx @ xh @ dense.qy.T
 
-    # the Newton system on DCT-II coefficients, where A is the diagonal
+    # the Newton system on DCT-II coefficients, where dt A is the diagonal
     # dt lam: the operator costs one transform pair and its preconditioner
     # none; the transform is orthonormal, so norms and rtol are unchanged
-    def newton_op(xh):  # diag(w) + dt A at this sweep's w
+    dt_lam = dt * lam
+
+    def newton_op(xh):  # Q^T (diag(w) + dt A) Q at this sweep's w
         return fwd(w * inv(xh)) + dt_lam * xh
 
     def precond(rh):  # its inverse with w replaced by its median
         return rh / denom
 
-    dt_lam = dt * lam
     tol = 1e-13 * np.sqrt(b.size) * max(1.0, float(np.max(np.abs(b))))
 
     # Newton starts at 2 p0 - prev (p0 itself, bit for bit, when prev is p0);

@@ -27,16 +27,17 @@ Every Neumann Poisson solve (the pressure and Leray projections, the
 zero-mean inverse N and the V0' norm) is therefore one direct transform
 pair, exact to roundoff: the staggered-grid direct method of Schumann &
 Sweet, J. Comput. Phys. 75 (1988).  workspace(grid), built once per grid,
-holds the eigenvalue table, shared with the DCT preconditioner of the
-implicit CH solve.  Two branches apply it, chosen by grid size:
+holds the eigenvalue table, shared with the implicit CH solve, whose
+inner CG runs on DCT-II coefficients.  Two branches apply it, chosen by
+grid size:
 
 - both sides at most DENSE_MAX_N: the workspace also holds the dense
-  cosine matrices and 1D stiffnesses (A = Kx x + x Ky), and
-  the transform pair is tensor_solve over the cosine matrices, O(N^1.5)
-  in matrix products that beat the FFT's per-call cost on such grids;
-- larger grids: the scipy.fft DCT-II pair, O(N log N), and the stencil.
-  Only this branch needs scipy.fft, so it is imported at the first
-  transform (LazyModule), and a run within DENSE_MAX_N never loads it.
+  cosine matrices, and the transform pair is two dense products each way
+  (tensor_solve for a solve), O(N^1.5) in matrix products that beat the
+  FFT's per-call cost on such grids;
+- larger grids: the scipy.fft DCT-II pair, O(N log N).  Only this branch
+  needs scipy.fft, so it is imported at the first transform
+  (LazyModule), and a run within DENSE_MAX_N never loads it.
 
 tensor_solve is the one fast-diagonalisation solve (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964): the momentum preconditioner and the exact stiffness
@@ -227,17 +228,16 @@ def inner_vec(a, b):
 
 # --------------------------------------------------- Neumann Laplacian and N
 
-# Grids whose sides are all at most DENSE_MAX_N apply A and the DCT pair as
-# dense 1D matrix products; larger grids use the stencil and scipy.fft.
-# Microseconds per call on square n^2 grids, min of 5, one BLAS thread,
-# 2-vCPU x86 VM:
+# Grids whose sides are all at most DENSE_MAX_N apply the DCT pair as dense
+# 1D matrix products; larger grids use scipy.fft.  Microseconds per pair on
+# square n^2 grids, min of 5, one BLAS thread, 2-vCPU x86 VM:
 #
-#     n    scipy.fft pair   dense pair   -laplace_arrays   Kx x + x Ky
-#     32        45               14              23               7
-#     64       103               51              52              21
-#     96       145              121              73              60
-#    112       215              254             104             116
-#    128       252              319             138             168
+#     n    scipy.fft pair   dense pair
+#     32        45               14
+#     64       103               51
+#     96       145              121
+#    112       215              254
+#    128       252              319
 DENSE_MAX_N = 96
 
 
