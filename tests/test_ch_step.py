@@ -642,9 +642,10 @@ class TestSpinodalRegression:
 # float trajectory: spinodal growth over 250 steps amplifies differences at
 # the Newton tolerance to a few 1e-10 relative (tightening that tolerance
 # tenfold moves it by as much), so the constants are refrozen, not
-# loosened, when such a change lands.  A dt/4 run (1000 steps at 5e-4) reaches the same
-# two-plateau morphology (peak 0.882, deeper energy -0.0190), confirming the
-# numbers describe the flow rather than an artifact.
+# loosened, when such a change lands.  A dt/4 run (1000 steps at 5e-4)
+# reaches the same two-plateau morphology (peak 0.882, deeper energy
+# -0.0190), confirming the numbers describe the flow rather than an
+# artifact.
 REGRESSION_ENERGY = -0.010611628784688593
 REGRESSION_PEAK = 0.7940762167847527
 

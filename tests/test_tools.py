@@ -1,6 +1,7 @@
 """tools/compare_runs.py, the check that a refactor leaves every output
-byte-identical: a tree against itself reads identical, and an edited
-series value is reported with its column's movement."""
+byte-identical: a tree against itself reads identical, an edited series
+value is reported with its column's movement, and --diagnose leaves out
+the eps-sweep outputs that diagnose does not read."""
 
 import importlib.util
 import pathlib
