@@ -212,8 +212,8 @@ def ch_step(state, u, dt, kd, pot):
     adv = convective_divergence(u, p0) if u is not None else 0.0
     b = p0 - dt * adv - dt * go.laplace_arrays(grid, state.conv)
     imap = ImplicitMap(kd.a_field.values, pot)
-    lam, dense = go.workspace(grid)  # A = -laplace on the DCT-II basis
-    if dense is None:  # the scipy.fft DCT-II pair
+    ws = go.workspace(grid)  # ws.eig: A = -laplace on the DCT-II basis
+    if ws.qx is None:  # the scipy.fft DCT-II pair
         def fwd(x):
             return sfft.dctn(x, type=2, norm="ortho")
 
@@ -221,15 +221,15 @@ def ch_step(state, u, dt, kd, pot):
             return sfft.idctn(xh, type=2, norm="ortho")
     else:  # the same pair as dense 1D matrix products
         def fwd(x):
-            return dense.qx.T @ x @ dense.qy
+            return ws.qx.T @ x @ ws.qy
 
         def inv(xh):
-            return dense.qx @ xh @ dense.qy.T
+            return ws.qx @ xh @ ws.qy.T
 
     # the Newton system on DCT-II coefficients, where dt A is the diagonal
     # dt lam: the operator costs one transform pair and its preconditioner
     # none; the transform is orthonormal, so norms and rtol are unchanged
-    dt_lam = dt * lam
+    dt_lam = dt * ws.eig
 
     def newton_op(xh):  # Q^T (diag(w) + dt A) Q at this sweep's w
         return fwd(w * inv(xh)) + dt_lam * xh

@@ -65,7 +65,7 @@ import math
 import os
 import sys
 import time
-from collections import deque, namedtuple
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -196,6 +196,8 @@ def _coerce(key, raw):
     """Coerce a raw config value to the type of its default."""
     default = DEFAULTS[key]
     try:
+        if isinstance(raw, bool) and isinstance(default, (int, float)):
+            raise ValueError(f"{raw!r} is not a number")  # int(True) == 1
         if isinstance(default, int) and not isinstance(default, bool):
             out = int(raw.strip()) if isinstance(raw, str) else int(raw)
             if out != raw and not isinstance(raw, str):
@@ -291,17 +293,16 @@ def _check_epsilon(eps):
         )
 
 
-def _physics(cfg, epsilon=None):
+def _physics(cfg):
     """The grid -> potential spec -> kernel -> beta -> potential chain every
     command shares; each rejection is a ConfigError.
-    epsilon overrides cfg["epsilon"].  epsilon > 0 is the working family;
-    epsilon = 0 is the true-singular mode whose evaluations must stay
-    inside (-1, 1)."""
+    cfg["epsilon"] > 0 is the working family; epsilon = 0 is the
+    true-singular mode whose evaluations must stay inside (-1, 1)."""
     try:
         grid = Grid(cfg["grid_nx"], cfg["grid_ny"], cfg["grid_lx"], cfg["grid_ly"])
     except GridError as exc:
         raise ConfigError("grid", str(exc)) from None
-    eps = cfg["epsilon"] if epsilon is None else epsilon
+    eps = cfg["epsilon"]
     _check_epsilon(eps)
     try:
         spec = PotentialSpec(cfg["theta"], cfg["theta_c"], cfg["q"], eps)
@@ -781,11 +782,11 @@ def run_eps_sweep(cfg, outdir):
     nsteps = _nsteps(cfg)
     if nsteps == 0:
         raise ConfigError("time", "eps-sweep needs a positive horizon")
-    first = _Transport(cfg, _physics(cfg, epsilon=eps_values[0]))
+    first = _Transport(cfg, _physics({**cfg, "epsilon": eps_values[0]}))
     grid, kd, dt = first.grid, first.kd, cfg["dt"]
     # only the first run is built before anything is written; the others
     # when their turn comes, so setup and memory do not grow with eps_grid
-    runs = chain([first], (_Transport(cfg, _physics(cfg, epsilon=eps))
+    runs = chain([first], (_Transport(cfg, _physics({**cfg, "epsilon": eps}))
                            for eps in eps_values[1:]))
 
     _prepare_outdir(outdir)
@@ -793,7 +794,8 @@ def run_eps_sweep(cfg, outdir):
     finals, t_final, error = [], None, None
     try:
         for eps, run in zip(eps_values, runs):
-            t_final = deque(_steps(run, nsteps, dt), maxlen=1)[0][1]  # the last t
+            for _, t_final in _steps(run, nsteps, dt):
+                pass
             finals.append(run.ch.phi.values)
             go.write_snapshot(os.path.join(outdir, f"phi_eps_{eps:.6e}.fld"),
                               finals[-1], grid, time=t_final)
@@ -955,23 +957,19 @@ def run_kernel_report(cfg, outdir=None):
 
 
 def run_potential_table(cfg, outdir=None):
-    """Per-epsilon potential constants over the configured grid; the
-    comparison constant c_q is shared so d_q values are comparable."""
+    """Per-epsilon potential constants over the configured grid; c_q is
+    the spec's, the same for every epsilon, so d_q values are comparable."""
     eps_values = _eps_list(cfg)
     if any(eps <= 0.0 for eps in eps_values):
         raise ConfigError("epsilon-range",
                           "potential-table needs strictly positive epsilon")
     rows = []
-    c_q = None
     scan = np.linspace(-0.999, 0.999, 4001)
     for eps in eps_values:
-        _, _, pspec, pot = _physics(cfg, epsilon=eps)
-        if c_q is None:
-            c_q = pot.c_q
-        d_q = exhibit_dq(pot, c_q=c_q)
+        _, _, pspec, pot = _physics({**cfg, "epsilon": eps})
         rows.append((
             eps, pspec.order, pspec.alpha, pspec.alpha_star, pspec.c0,
-            c_q, d_q, float(pot.f(0.0)),
+            pspec.c_q, exhibit_dq(pot), float(pot.f(0.0)),
             float(np.min(pot.fsecond(scan))),
         ))
     header = ("epsilon", "order", "alpha", "alpha_star", "c0",

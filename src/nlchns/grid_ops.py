@@ -27,17 +27,20 @@ Every Neumann Poisson solve (the pressure and Leray projections, the
 zero-mean inverse N and the V0' norm) is therefore one direct transform
 pair, exact to roundoff: the staggered-grid direct method of Schumann &
 Sweet, J. Comput. Phys. 75 (1988).  workspace(grid), built once per grid,
-holds the eigenvalue table, shared with the implicit CH solve, whose
-inner CG runs on DCT-II coefficients.  Two branches apply it, chosen by
-grid size:
+is one flat record (eig, eig_nomean, qx, qy): the eigenvalue table, shared
+with the implicit CH solve, whose inner CG runs on DCT-II coefficients;
+the same table with inf at the constant mode, by which every solve
+divides, so both branches drop the mean the same way; and the cosine
+bases.  Two branches apply it, chosen by grid size:
 
-- both sides at most DENSE_MAX_N: the workspace also holds the dense
-  cosine matrices, and the transform pair is two dense products each way
+- both sides at most DENSE_MAX_N: qx and qy are the dense cosine
+  matrices, and the transform pair is two dense products each way
   (tensor_solve for a solve), O(N^1.5) in matrix products that beat the
   FFT's per-call cost on such grids;
-- larger grids: the scipy.fft DCT-II pair, O(N log N).  Only this branch
-  needs scipy.fft, so it is imported at the first transform
-  (LazyModule), and a run within DENSE_MAX_N never loads it.
+- larger grids: qx and qy are None, and the pair is scipy.fft's DCT-II,
+  O(N log N).  Only this branch needs scipy.fft, so it is imported at
+  the first transform (LazyModule), and a run within DENSE_MAX_N never
+  loads it.
 
 tensor_solve is the one fast-diagonalisation solve (Lynch, Rice & Thomas,
 Numer. Math. 6, 1964): the momentum preconditioner and the exact stiffness
@@ -47,9 +50,10 @@ The velocity gradient D = mac_component_gradients (ux, vy at cells; uy, vx
 at corners) and its exact transpose D^T = mac_component_gradients_t are
 one pair and the one place that knows the no-slip wall ghost: the
 tangential velocity beyond a wall is the mirror -u, so the wall shear is
-2 u / h.  The velocity forms of ns_step are built on it: the viscous
-operator and the componentwise stiffness are D^T of a weighted D, and the
-advective tendency is -D^T of the momentum flux.
+WALL_SHEAR u / h with WALL_SHEAR = 2.  The velocity forms of ns_step are
+built on it: the viscous operator and the componentwise stiffness are D^T
+of a weighted D, the advective tendency is -D^T of the momentum flux, and
+the stiffness's 1D factors end in 1 + WALL_SHEAR^2.
 """
 
 import importlib
@@ -261,33 +265,28 @@ def _cosine_basis(n):
     return q
 
 
-class _DenseFactors(NamedTuple):
-    """The DCT-II pair of a small grid as dense matrices: qx.T @ f @ qy is
-    dctn(f, type=2, norm="ortho") and qx @ c @ qy.T its inverse."""
-    qx: np.ndarray  # cosine bases: A = Q lam Q^T per axis
-    qy: np.ndarray
-    eig_nomean: np.ndarray  # eig with inf at the constant mode
-
-
 class NeumannWorkspace(NamedTuple):
+    """The DCT-II data of one grid.  With qx, qy present, qx.T @ f @ qy is
+    dctn(f, type=2, norm="ortho") and qx @ c @ qy.T its inverse."""
     eig: np.ndarray  # DCT-II eigenvalues of A = -laplace; eig[0, 0] = 0
-    dense: _DenseFactors | None  # None above DENSE_MAX_N
+    eig_nomean: np.ndarray  # eig with inf at the constant mode
+    qx: np.ndarray | None  # cosine bases, A = Q lam Q^T per axis; None
+    qy: np.ndarray | None  # above DENSE_MAX_N
 
 
 @cache
 def workspace(grid):
-    """The per-grid NeumannWorkspace, built once: the eigenvalue table and,
-    with both sides at most DENSE_MAX_N, the dense factors."""
+    """The per-grid NeumannWorkspace, built once: the eigenvalue tables and,
+    with both sides at most DENSE_MAX_N, the cosine bases."""
     nx, ny = grid.nx, grid.ny
     lx = (4.0 / grid.hx**2) * np.sin(np.arange(nx) * np.pi / (2 * nx)) ** 2
     ly = (4.0 / grid.hy**2) * np.sin(np.arange(ny) * np.pi / (2 * ny)) ** 2
     eig = lx[:, None] + ly[None, :]
-    if max(nx, ny) > DENSE_MAX_N:
-        return NeumannWorkspace(eig, None)
     eig_nomean = eig.copy()
     eig_nomean[0, 0] = np.inf  # dividing by it drops the mean
-    return NeumannWorkspace(eig, _DenseFactors(
-        _cosine_basis(nx), _cosine_basis(ny), eig_nomean))
+    if max(nx, ny) > DENSE_MAX_N:
+        return NeumannWorkspace(eig, eig_nomean, None, None)
+    return NeumannWorkspace(eig, eig_nomean, _cosine_basis(nx), _cosine_basis(ny))
 
 
 def tensor_solve(qx, qy, lam, f):
@@ -301,14 +300,13 @@ def solve_neumann_direct(grid, rhs):
     """Zero-mean solution p of -laplace p = rhs for a compatible (zero-mean)
     rhs; the mean of rhs, the component A cannot reach, is dropped.
 
-    One DCT-II pair: transform, divide by the eigenvalues, zero the
-    constant mode, transform back; as a dense tensor_solve on small grids.
+    One DCT-II pair: transform, divide by eig_nomean, whose constant mode
+    is inf, transform back; as a dense tensor_solve on small grids.
     """
-    eig, dense = workspace(grid)
-    if dense is not None:
-        return tensor_solve(dense.qx, dense.qy, dense.eig_nomean, rhs)
-    coef = sfft.dctn(rhs, type=2, norm="ortho")
-    coef = np.divide(coef, eig, out=np.zeros_like(coef), where=eig > 0.0)
+    ws = workspace(grid)
+    if ws.qx is not None:
+        return tensor_solve(ws.qx, ws.qy, ws.eig_nomean, rhs)
+    coef = sfft.dctn(rhs, type=2, norm="ortho") / ws.eig_nomean
     return sfft.idctn(coef, type=2, norm="ortho")
 
 
@@ -417,6 +415,11 @@ def v0prime_norm(f):
     return float(np.sqrt(max(val, 0.0)))
 
 
+# The no-slip wall ghost: the tangential velocity beyond a wall is the
+# mirror -u, so the wall shear is WALL_SHEAR u / h.
+WALL_SHEAR = 2.0
+
+
 def mac_component_gradients(grid, u, v):
     """Gradients of MAC components with linear no-slip wall ghosts.
 
@@ -427,12 +430,12 @@ def mac_component_gradients(grid, u, v):
     vy = (v[:, 1:] - v[:, :-1]) / grid.hy
     uy = np.zeros((nx + 1, ny + 1))
     uy[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / grid.hy
-    uy[:, 0] = 2.0 * u[:, 0] / grid.hy       # ghost u(-) = -u(0)
-    uy[:, -1] = -2.0 * u[:, -1] / grid.hy
+    uy[:, 0] = WALL_SHEAR * u[:, 0] / grid.hy  # ghost u(-) = -u(0)
+    uy[:, -1] = -WALL_SHEAR * u[:, -1] / grid.hy
     vx = np.zeros((nx + 1, ny + 1))
     vx[1:-1, :] = (v[1:, :] - v[:-1, :]) / grid.hx
-    vx[0, :] = 2.0 * v[0, :] / grid.hx
-    vx[-1, :] = -2.0 * v[-1, :] / grid.hx
+    vx[0, :] = WALL_SHEAR * v[0, :] / grid.hx
+    vx[-1, :] = -WALL_SHEAR * v[-1, :] / grid.hx
     return ux, uy, vx, vy
 
 
@@ -451,8 +454,8 @@ def mac_component_gradients_t(grid, qx, ruy, rvx, qy):
     s = np.zeros((nx + 1, ny))
     s[:, 1:] += r[:, 1:-1]
     s[:, :-1] -= r[:, 1:-1]
-    s[:, 0] += 2.0 * r[:, 0]
-    s[:, -1] -= 2.0 * r[:, -1]
+    s[:, 0] += WALL_SHEAR * r[:, 0]
+    s[:, -1] -= WALL_SHEAR * r[:, -1]
     au += s
     au[0, :] = au[-1, :] = 0.0
     a = qy / grid.hy
@@ -463,8 +466,8 @@ def mac_component_gradients_t(grid, qx, ruy, rvx, qy):
     s = np.zeros((nx, ny + 1))
     s[1:, :] += r[1:-1, :]
     s[:-1, :] -= r[1:-1, :]
-    s[0, :] += 2.0 * r[0, :]
-    s[-1, :] -= 2.0 * r[-1, :]
+    s[0, :] += WALL_SHEAR * r[0, :]
+    s[-1, :] -= WALL_SHEAR * r[-1, :]
     av += s
     av[:, 0] = av[:, -1] = 0.0
     return au, av

@@ -11,7 +11,8 @@ The viscous term is built variationally: the dissipation form
     A u = D^T (2 nu_c ux, nu_n s, nu_n s, 2 nu_c vy),  s = uy + vx,
 
 with D = grid_ops.mac_component_gradients, the MAC velocity gradient
-whose no-slip wall ghosts fold into the corner shears as 2 u / h, and D^T
+whose no-slip wall ghosts fold into the corner shears as
+grid_ops.WALL_SHEAR u / h, and D^T
 its exact transpose grid_ops.mac_component_gradients_t.  That makes
 <A u, u> = R(u) hold to roundoff, so the flow's energy bookkeeping closes
 discretely, and I + dt A is symmetric positive definite for the
@@ -33,7 +34,9 @@ an exact discrete integration by parts.
 
 Projection is incremental pressure-correction: the Neumann Poisson solve
 is the exact DCT-II solve of grid_ops, so the post-step divergence sits at
-its roundoff floor (audited against 1e-10, observed around 1e-13).
+its roundoff floor (audited against 1e-10, observed around 1e-13).  It and
+the Leray projection project_divfree share one core, _remove_gradient;
+the Leray projection is that core at dt = 1.
 
 The Stokes eigenvalue and the momentum residual's dual norm both need the
 inverse of the componentwise stiffness A = D^T D (grad_form_apply)
@@ -179,14 +182,15 @@ def _block_factors(grid):
     eigenpairs.  Each velocity block of the stiffness is, on its interior
     faces, a weighted tensor sum of two 1D stiffnesses.  The wall-normal
     factor is the Dirichlet tridiagonal on the n-1 interior faces.  The
-    tangential factor lives on the n cell rows; its end entries are 5: 1
-    from the interior difference plus 4 from the gradient pair's wall
-    ghost, the shear 2 u / h of mac_component_gradients sent back by its
-    transpose with another 2 / h.  That is not a sine basis, so every
-    factor is diagonalised with eigh."""
+    tangential factor lives on the n cell rows; its end entries are
+    1 + go.WALL_SHEAR^2 = 5: 1 from the interior difference plus the wall
+    shear WALL_SHEAR u / h of mac_component_gradients sent back by its
+    transpose with another WALL_SHEAR / h.  That is not a sine basis, so
+    every factor is diagonalised with eigh."""
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    return ((_stiffness_eigh(nx - 1, hx, 2.0), _stiffness_eigh(ny, hy, 5.0)),
-            (_stiffness_eigh(nx, hx, 5.0), _stiffness_eigh(ny - 1, hy, 2.0)))
+    wall = 1.0 + go.WALL_SHEAR**2
+    return ((_stiffness_eigh(nx - 1, hx, 2.0), _stiffness_eigh(ny, hy, wall)),
+            (_stiffness_eigh(nx, hx, wall), _stiffness_eigh(ny - 1, hy, 2.0)))
 
 
 class _StokesFactors(NamedTuple):
@@ -273,18 +277,22 @@ def capillary_force(phi, mu):
 
 # ------------------------------------------------------------ projection
 
-def project(grid, u, v, dt, pressure):
-    """Incremental pressure correction.  Solves the Neumann Poisson problem
-    for the increment q, updates u <- u - dt grad q and p <- p + q, and
-    returns (u, v, new_pressure, div_inf)."""
-    div = go.div_arrays(grid, u, v)
-    rhs = -div / dt  # solver convention is -lap, so -div makes div(u1) = 0
+def _remove_gradient(grid, u, v, dt):
+    """The one Leray core: solve the Neumann Poisson problem for q with
+    -laplace q = -div(u) / dt, shifted to its compatible zero mean, and
+    return (u - dt grad q, v - dt grad q, q) with zero normal faces."""
+    rhs = -go.div_arrays(grid, u, v) / dt  # the solver's -lap makes div 0
     rhs = rhs - rhs.mean()  # compatibility shift, roundoff-sized by no-slip
     q = go.solve_neumann_direct(grid, rhs)
     gx, gy = go.grad_arrays(grid, q)
-    u = u - dt * gx
-    v = v - dt * gy
-    _zero_normal(u, v)
+    return (*_zero_normal(u - dt * gx, v - dt * gy), q)
+
+
+def project(grid, u, v, dt, pressure):
+    """Incremental pressure correction: u <- u - dt grad q and p <- p + q
+    for the increment q of _remove_gradient.  Returns (u, v, new_pressure,
+    div_inf)."""
+    u, v, q = _remove_gradient(grid, u, v, dt)
     div_after = go.div_arrays(grid, u, v)
     return u, v, pressure + q, float(np.max(np.abs(div_after)))
 
@@ -434,13 +442,10 @@ def momentum_residual(grid, ns0, ns1, phi, mu, forcing, visc, dt):
 
 
 def project_divfree(grid, u, v):
-    """Leray projection: remove the gradient part of the Helmholtz split."""
-    div = go.div_arrays(grid, u, v)
-    q = go.solve_neumann_direct(grid, -(div - div.mean()))
-    gx, gy = go.grad_arrays(grid, q)
-    out_u = u - gx
-    out_v = v - gy
-    return _zero_normal(out_u, out_v)
+    """Leray projection: remove the gradient part of the Helmholtz split,
+    _remove_gradient at dt = 1."""
+    u, v, _ = _remove_gradient(grid, u, v, 1.0)
+    return u, v
 
 
 def _stiffness_solve(grid, b, rtol=1e-10):

@@ -20,8 +20,9 @@ like |s|^(2+2q), and satisfies the comparison bounds
     F_eps(s)   >= c_q |s|^(2+2q) - d_q
     F_eps''(s) + a >= c0            whenever a >= beta
 
-with constants (alpha, alpha_star, c0, c_q) computed here in closed form
-and d_q exhibited by scan.  `verify_potential_lemmas` re-checks every one
+with constants (alpha, alpha_star, c0, c_q) computed here in closed form,
+all properties of PotentialSpec (c_q depends on theta and q alone, so it
+is the same for every eps), and d_q exhibited by scan.  `verify_potential_lemmas` re-checks every one
 of these inequalities by dense sampling and returns a structured report.
 
 LogPotential writes F, F', F'' once over a subclass's f1_orders(s, ks):
@@ -117,6 +118,15 @@ class PotentialSpec:
         if self.beta is None:
             raise PotentialBuildError("c0 requires beta (kernel lower bound)")
         return self.theta + self.beta - self.theta_c
+
+    @property
+    def c_q(self):
+        """The growth constant of F_eps >= c_q |s|^K - d_q: min F1^(K) over
+        the outer strips of any eps <= EPS_MAX_DEFAULT, over 2 K!.  F1^(K)
+        is even and increasing toward +-1, so the minimum sits at the inner
+        edge 1 - EPS_MAX_DEFAULT, and c_q depends on theta and q alone."""
+        c1 = SingularPotential(self).f1(1.0 - EPS_MAX_DEFAULT, self.order)
+        return c1 / (2.0 * _factorial(self.order))
 
     def with_beta(self, beta):
         return PotentialSpec(self.theta, self.theta_c, self.q, self.epsilon, beta)
@@ -235,21 +245,13 @@ class RegularizedPotential(LogPotential):
         self.knot = 1.0 - spec.epsilon
 
         K = spec.order
-        singular = SingularPotential(spec)
         # taylor[m][j] = F1^(j+m)(knot) / j!  -> m-th derivative of the right
         # tail is sum_j taylor[m][j] * (s - knot)^j
-        derivs = singular.f1_orders(self.knot, range(K + 1))
+        derivs = SingularPotential(spec).f1_orders(self.knot, range(K + 1))
         self._tail = [
             np.array([derivs[j + m] / _factorial(j) for j in range(K + 1 - m)])
             for m in range(K + 1)
         ]
-
-        # (A3) constant: minimum of F1^(K) over the outer strips for any
-        # eps <= EPS_MAX_DEFAULT; F1^(K) is even and increasing toward +-1,
-        # so the minimum sits at the inner edge 1 - EPS_MAX_DEFAULT.  This
-        # makes c1 (and hence c_q) independent of the eps of this instance.
-        self.c1 = singular.f1(1.0 - EPS_MAX_DEFAULT, K)
-        self.c_q = self.c1 / (2.0 * _factorial(K))
 
     def f1_orders(self, s, ks):
         """[F1_eps^(k)(s) for k in ks], defined on all of R.  One split of
@@ -291,15 +293,14 @@ def build_F_eps(spec):
     return RegularizedPotential(spec)
 
 
-def exhibit_dq(pot, c_q=None):
+def exhibit_dq(pot):
     """Exhibit d_q: the smallest shift making F_eps >= c_q |s|^K - d_q on
-    [-S_RANGE, S_RANGE], found by dense scan plus local refinement, plus a
-    margin of 1e-6."""
+    [-S_RANGE, S_RANGE], with c_q = pot.spec.c_q, found by dense scan plus
+    local refinement, plus a margin of 1e-6."""
     from scipy import optimize  # only here: the run commands never load it
 
     K = pot.spec.order
-    if c_q is None:
-        c_q = pot.c_q
+    c_q = pot.spec.c_q
 
     def gap(s):
         return c_q * np.abs(s) ** K - pot.f(s)
@@ -355,8 +356,8 @@ def verify_potential_lemmas(spec, samples=100_000,
     pots = {eps: build_F_eps(PotentialSpec(spec.theta, spec.theta_c, spec.q,
                                            eps, spec.beta))
             for eps in eps_grid}
-    c_q = next(iter(pots.values())).c_q
-    d_q_by_eps = {eps: exhibit_dq(p, c_q=c_q) for eps, p in pots.items()}
+    c_q = spec.c_q
+    d_q_by_eps = {eps: exhibit_dq(p) for eps, p in pots.items()}
     d_q = max(d_q_by_eps.values())
 
     report = LemmaReport(c_q=c_q, d_q=d_q, d_q_by_eps=d_q_by_eps)

@@ -193,7 +193,7 @@ class TestOperatorPair:
         def step(dense):
             go.workspace.cache_clear()
             try:
-                assert (go.workspace(g).dense is not None) is dense
+                assert (go.workspace(g).qx is not None) is dense
                 return ch.ch_step(st, u, 2e-3, kd, pot).phi.values
             finally:
                 go.workspace.cache_clear()

@@ -109,6 +109,16 @@ class TestConfigParsing:
             load_config(str(p))
         assert err.value.code == "parse"
 
+    @pytest.mark.parametrize("key, value", [("seed", True), ("grid_nx", True),
+                                            ("dt", True), ("horizon", False)])
+    def test_boolean_manifest_value_rejected(self, tmp_path, key, value):
+        # JSON true would otherwise load as seed 1 or dt 1.0
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({"config": dict(DEFAULTS, **{key: value})}))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(p))
+        assert err.value.code == "parse"
+
     def test_manifest_without_config_block(self, tmp_path):
         p = tmp_path / "manifest.json"
         p.write_text("{}")

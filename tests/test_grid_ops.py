@@ -272,13 +272,13 @@ class TestNeumannInverse:
         # as dense products within DENSE_MAX_N and through scipy.fft above
         g = go.Grid(*shape)
         f = random_scalar(g, seed=12).values
-        eig, d = go.workspace(g)
-        assert (d is None) is (max(g.nx, g.ny) > go.DENSE_MAX_N)
-        if d is None:
+        ws = go.workspace(g)
+        assert (ws.qx is None) is (max(g.nx, g.ny) > go.DENSE_MAX_N)
+        if ws.qx is None:
             fh = fft.dctn(f, type=2, norm="ortho")
-            af = fft.idctn(eig * fh, type=2, norm="ortho")
+            af = fft.idctn(ws.eig * fh, type=2, norm="ortho")
         else:
-            af = d.qx @ (eig * (d.qx.T @ f @ d.qy)) @ d.qy.T
+            af = ws.qx @ (ws.eig * (ws.qx.T @ f @ ws.qy)) @ ws.qy.T
         stencil_scale = 4.0 * (1.0 / g.hx**2 + 1.0 / g.hy**2) * np.abs(f).max()
         err = af + go.laplace_arrays(g, f)
         # observed at most 4.2e-16 of the scale
@@ -286,12 +286,12 @@ class TestNeumannInverse:
 
     def test_dense_factors_only_up_to_the_size_rule(self):
         # 64^2 runs on dense factors; 256^2 keeps the scipy.fft and stencil
-        # path, and the workspace builds nothing for it
+        # path, and the workspace builds no cosine basis for it
         small, large = go.Grid(64, 64), go.Grid(256, 256)
         assert max(small.nx, small.ny) <= go.DENSE_MAX_N < large.nx
-        d = go.workspace(small).dense
-        assert [m.shape for m in d] == [(64, 64)] * 3
-        assert go.workspace(large).dense is None
+        assert [m.shape for m in go.workspace(small)] == [(64, 64)] * 4
+        ws = go.workspace(large)
+        assert ws.qx is None and ws.qy is None
 
     @pytest.mark.parametrize("project", [None, go.remove_mean],
                              ids=["plain", "zero-mean"])
