@@ -1,11 +1,15 @@
 """tools/compare_runs.py, the check that a refactor leaves every output
 byte-identical: a tree against itself reads identical, an edited series
-value is reported with its column's movement, and --diagnose leaves out
-the eps-sweep outputs that diagnose does not read."""
+value is reported with its column's movement, --diagnose leaves out the
+eps-sweep outputs that diagnose does not read, the report commands are
+compared too, and the committed identity configs load."""
 
 import importlib.util
 import pathlib
 import shutil
+
+from nlchns import cli
+from nlchns import grid_ops as go
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -70,3 +74,27 @@ def test_diagnose_skips_eps_sweep_outputs(tmp_path, capsys):
     assert "== diagnose eps-sweep" not in captured.out
     assert "error[" not in captured.out + captured.err
     assert "  diagnose does not apply to eps-sweep outputs; skipped" in captured.out
+
+
+def test_potential_table_is_compared(tmp_path, capsys):
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text("grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
+                   "eps_grid = 1e-1,5e-2\n")
+    src = str(ROOT / "src")
+    rc = compare_runs.main([src, src, f"potential-table:{cfg}",
+                            "--work", str(tmp_path / "work")])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert out.splitlines()[-1] == "all outputs identical"
+    assert "  identical  potential_table.csv" in out
+    assert "  identical  <stdout>" in out
+
+
+def test_identity_configs_load():
+    paths = sorted((ROOT / "tools" / "identity").glob("*.cfg"))
+    names = [p.name for p in paths]
+    assert names == ["bubble128.cfg", "coupled128.cfg", "forced-periodic.cfg"]
+    cfgs = {p.stem: cli.load_config(path=str(p)) for p in paths}
+    # the 128^2 configs take the scipy.fft arm of every DCT-II pair
+    for name in ("coupled128", "bubble128"):
+        assert min(cfgs[name]["grid_nx"], cfgs[name]["grid_ny"]) > go.DENSE_MAX_N

@@ -5,10 +5,11 @@ usage: python3 tools/compare_runs.py PARENT_SRC CHANGE_SRC CONFIG...
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts (a
 checkout's root works too).  Each CONFIG is ``[COMMAND:]SOURCE``: COMMAND
-is ``run`` (the default), ``run-ch`` or ``eps-sweep``, and SOURCE a config
-file, or else a preset name, e.g. ``spinodal-2d``, ``run-ch:stripe-ch`` or
-``run:cfg/forced.cfg``.  For each config, ``python3 -m nlchns.cli`` runs
-once with PYTHONPATH set to each tree, and each output file is compared:
+is ``run`` (the default), ``run-ch``, ``eps-sweep``, ``potential-table`` or
+``kernel-report``, and SOURCE a config file, or else a preset name, e.g.
+``spinodal-2d``, ``run-ch:stripe-ch`` or ``run:cfg/forced.cfg``.  For each
+config, ``python3 -m nlchns.cli`` runs once with PYTHONPATH set to each
+tree, and each output file is compared:
 
 - JSON files after dropping the keys that record a time or a place
   (``timing`` of manifest.json, ``rundir`` of diagnose.json);
@@ -21,6 +22,18 @@ file by the entries that changed.  With --diagnose, ``diagnose`` then
 runs on each run and run-ch directory (not on eps-sweep outputs, which it
 does not read) and its report is compared the same way.  The exit status
 is 0 when every file matches and 1 otherwise.
+
+The identity check of a refactor, run from a checkout's root, covers the
+flagship preset, both transport presets, the eps sweep, the three configs
+under tools/identity (the 128^2 ones take the scipy.fft arm of every DCT
+pair) and both report commands:
+
+    python3 tools/compare_runs.py PARENT_SRC CHANGE_SRC spinodal-2d \
+        run-ch:stripe-ch run-ch:bubble-ch eps-sweep:cauchy-sweep \
+        run:tools/identity/coupled128.cfg \
+        run-ch:tools/identity/bubble128.cfg \
+        run:tools/identity/forced-periodic.cfg \
+        potential-table:cauchy-sweep kernel-report:spinodal-2d --diagnose
 """
 
 import argparse
@@ -34,7 +47,7 @@ import numpy as np
 
 # keys that differ between two runs of the same code
 VOLATILE = {"manifest.json": ("timing",), "diagnose.json": ("rundir",)}
-COMMANDS = ("run", "run-ch", "eps-sweep")
+COMMANDS = ("run", "run-ch", "eps-sweep", "potential-table", "kernel-report")
 DIAGNOSED = ("run", "run-ch")  # the outputs diagnose reads
 FLD_HEADER = 48  # magic, <qqddd (n0, n1, hx, hy, t)
 
