@@ -11,9 +11,9 @@ The viscous term is built variationally: the dissipation form
     A u = D^T (2 nu_c ux, nu_n s, nu_n s, 2 nu_c vy),  s = uy + vx,
 
 with D = grid_ops.mac_component_gradients, the MAC velocity gradient
-whose no-slip wall ghosts fold into the corner shears as
-grid_ops.WALL_SHEAR u / h, and D^T
-its exact transpose grid_ops.mac_component_gradients_t.  That makes
+whose no-slip wall ghosts fold into the corner shears as WALL_SHEAR u / h
+(grid_ops.WALL_SHEAR = 2), and D^T its exact transpose
+grid_ops.mac_component_gradients_t.  That makes
 <A u, u> = R(u) hold to roundoff, so the flow's energy bookkeeping closes
 discretely, and I + dt A is symmetric positive definite for the
 conjugate-gradient momentum solve with frozen coefficients nu(phi^n).  Its
@@ -279,8 +279,8 @@ def capillary_force(phi, mu):
 
 def _remove_gradient(grid, u, v, dt):
     """The one Leray core: solve the Neumann Poisson problem for q with
-    -laplace q = -div(u) / dt, shifted to its compatible zero mean, and
-    return (u - dt grad q, v - dt grad q, q) with zero normal faces."""
+    -laplace q = -div(u, v) / dt, shifted to its compatible zero mean, and
+    return (u, v) - dt grad q, with zero normal faces, and q."""
     rhs = -go.div_arrays(grid, u, v) / dt  # the solver's -lap makes div 0
     rhs = rhs - rhs.mean()  # compatibility shift, roundoff-sized by no-slip
     q = go.solve_neumann_direct(grid, rhs)

@@ -22,8 +22,9 @@ like |s|^(2+2q), and satisfies the comparison bounds
 
 with constants (alpha, alpha_star, c0, c_q) computed here in closed form,
 all properties of PotentialSpec (c_q depends on theta and q alone, so it
-is the same for every eps), and d_q exhibited by scan.  `verify_potential_lemmas` re-checks every one
-of these inequalities by dense sampling and returns a structured report.
+is the same for every eps), and d_q exhibited by scan.
+`verify_potential_lemmas` re-checks every one of these inequalities by
+dense sampling and returns a structured report.
 
 LogPotential writes F, F', F'' once over a subclass's f1_orders(s, ks):
 SingularPotential (eps = 0, raises at |s| >= 1) or RegularizedPotential
