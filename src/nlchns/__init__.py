@@ -8,7 +8,9 @@ Library layout:
 - ch_step: convective Cahn-Hilliard time stepping (convex splitting)
 - ns_step: incompressible flow stepping (MAC projection, variable viscosity)
 - diagnostics: energy budgets, decay envelope, trajectory metric
-- cli: run configuration, presets, the coupled loop, command line
+- config: the config table (each key's default, type, domain and error
+  code), presets, and the loading that checks every value against it
+- cli: the coupled loop, the commands, their outputs, command line
 """
 
 __version__ = "0.1.0"

@@ -11,15 +11,13 @@ potential-table  per-epsilon potential constants
 
 Config format
 -------------
-Flat ``key = value`` text, one pair per line, ``#`` starts a comment.
-Unknown keys are rejected.  ``--config`` also accepts a manifest.json
-written by an earlier run; rerunning from it reproduces that run's
-series byte for byte.  A manifest written while the config still had a
-``scheme`` or ``series_every`` key loads when that key holds the one
-value this version runs.  Precedence: DEFAULTS < --preset < --config file
-< --seed flag.  The full key list with defaults is the DEFAULTS dict
-below; every run's manifest records the resolved values plus all derived
-constants and numerical tolerances, so a run directory is self-describing.
+Flat ``key = value`` text, or a manifest.json written by an earlier run;
+rerunning from it reproduces that run's series byte for byte.  The keys,
+their defaults, types and domains, the presets and the loading are in
+config.py, whose TABLE every loaded value is checked against, whatever
+the command; ``nlchns run --help`` prints the table.  Every run's manifest
+records the resolved values plus all derived constants and numerical
+tolerances, so a run directory is self-describing.
 
 Outputs
 -------
@@ -74,6 +72,8 @@ from numpy.random import default_rng
 from . import diagnostics as dg
 from . import grid_ops as go
 from . import ns_step as ns
+from .config import (ConfigError, DEFAULTS, PRESETS, _apply_manifest, eps_list,
+                     keys_help, load_config)
 from .ch_step import (
     CHError,
     MASS_DEFECT_LIMIT,
@@ -116,181 +116,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(Exception):
-    """Rejected configuration; ``code`` is a stable machine-readable tag."""
-
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
 class RunFailure(Exception):
     """Numerical failure after outputs were flushed; maps to exit code 3."""
-
-
-# --------------------------------------------------------------- schema
-
-DEFAULTS = {
-    # domain
-    "grid_nx": 64, "grid_ny": 64, "grid_lx": 1.0, "grid_ly": 1.0,
-    # potential
-    "theta": 1.0, "theta_c": 2.0, "q": 1, "epsilon": 1e-3,
-    "eps_grid": "1e-1,5e-2,2.5e-2,1.25e-2,6.25e-3",
-    # kernel
-    "kernel_family": "gaussian", "kernel_width": 0.1, "kernel_j_l1": 4.0,
-    # viscosity
-    "nu1": 0.01, "nu2": 0.02,
-    # initial order parameter
-    "m0": 0.9,
-    "init": "constant-noise",
-    "init_mean": 0.0, "init_amplitude": 0.05,
-    "init_radius": 0.25, "init_width": 0.05, "init_file": "",
-    # initial velocity (coupled runs)
-    "init_u": "zero", "init_u_amplitude": 0.0,
-    # body force (coupled runs)
-    "forcing": "zero",
-    "forcing_fx": 0.0, "forcing_fy": 0.0, "forcing_omega": 6.283185307179586,
-    # prescribed velocity (transport-only runs)
-    "velocity": "zero", "velocity_amplitude": 0.5, "velocity_period": 1.0,
-    # time stepping and output cadence
-    "dt": 2e-3, "horizon": 0.2, "snapshot_every": 0,
-    "seed": 1234,
-}
-
-PRESETS = {
-    # 1e4 steps of coupled spinodal decomposition on a 64^2 box
-    "spinodal-2d": {
-        "horizon": 20.0, "snapshot_every": 2000,
-        "init": "constant-noise", "init_mean": 0.0, "init_amplitude": 0.05,
-        "init_u": "swirl", "init_u_amplitude": 0.2,
-    },
-    # layered two-phase state stirred by a steady swirl, transport only
-    "stripe-ch": {
-        "grid_nx": 48, "grid_ny": 48,
-        "init": "stripe", "init_amplitude": 0.8, "init_width": 0.08,
-        "epsilon": 1e-2, "velocity": "swirl", "velocity_amplitude": 0.5,
-        "horizon": 1.0,
-    },
-    # droplet relaxing under the nonlocal energy alone
-    "bubble-ch": {
-        "grid_nx": 48, "grid_ny": 48,
-        "init": "bubble", "init_amplitude": 0.9, "init_radius": 0.2,
-        "init_width": 0.06, "epsilon": 1e-2, "velocity": "zero",
-        "horizon": 1.0,
-    },
-    # epsilon refinement study at T = 1.  The quench is deep (pure-phase
-    # plateau about 1 - 5e-4) so every epsilon in the halving grid reshapes
-    # the potential on a range the trajectory actually occupies; consecutive
-    # rows of the table are then honest phi_eps vs phi_{eps/2} differences.
-    "cauchy-sweep": {
-        "grid_nx": 32, "grid_ny": 32,
-        "theta": 0.4, "theta_c": 1.66, "kernel_j_l1": 6.0,
-        "init": "stripe", "init_amplitude": 0.999, "init_width": 0.08,
-        "velocity": "zero", "horizon": 1.0,
-        "eps_grid": "1e-1,5e-2,2.5e-2,1.25e-2,6.25e-3,3.125e-3",
-    },
-}
-
-
-def _coerce(key, raw):
-    """Coerce a raw config value to the type of its default."""
-    default = DEFAULTS[key]
-    try:
-        if isinstance(raw, bool) and isinstance(default, (int, float)):
-            raise ValueError(f"{raw!r} is not a number")  # int(True) == 1
-        if isinstance(default, int) and not isinstance(default, bool):
-            out = int(raw.strip()) if isinstance(raw, str) else int(raw)
-            if out != raw and not isinstance(raw, str):
-                raise ValueError(f"{raw!r} is not an integer")
-            if key == "seed" and out < 0:
-                raise ValueError(f"must be nonnegative, got {out}")
-            return out
-        if isinstance(default, float):
-            out = float(raw)
-            if not math.isfinite(out):
-                raise ValueError(f"{out} is not finite")
-            return out
-        return str(raw).strip()
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("parse", f"bad value for {key}: {exc}") from None
-
-
-def parse_config_text(text):
-    """Flat key = value lines into a typed dict; unknown keys rejected."""
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError("parse", f"line {lineno}: expected key = value")
-        key, _, raw = body.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError("parse", f"line {lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, raw)
-    return out
-
-
-def load_config(path=None, preset=None, seed=None):
-    """Resolve DEFAULTS < preset < config file (flat text or a manifest
-    from an earlier run) < --seed into a complete typed dict."""
-    cfg = dict(DEFAULTS)
-    if preset is not None:
-        if preset not in PRESETS:
-            known = ", ".join(sorted(PRESETS))
-            raise ConfigError("preset", f"unknown preset {preset!r} (known: {known})")
-        cfg.update(PRESETS[preset])
-    if path is not None:
-        try:
-            with open(path, "r") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError("io", f"cannot read config: {exc}") from None
-        if text.lstrip().startswith("{"):
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("parse", f"bad manifest json: {exc}") from None
-            _apply_manifest(cfg, doc)
-        else:
-            cfg.update(parse_config_text(text))
-    if seed is not None:
-        cfg["seed"] = _coerce("seed", seed)
-    return cfg
-
-
-def _apply_manifest(cfg, doc):
-    """Overlay the config block of a parsed manifest document onto cfg.
-    Manifests from versions that had a retired key still load when it
-    holds the one value this version runs."""
-    retired = {"scheme": "semi-implicit-convex-split", "series_every": 1}
-    items = doc.get("config")
-    if not isinstance(items, dict):
-        raise ConfigError("parse", "manifest has no config block")
-    for key, raw in items.items():
-        if key in retired:
-            if raw != retired[key]:
-                raise ConfigError("parse", f"manifest {key} {raw!r} is not "
-                                           f"{retired[key]!r}, the one this runs")
-            continue
-        if key not in DEFAULTS:
-            raise ConfigError("parse", f"unknown key {key!r} in manifest")
-        cfg[key] = _coerce(key, raw)
-    return cfg
 
 
 # ------------------------------------------------------- object assembly
 
 Physics = namedtuple("Physics", "grid kd pspec pot")
-
-
-def _check_epsilon(eps):
-    if not (0.0 <= eps <= EPS_MAX_DEFAULT):
-        raise ConfigError(
-            "epsilon-range",
-            f"epsilon must lie in [0, {EPS_MAX_DEFAULT}], got {eps:.6g}",
-        )
 
 
 def _physics(cfg):
@@ -303,7 +135,6 @@ def _physics(cfg):
     except GridError as exc:
         raise ConfigError("grid", str(exc)) from None
     eps = cfg["epsilon"]
-    _check_epsilon(eps)
     try:
         spec = PotentialSpec(cfg["theta"], cfg["theta_c"], cfg["q"], eps)
     except PotentialError as exc:
@@ -327,15 +158,10 @@ def _physics(cfg):
 
 
 def _check_mean_cap(cfg, phi):
-    m0 = cfg["m0"]
-    if not (0.0 < m0 < 1.0):
-        raise ConfigError("mean-cap", f"m0 must lie in (0, 1), got {m0:.6g}")
-    mean = phi.mean()
-    if abs(mean) > m0:
-        raise ConfigError(
-            "mean-cap",
-            f"|mean of phi0| = {abs(mean):.6g} exceeds the cap m0 = {m0:.6g}",
-        )
+    mean, m0 = abs(phi.mean()), cfg["m0"]
+    if mean > m0:
+        raise ConfigError("mean-cap", f"|mean of phi0| = {mean:.6g} exceeds the "
+                                      f"cap m0 = {m0:.6g}")
     sat = float(np.max(np.abs(phi.values)))
     if sat >= 1.0:
         raise ConfigError("init", f"initial data saturates: max |phi0| = {sat:.6g}")
@@ -347,12 +173,6 @@ MAX_STEPS = 99_999_999
 
 def _nsteps(cfg):
     dt, horizon = cfg["dt"], cfg["horizon"]
-    if dt <= 0.0:
-        raise ConfigError("time", f"dt must be positive, got {dt:.6g}")
-    if horizon < 0.0:
-        raise ConfigError("time", f"horizon must be nonnegative, got {horizon:.6g}")
-    if cfg["snapshot_every"] < 0:
-        raise ConfigError("time", "snapshot_every must be >= 0")
     ratio = horizon / dt
     if not ratio < MAX_STEPS + 0.5:  # round(ratio) > MAX_STEPS, or inf
         raise ConfigError(
@@ -360,9 +180,8 @@ def _nsteps(cfg):
                     f"{MAX_STEPS} a run may take")
     n = int(round(ratio))
     if _off_step(horizon, n, dt):
-        raise ConfigError(
-            "time", f"horizon {horizon:.6g} is not an integer multiple of dt {dt:.6g}"
-        )
+        raise ConfigError("time", f"horizon {horizon:.6g} is not an integer "
+                                  f"multiple of dt {dt:.6g}")
     return n
 
 
@@ -372,40 +191,13 @@ def _off_step(t, n, dt):
     return np.abs(t - n * dt) > 1e-9 * np.maximum(1.0, np.abs(t))
 
 
-def _eps_list(cfg):
-    try:
-        values = [float(tok) for tok in cfg["eps_grid"].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError("parse", f"bad eps_grid: {exc}") from None
-    if len(values) < 2:
-        raise ConfigError("parse", "eps_grid needs at least two entries")
-    for eps in values:
-        _check_epsilon(eps)
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ConfigError("epsilon-range", "eps_grid must be strictly decreasing")
-    return values
-
-
 # ------------------------------------------------------------ scenarios
 
 def _initial_phi(cfg, grid, rng):
     """Initial order parameter.  Patterns are made mean free and rescaled
     so their peak equals init_amplitude; the resolved mean then equals
     init_mean exactly (file init is taken verbatim)."""
-    kind = cfg["init"]
-    mean, amp = cfg["init_mean"], cfg["init_amplitude"]
-    x, y = grid.cell_mesh()
-    if kind == "constant-noise":
-        pattern = 2.0 * rng.random((grid.nx, grid.ny)) - 1.0
-    elif kind == "stripe":
-        w = max(cfg["init_width"], 1e-6)
-        d = np.abs(y - 0.5 * grid.ly) - 0.25 * grid.ly
-        pattern = -np.tanh(d / w)
-    elif kind == "bubble":
-        w = max(cfg["init_width"], 1e-6)
-        r = np.hypot(x - 0.5 * grid.lx, y - 0.5 * grid.ly)
-        pattern = np.tanh((cfg["init_radius"] - r) / w)
-    elif kind == "file":
+    if cfg["init"] == "file":
         path = cfg["init_file"]
         if not path:
             raise ConfigError("init", "init = file requires init_file")
@@ -415,8 +207,19 @@ def _initial_phi(cfg, grid, rng):
             raise ConfigError("init", f"cannot load init_file: {exc}") from None
         _check_mean_cap(cfg, phi)
         return phi
-    else:
-        raise ConfigError("init", f"unknown init kind {kind!r}")
+    mean, amp, w = cfg["init_mean"], cfg["init_amplitude"], cfg["init_width"]
+    x, y = grid.cell_mesh()
+    # a width far below the spacing overflows the ratio to +-inf, which
+    # tanh takes to a sharp interface's +-1
+    with np.errstate(over="ignore"):
+        if cfg["init"] == "constant-noise":
+            pattern = 2.0 * rng.random((grid.nx, grid.ny)) - 1.0
+        elif cfg["init"] == "stripe":
+            d = np.abs(y - 0.5 * grid.ly) - 0.25 * grid.ly
+            pattern = -np.tanh(d / w)
+        else:  # bubble
+            r = np.hypot(x - 0.5 * grid.lx, y - 0.5 * grid.ly)
+            pattern = np.tanh((cfg["init_radius"] - r) / w)
     pattern -= pattern.mean()
     peak = float(np.max(np.abs(pattern)))
     if peak > 0.0:
@@ -439,10 +242,7 @@ def _swirl(grid, amplitude, code):
 
 
 def _initial_velocity(cfg, grid):
-    kind = cfg["init_u"]
-    if kind not in ("zero", "swirl"):
-        raise ConfigError("init", f"unknown init_u kind {kind!r}")
-    if kind == "zero" or cfg["init_u_amplitude"] == 0.0:
+    if cfg["init_u"] == "zero" or cfg["init_u_amplitude"] == 0.0:
         return go.zero_vector(grid)
     return _swirl(grid, cfg["init_u_amplitude"], "init")
 
@@ -470,10 +270,8 @@ def _forcing_fn(cfg, grid):
     steady = VectorField(grid, bu, bv)
     if kind == "steady":
         return lambda t: steady
-    if kind == "time-periodic":
-        return _cos_in_time(steady, cfg["forcing_omega"], cfg["horizon"],
-                            "forcing_omega")
-    raise ConfigError("parse", f"unknown forcing kind {kind!r}")
+    return _cos_in_time(steady, cfg["forcing_omega"], cfg["horizon"],
+                        "forcing_omega")
 
 
 def _velocity_fn(cfg, grid):
@@ -482,16 +280,11 @@ def _velocity_fn(cfg, grid):
     if kind == "zero":
         still = go.zero_vector(grid)
         return lambda t: still
+    steady = _swirl(grid, cfg["velocity_amplitude"], "parse")
     if kind == "swirl":
-        steady = _swirl(grid, cfg["velocity_amplitude"], "parse")
         return lambda t: steady
-    if kind == "swirl-periodic":
-        period = cfg["velocity_period"]
-        if period <= 0.0:
-            raise ConfigError("parse", f"velocity_period must be positive, got {period}")
-        return _cos_in_time(_swirl(grid, cfg["velocity_amplitude"], "parse"),
-                            2.0 * np.pi / period, cfg["horizon"], "velocity_period")
-    raise ConfigError("parse", f"unknown velocity kind {kind!r}")
+    return _cos_in_time(steady, 2.0 * np.pi / cfg["velocity_period"],
+                        cfg["horizon"], "velocity_period")
 
 
 # --------------------------------------------------------------- output
@@ -778,7 +571,7 @@ def run_coupled(cfg, outdir):
 def run_eps_sweep(cfg, outdir):
     """Rerun the same transport problem over a decreasing epsilon grid and
     tabulate the final-time differences between consecutive runs."""
-    eps_values = _eps_list(cfg)
+    eps_values = eps_list(cfg["eps_grid"])
     nsteps = _nsteps(cfg)
     if nsteps == 0:
         raise ConfigError("time", "eps-sweep needs a positive horizon")
@@ -959,7 +752,7 @@ def run_kernel_report(cfg, outdir=None):
 def run_potential_table(cfg, outdir=None):
     """Per-epsilon potential constants over the configured grid; c_q is
     the spec's, the same for every epsilon, so d_q values are comparable."""
-    eps_values = _eps_list(cfg)
+    eps_values = eps_list(cfg["eps_grid"])
     if any(eps <= 0.0 for eps in eps_values):
         raise ConfigError("epsilon-range",
                           "potential-table needs strictly positive epsilon")
@@ -986,6 +779,10 @@ def run_potential_table(cfg, outdir=None):
 # ------------------------------------------------------------------ main
 
 def _add_common(sub, out_required):
+    """The options of a command that reads a config; its help ends with
+    the config keys."""
+    sub.epilog = keys_help()
+    sub.formatter_class = argparse.RawDescriptionHelpFormatter
     sub.add_argument("--config", metavar="PATH", default=None,
                      help="flat key=value file or a manifest.json to rerun")
     sub.add_argument("--preset", metavar="NAME", default=None,

@@ -2,8 +2,10 @@
 exit codes, and the reporting subcommands."""
 
 import contextlib
+import importlib.util
 import io
 import json
+import pathlib
 import shutil
 import struct
 import subprocess
@@ -16,8 +18,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from nlchns import cli
 from nlchns import diagnostics as dg
 from nlchns import grid_ops as go
-from nlchns.cli import ConfigError, DEFAULTS, load_config, parse_config_text
+from nlchns.config import (ConfigError, DEFAULTS, PRESETS, TABLE, _apply_manifest,
+                           load_config, parse_config_text)
 from nlchns.ns_step import ViscositySpec
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_cfg(path, text):
@@ -125,6 +130,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_shipped_configs_pass_the_table(self):
+        # a domain so tight that it refused the defaults, a preset, an
+        # identity config or the config a benchmark workload writes would
+        # refuse a run that works
+        for cfg in [DEFAULTS] + [dict(DEFAULTS, **p) for p in PRESETS.values()]:
+            text = "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                           for k, v in cfg.items())
+            assert parse_config_text(text) == cfg
+        for path in sorted((ROOT / "tools" / "identity").glob("*.cfg")):
+            load_config(str(path))
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "bench" / "workloads.py")
+        wl = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(wl)
+        assert wl.WORKLOADS
+        for workload in wl.WORKLOADS.values():
+            seed = wl.input_seed(workload, 1000)
+            parse_config_text(wl.config_text(workload.config, seed))
+
 
 class TestRejectionCodes:
     """Every rejection path exits 2 with a distinct error[<code>] line."""
@@ -170,6 +194,50 @@ class TestRejectionCodes:
         rc = cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"error[{code}]:" in capsys.readouterr().err
+
+    # one value outside the domain of each key that has one (config.TABLE),
+    # then configs that every command ran with exit 0 before the table
+    # checked each key whatever the command; the key leads the id
+    DOMAIN_CASES = [
+        ("epsilon", "epsilon = 0.5", "epsilon-range"),
+        ("eps_grid", "eps_grid = 1e-1", "parse"),
+        ("eps_grid-order", "eps_grid = 1e-2,5e-2", "epsilon-range"),
+        ("m0", "m0 = 1.0", "mean-cap"),
+        ("init", "init = vortex-sheet", "init"),
+        ("init_radius", "init_radius = 0", "init"),
+        ("init_width", "init_width = 0", "init"),
+        ("init_u", "init_u = vortex", "init"),
+        ("forcing", "forcing = gust", "parse"),
+        ("velocity", "velocity = gust", "parse"),
+        ("velocity_period", "velocity_period = 0", "parse"),
+        ("dt", "dt = 0", "time"),
+        ("horizon", "horizon = -0.1", "time"),
+        ("snapshot_every", "snapshot_every = -1", "time"),
+        ("seed", "seed = -2", "parse"),
+        ("forcing-and-init_u-typos", "forcing = steadyy\ninit_u = swril", "parse"),
+        ("velocity-typo-and-negative-period",
+         "velocity = swril\nvelocity_period = -1", "parse"),
+        ("eps_grid-garbage", "eps_grid = garbage", "parse"),
+        ("init-bubble-negative-radius-and-width",
+         "init = bubble\ninit_radius = -3\ninit_width = -1", "init"),
+        ("velocity_period-negative", "velocity_period = -1", "parse"),
+    ]
+
+    def test_every_domain_has_a_case(self):
+        cased = {text.partition(" ")[0] for _, text, _ in self.DOMAIN_CASES}
+        assert cased == {key for key, row in TABLE.items() if row.domain is not None}
+
+    @pytest.mark.parametrize("name,text,code", DOMAIN_CASES,
+                             ids=[c[0] for c in DOMAIN_CASES])
+    @pytest.mark.parametrize("cmd", ["run", "run-ch", "eps-sweep", "kernel-report",
+                                     "potential-table"])
+    def test_refused_at_load(self, tmp_path, capsys, cmd, name, text, code):
+        cfg = write_cfg(tmp_path / "bad.cfg", SMALL + text + "\n")
+        out = tmp_path / "o"
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error[{code}]:"), lines
+        assert not out.exists()
 
     @pytest.mark.parametrize("width", ["1e200", "1e300"])
     @pytest.mark.parametrize("cmd", ["run", "kernel-report"])
@@ -347,6 +415,13 @@ class TestMalformedRunDirectory:
          _manifest_edit(lambda doc: doc["config"].update(dt=1e300)), "time"),
         ("manifest-dt-not-the-series-step",
          _manifest_edit(lambda doc: doc["config"].update(dt=0.001)), "io"),
+        # keys a coupled run does not read are checked all the same
+        ("manifest-init-width-zero",
+         _manifest_edit(lambda doc: doc["config"].update(init_width=0.0)), "init"),
+        ("manifest-velocity-typo",
+         _manifest_edit(lambda doc: doc["config"].update(velocity="swril")), "parse"),
+        ("manifest-eps-grid-garbage",
+         _manifest_edit(lambda doc: doc["config"].update(eps_grid="garbage")), "parse"),
     ]
 
     @pytest.mark.filterwarnings("error")
@@ -580,6 +655,17 @@ class TestRunCH:
                         "horizon = 0.02\n")
         out = tmp_path / "o"
         assert cli.main(["run-ch", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_width_below_the_spacing_is_a_sharp_interface(self, tmp_path):
+        # the width is not raised to a floor: a subnormal one overflows
+        # d / width, which tanh takes to a two-valued step, with no warning
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        SMALL + "init = stripe\ninit_amplitude = 0.6\n"
+                                "init_width = 5e-324\nhorizon = 0.002\n")
+        out = tmp_path / "o"
+        assert cli.main(["run-ch", "--config", cfg, "--out", str(out)]) == 0
+        phi0, _ = go.read_snapshot(str(out / "phi_00000000.fld"))
+        assert sorted(np.unique(phi0)) == [-0.6, 0.6]
 
     def test_epsilon_below_1e_12_runs(self, tmp_path):
         # the comparison bounds hold for every eps in (0, eps_max]
@@ -847,9 +933,26 @@ REPORT_KEYS = ("kernel_width", "kernel_j_l1", "theta", "theta_c", "epsilon",
                "grid_lx", "grid_ly")
 
 
+def first_refused(items, load):
+    """The first of items that load refuses on its own."""
+    for item in items:
+        try:
+            load(item)
+        except ConfigError:
+            return item
+    raise AssertionError("the items are refused only together")
+
+
+def allowed_codes(key):
+    """parse, for a syntax, key or type error, and the code the table gives
+    key, for a value of its type outside its domain."""
+    return {"parse", TABLE[key].code} if key in TABLE else {"parse"}
+
+
 class TestProperties:
-    """Hypothesis: odd input is a typed config or a ConfigError, and the
-    report commands exit 0 or 2, never with a traceback."""
+    """Hypothesis: odd input is a typed config or a ConfigError with the
+    code of the entry it refuses, and the report commands exit 0 or 2,
+    never with a traceback."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=st.text() | CONFIG_LINES)
@@ -857,7 +960,9 @@ class TestProperties:
         try:
             out = parse_config_text(text)
         except ConfigError as exc:
-            assert exc.code == "parse"
+            line = first_refused(text.splitlines(), parse_config_text)
+            key = line.split("#", 1)[0].partition("=")[0].strip()
+            assert exc.code in allowed_codes(key)
         else:
             assert set(out) <= set(DEFAULTS)
 
@@ -871,7 +976,11 @@ class TestProperties:
         try:
             cfg = load_config(str(path))
         except ConfigError as exc:
-            assert exc.code == "parse"
+            key = None
+            if isinstance(block, dict):
+                key, _ = first_refused(block.items(), lambda item: _apply_manifest(
+                    dict(DEFAULTS), {"config": dict([item])}))
+            assert exc.code in allowed_codes(key)
         else:
             assert set(cfg) == set(DEFAULTS)
 
