@@ -47,7 +47,9 @@ does over a snapshot trajectory.  For coupled runs it is
     [E(n+1) - E(n)]/dt + 2||sqrt(nu(phi_n)) Du_(n+1)||^2
         + ||grad mu_(n+1)||^2 - <h(t_n), u_(n+1)>
 
-with the same frozen-coefficient convention the flow stepper uses; for
+with the same frozen-coefficient convention the flow stepper uses:
+_Coupled computes nu(phi) once per accepted state, hands nu(phi_n) to
+ns_step and keeps it for this residual; for
 transport-only runs the viscous and forcing terms are replaced by the
 convective power, matching diagnostics.ch_energy_identity_residual.
 
@@ -427,34 +429,37 @@ class _Coupled(_Stepper):
         super().__init__(cfg, phys)
         self.flow = init_ns_state(_initial_velocity(cfg, self.grid))
         self.h_n = None  # forcing of the step just taken
-        self.nu = None  # nu(phi) at cells and corners of the last row's state
+        # nu(phi) at cells and corners, of the state and of the state the
+        # step just taken started from (its frozen coefficients)
+        self.nu = ns.viscosity_fields(self.grid, self.ch.phi.values, self.visc)
+        self.nu_n = None
 
     def step(self, t, dt):
         h = self.forcing(t)
-        flow = ns.ns_step(self.flow, self.ch.phi, self.ch.mu, h, self.visc, dt)
-        self.ch = ch_step(self.ch, flow.u, dt, self.kd, self.pot)
-        self.flow = flow  # (phi, u) stays a coherent pair on failure
-        self.h_n = h
+        flow = ns.ns_step(self.flow, self.ch.phi, self.ch.mu, h, self.nu, dt)
+        ch = ch_step(self.ch, flow.u, dt, self.kd, self.pot)
+        nu = ns.viscosity_fields(self.grid, ch.phi.values, self.visc)
+        # (phi, u, nu) stays a coherent state on failure
+        self.ch, self.flow, self.h_n, self.nu_n, self.nu = ch, flow, h, self.nu, nu
 
     def row(self, t, dt):
         """Instantaneous columns (viscous dissipation, forcing power) use the
         row's own state; the residual balances the step that ended here,
-        with coefficients frozen at phi_n as in the step: a row follows
-        every step, so the previous row kept nu(phi_n) and E_n."""
+        with coefficients frozen at phi_n as in the step.  Both viscous
+        quadratures read one D(u); div_inf is the step's projection's."""
         grid, ch, vel = self.grid, self.ch, self.flow.u
         terms = dg.energy_terms(ch.phi, vel, self.kd, self.pot, ch.conv)
         gm2 = go.h1_seminorm(ch.mu) ** 2
-        div_inf, residual = 0.0, float("nan")
+        grads = go.mac_component_gradients(grid, vel.u, vel.v)
+        residual = float("nan")
         if self.total is not None:
-            diss = ns.dissipation(grid, *self.nu, vel.u, vel.v)
+            diss = ns.dissipation(grid, *self.nu_n, grads)
             residual = dg.identity_residual(self.total, terms[3], dt, diss,
                                             gm2, _power(self.h_n, vel))
-            div_inf = float(np.max(np.abs(go.div_arrays(grid, vel.u, vel.v))))
-        self.nu = ns.viscosity_fields(grid, ch.phi.values, self.visc)
         self.total = terms[3]
         return (t, ch.phi.mean(), float(np.max(np.abs(ch.phi.values))), *terms, gm2,
-                ns.dissipation(grid, *self.nu, vel.u, vel.v),
-                fprime_l1(ch.phi, self.pot), div_inf,
+                ns.dissipation(grid, *self.nu, grads),
+                fprime_l1(ch.phi, self.pot), self.flow.div_inf,
                 _power(self.forcing(t), vel), residual)
 
     def fields(self):

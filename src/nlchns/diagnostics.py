@@ -185,8 +185,8 @@ def energy_identity_residuals(traj, kernel, feps, visc):
     for k in range(n - 1):
         mu_next = chemical_potential(traj.phi(k + 1), kernel, feps)
         nu_c, nu_n = ns_step.viscosity_fields(traj.grid, traj.phis[k], visc)
-        diss_v = ns_step.dissipation(traj.grid, nu_c, nu_n,
-                                     traj.us[k + 1], traj.vs[k + 1])
+        grads = go.mac_component_gradients(traj.grid, traj.us[k + 1], traj.vs[k + 1])
+        diss_v = ns_step.dissipation(traj.grid, nu_c, nu_n, grads)
         diss_m = go.h1_seminorm(mu_next) ** 2
         out[k] = identity_residual(energies[k], energies[k + 1], traj.dt,
                                    diss_v, diss_m, 0.0)

@@ -105,10 +105,11 @@ class ViscositySpec:
 class NSState:
     u: VectorField
     pressure: ScalarField
+    div_inf: float  # max |div u| after the projection that made u; 0 at a start
 
 
 def init_ns_state(u):
-    return NSState(u=u, pressure=go.zeros(u.grid))
+    return NSState(u=u, pressure=go.zeros(u.grid), div_inf=0.0)
 
 
 def kinetic_energy(w):
@@ -148,9 +149,11 @@ def viscous_apply(grid, nu_c, nu_n, u, v):
     return go.mac_component_gradients_t(grid, qx, s, s, qy)
 
 
-def dissipation(grid, nu_c, nu_n, u, v):
-    """int 2 nu |Du|^2 with the same quadrature the operator derives from."""
-    ux, uy, vx, vy = go.mac_component_gradients(grid, u, v)
+def dissipation(grid, nu_c, nu_n, grads):
+    """int 2 nu |Du|^2 with the same quadrature the operator derives from;
+    grads is go.mac_component_gradients of u, so one velocity's gradients
+    serve every viscosity it is weighed with."""
+    ux, uy, vx, vy = grads
     total = 2.0 * np.sum(nu_c * (ux**2 + vy**2)) + np.sum(nu_n * (uy + vx)**2)
     return float(total * grid.cell_volume)
 
@@ -367,20 +370,23 @@ def _solve_momentum(grid, nu_c, nu_n, dt, bu, bv, u0, v0):
 
 # -------------------------------------------------------------- the step
 
-def ns_step(ns, phi, mu, forcing, visc, dt):
+def ns_step(ns, phi, mu, forcing, nu, dt):
     """One semi-implicit momentum step with incremental projection.
 
     ns       : NSState at time t
     phi, mu  : ScalarFields at time t (mu drives the capillary force)
     forcing  : VectorField body force, or None
-    visc     : ViscositySpec; coefficients frozen at nu(phi(t))
+    nu       : (nu_c, nu_n), the coefficients frozen at nu(phi(t)), as
+               viscosity_fields gives them; the caller computes them once
+               per state
     dt       : time step, > 0
 
     Explicit advection and capillary force, implicit viscous solve with
     the SPD frozen-coefficient operator by preconditioned CG, then
     pressure correction.  Raises NSStepRejection when the momentum CG
     stalls and NSError on non-finite data.  The post-projection
-    divergence is audited against DIV_TOLERANCE.
+    divergence is audited against DIV_TOLERANCE and kept in the new
+    state's div_inf.
     """
     if not (dt > 0.0):
         raise NSError(f"dt must be positive, got {dt}")
@@ -391,7 +397,7 @@ def ns_step(ns, phi, mu, forcing, visc, dt):
         raise NSError("non-finite phi or mu input")
     u0, v0 = ns.u.u, ns.u.v
 
-    nu_c, nu_n = viscosity_fields(grid, phi.values, visc)
+    nu_c, nu_n = nu
     adv_u, adv_v = advective_tendency(grid, u0, v0)
     cap = capillary_force(phi, mu)
     gpx, gpy = go.grad_arrays(grid, ns.pressure.values)
@@ -414,7 +420,7 @@ def ns_step(ns, phi, mu, forcing, visc, dt):
         raise NSError(f"projection left divergence {div_inf:.3e}")
     p1 = p1 - p1.mean()
 
-    return NSState(u=VectorField(grid, u1, v1), pressure=ScalarField(grid, p1))
+    return NSState(VectorField(grid, u1, v1), ScalarField(grid, p1), div_inf)
 
 
 # ------------------------------------------------- momentum weak residual

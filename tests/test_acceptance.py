@@ -66,7 +66,8 @@ def coupled_trajectory(grid, kd, feps, visc, ch, flow, dt, nsteps):
     us = [flow.u.u.copy()]
     vs = [flow.u.v.copy()]
     for _ in range(nsteps):
-        flow = ns.ns_step(flow, ch.phi, ch.mu, None, visc, dt)
+        nu = ns.viscosity_fields(grid, ch.phi.values, visc)
+        flow = ns.ns_step(flow, ch.phi, ch.mu, None, nu, dt)
         ch = ch_step(ch, flow.u, dt, kd, feps)
         phis.append(ch.phi.values.copy())
         us.append(flow.u.u.copy())
@@ -126,7 +127,8 @@ def coupled_ladder():
     ch = init_state(smooth_field(grid), kd, feps)
     flow = init_ns_state(smooth_velocity(grid))
     for _ in range(10):
-        flow = ns.ns_step(flow, ch.phi, ch.mu, None, visc, 2e-3)
+        nu = ns.viscosity_fields(grid, ch.phi.values, visc)
+        flow = ns.ns_step(flow, ch.phi, ch.mu, None, nu, 2e-3)
         ch = ch_step(ch, flow.u, 2e-3, kd, feps)
     t0 = time.perf_counter()
     out = {"max_res": [], "prefix_max": [], "cumulative": [], "trajs": []}
@@ -246,7 +248,8 @@ def test_criterion_05_equilibrium_exactness(criterion):
         ch = init_state(ScalarField(grid, np.full((16, 16), c)), kd, pot)
         flow = init_ns_state(zero_vector(grid))
         for _ in range(1000):
-            flow = ns.ns_step(flow, ch.phi, ch.mu, None, visc, 2e-3)
+            nu = ns.viscosity_fields(grid, ch.phi.values, visc)
+            flow = ns.ns_step(flow, ch.phi, ch.mu, None, nu, 2e-3)
             ch = ch_step(ch, flow.u, 2e-3, kd, pot)
         worst_phi = max(worst_phi, float(np.max(np.abs(ch.phi.values - c))))
         worst_u = max(worst_u, float(np.abs(flow.u.u).max()),

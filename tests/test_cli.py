@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from nlchns import cli
 from nlchns import diagnostics as dg
 from nlchns import grid_ops as go
+from nlchns import ns_step as ns
 from nlchns.config import (ConfigError, DEFAULTS, PRESETS, TABLE, _apply_manifest,
                            load_config, parse_config_text)
 from nlchns.ns_step import ViscositySpec
@@ -520,6 +521,50 @@ class TestResidualCrossCheck:
         d = np.genfromtxt(out / "series.csv", delimiter=",", names=True)
         assert len(index) == len(d) == 11
         assert np.array_equal(d["identity_residual"][1:], ours)
+
+
+class TestPerStepProducts:
+    """Each per-state product of the coupled step has one owner: nu(phi) is
+    computed once per accepted state, the row takes D(u) once for both of
+    its viscous quadratures, and its div_inf is the projection's own."""
+
+    def test_each_product_is_computed_once(self, tmp_path, monkeypatch):
+        calls = {"viscosity_fields": 0, "mac_component_gradients": 0,
+                 "div_arrays": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(ns, "viscosity_fields")
+        count(go, "mac_component_gradients")
+        count(go, "div_arrays")
+        projected, project = [], ns.project
+
+        def recording(*args):
+            out = project(*args)
+            projected.append(out[-1])
+            return out
+
+        monkeypatch.setattr(ns, "project", recording)
+        cfg = load_config(write_cfg(tmp_path / "c.cfg", FAST_COUPLED))
+        dt, nsteps = cfg["dt"], 4
+        stepper = cli._Coupled(cfg, cli._physics(cfg))
+        column = cli.COUPLED_HEADER.index("div_inf")
+        assert stepper.row(0.0, dt)[column] == 0.0
+        for _, t in cli._steps(stepper, nsteps, dt):
+            before = dict(calls)
+            row = stepper.row(t, dt)
+            assert calls["mac_component_gradients"] == before["mac_component_gradients"] + 1
+            assert calls["div_arrays"] == before["div_arrays"]
+            assert row[column] == projected[-1]
+        assert len(projected) == nsteps
+        assert calls["viscosity_fields"] == 1 + nsteps
 
 
 REFINED_BUBBLE = """

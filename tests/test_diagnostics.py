@@ -73,7 +73,8 @@ def run_coupled_snapshots(grid, kd, spec, feps, nsteps, dt, seed=5,
     phis, us, vs = [ch.phi.values.copy()], [flow.u.u.copy()], [flow.u.v.copy()]
     for _ in range(nsteps):
         mu = chemical_potential(ch.phi, kd, feps)
-        flow = ns_step.ns_step(flow, ch.phi, mu, None, VISC, dt)
+        nu = ns_step.viscosity_fields(grid, ch.phi.values, VISC)
+        flow = ns_step.ns_step(flow, ch.phi, mu, None, nu, dt)
         ch = ch_step(ch, flow.u, dt, kd, feps)
         phis.append(ch.phi.values.copy())
         us.append(flow.u.u.copy())
@@ -89,7 +90,8 @@ def relaxed_start(grid, kd, feps, n_burn=10, dt_burn=2e-3, seed=5):
     flow = ns_step.init_ns_state(smooth_velocity(grid, seed + 1, 0.1))
     for _ in range(n_burn):
         mu = chemical_potential(ch.phi, kd, feps)
-        flow = ns_step.ns_step(flow, ch.phi, mu, None, VISC, dt_burn)
+        nu = ns_step.viscosity_fields(grid, ch.phi.values, VISC)
+        flow = ns_step.ns_step(flow, ch.phi, mu, None, nu, dt_burn)
         ch = ch_step(ch, flow.u, dt_burn, kd, feps)
     return ch, flow
 

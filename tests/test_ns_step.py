@@ -110,7 +110,8 @@ class TestViscousOperator:
         u, v = random_interior(grid, 13)
         au, av = ns.viscous_apply(grid, nu_c, nu_n, u, v)
         form = (np.sum(au * u) + np.sum(av * v)) * grid.cell_volume
-        diss = ns.dissipation(grid, nu_c, nu_n, u, v)
+        diss = ns.dissipation(grid, nu_c, nu_n,
+                              go.mac_component_gradients(grid, u, v))
         assert diss > 0.0
         assert abs(form - diss) <= 1e-12 * diss
 
@@ -123,7 +124,7 @@ class TestViscousOperator:
         v = np.zeros((grid.nx, grid.ny + 1))
         nu_c = np.ones((grid.nx, grid.ny))
         assert ns.dissipation(grid, nu_c, ns.cell_to_corner(grid, nu_c),
-                              u, v) > 0.0
+                              go.mac_component_gradients(grid, u, v)) > 0.0
 
     def test_grad_form_matches_h1_seminorm(self):
         grid = GRID
@@ -241,25 +242,25 @@ class TestStepContract:
         state = ns.init_ns_state(swirl(grid, amplitude))
         phi = smooth_scalar(grid, 0.4)
         mu = smooth_scalar(grid, 0.2, kx=2, ky=1)
-        visc = ns.ViscositySpec(0.05, 0.2)
-        return state, phi, mu, visc
+        nu = ns.viscosity_fields(grid, phi.values, ns.ViscositySpec(0.05, 0.2))
+        return state, phi, mu, nu
 
     def test_rest_state_is_bitwise_fixed_point(self):
         grid = GRID
         state = ns.init_ns_state(go.zero_vector(grid))
         phi = ScalarField(grid, np.full((grid.nx, grid.ny), 0.2))
         mu = ScalarField(grid, np.full((grid.nx, grid.ny), 1.7))
-        visc = ns.ViscositySpec(0.1, 0.3)
+        nu = ns.viscosity_fields(grid, phi.values, ns.ViscositySpec(0.1, 0.3))
         for _ in range(5):
-            state = ns.ns_step(state, phi, mu, None, visc, 1e-2)
+            state = ns.ns_step(state, phi, mu, None, nu, 1e-2)
         assert np.all(state.u.u == 0.0) and np.all(state.u.v == 0.0)
         assert np.all(state.pressure.values == 0.0)
 
     def test_divergence_audit_and_pressure_mean(self):
-        state, phi, mu, visc = self._setup()
+        state, phi, mu, nu = self._setup()
         grid = state.u.grid
         for _ in range(10):
-            state = ns.ns_step(state, phi, mu, None, visc, 2e-3)
+            state = ns.ns_step(state, phi, mu, None, nu, 2e-3)
             div = go.div_arrays(grid, state.u.u, state.u.v)
             umax = max(np.abs(state.u.u).max(), np.abs(state.u.v).max(), 1.0)
             assert np.abs(div).max() <= 1e-10 * umax
@@ -268,46 +269,46 @@ class TestStepContract:
                 1.0 + np.abs(state.pressure.values).max())
 
     def test_noslip_walls_preserved(self):
-        state, phi, mu, visc = self._setup()
+        state, phi, mu, nu = self._setup()
         forcing = None
         for _ in range(3):
-            state = ns.ns_step(state, phi, mu, forcing, visc, 2e-3)
+            state = ns.ns_step(state, phi, mu, forcing, nu, 2e-3)
         assert np.all(state.u.u[0, :] == 0.0)
         assert np.all(state.u.u[-1, :] == 0.0)
         assert np.all(state.u.v[:, 0] == 0.0)
         assert np.all(state.u.v[:, -1] == 0.0)
 
     def test_kinetic_energy_decays_without_forcing(self):
-        state, phi, mu0, visc = self._setup()
+        state, phi, mu0, nu = self._setup()
         grid = state.u.grid
         mu = ScalarField(grid, np.zeros((grid.nx, grid.ny)))
         energies = [ns.kinetic_energy(state.u)]
         for _ in range(20):
-            state = ns.ns_step(state, phi, mu, None, visc, 2e-3)
+            state = ns.ns_step(state, phi, mu, None, nu, 2e-3)
             energies.append(ns.kinetic_energy(state.u))
         for e_prev, e_next in zip(energies, energies[1:]):
             assert e_next < e_prev
 
     def test_bad_dt_and_grid_mismatch(self):
-        state, phi, mu, visc = self._setup()
+        state, phi, mu, nu = self._setup()
         with pytest.raises(ns.NSError):
-            ns.ns_step(state, phi, mu, None, visc, 0.0)
+            ns.ns_step(state, phi, mu, None, nu, 0.0)
         other = Grid(32, 32, 1.0, 1.0)
         phi_other = smooth_scalar(other, 0.4)
         with pytest.raises(ns.NSError):
-            ns.ns_step(state, phi_other, mu, None, visc, 1e-3)
+            ns.ns_step(state, phi_other, mu, None, nu, 1e-3)
 
     def test_nan_input_is_hard_error(self):
-        state, phi, mu, visc = self._setup()
+        state, phi, mu, nu = self._setup()
         mu.values[0, 0] = np.nan  # mutate after construction-time checks
         with pytest.raises(ns.NSError):
-            ns.ns_step(state, phi, mu, None, visc, 1e-3)
+            ns.ns_step(state, phi, mu, None, nu, 1e-3)
 
     def test_solver_stall_raises_rejection(self, monkeypatch):
-        state, phi, mu, visc = self._setup()
+        state, phi, mu, nu = self._setup()
         monkeypatch.setattr(ns, "MOMENTUM_MAXITER", 0)
         with pytest.raises(ns.NSStepRejection) as err:
-            ns.ns_step(state, phi, mu, None, visc, 4e-3)
+            ns.ns_step(state, phi, mu, None, nu, 4e-3)
         assert err.value.suggested_dt == pytest.approx(2e-3)
         assert "CG failed to reach" in str(err.value)  # the CG's own reason
 
@@ -376,10 +377,11 @@ class TestSinglePhaseDecay:
         visc = ns.ViscositySpec(nu, nu)
         phi = ScalarField(grid, np.zeros((grid.nx, grid.ny)))
         mu = ScalarField(grid, np.zeros((grid.nx, grid.ny)))
+        nu_fields = ns.viscosity_fields(grid, phi.values, visc)
         state = ns.init_ns_state(w0)
         ke0 = ns.kinetic_energy(state.u)
         for _ in range(nsteps):
-            state = ns.ns_step(state, phi, mu, None, visc, dt)
+            state = ns.ns_step(state, phi, mu, None, nu_fields, dt)
         rate_ours = np.log(ke0 / ns.kinetic_energy(state.u))
 
         ur, vr = reference_single_phase_decay(grid, w0.u, w0.v, nu, dt, nsteps)
@@ -399,9 +401,10 @@ class TestMomentumResidual:
         visc = ns.ViscositySpec(0.05, 0.2)
         state0 = ns.init_ns_state(swirl(grid, 0.1))
 
+        nu = ns.viscosity_fields(grid, phi.values, visc)
         res = {}
         for dt in (4e-3, 2e-3, 1e-3):
-            state1 = ns.ns_step(state0, phi, mu, None, visc, dt)
+            state1 = ns.ns_step(state0, phi, mu, None, nu, dt)
             res[dt] = ns.momentum_residual(grid, state0, state1, phi, mu,
                                            None, visc, dt)
         assert res[4e-3] > res[2e-3] > res[1e-3] > 0.0
@@ -589,8 +592,9 @@ class TestMomentumSolve:
 
         monkeypatch.setattr(ns, "_solve_momentum", counting)
         flow = ns.init_ns_state(go.zero_vector(grid))
+        nu = ns.viscosity_fields(grid, state.phi.values, self.VISC)
         for _ in range(10):
-            flow = ns.ns_step(flow, state.phi, state.mu, None, self.VISC, self.DT)
+            flow = ns.ns_step(flow, state.phi, state.mu, None, nu, self.DT)
         assert max(counts) <= 1
         assert np.abs(flow.u.u).max() <= 1e-12
 
