@@ -318,25 +318,16 @@ class CGNonFinite(CGStall):
     """The right-hand side has a non-finite norm; no step size can help."""
 
 
-def remove_mean(w):
-    return w - w.mean()
-
-
-def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None,
-       atol=0.0):
+def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, atol=0.0):
     """Preconditioned conjugate gradients for A x = b with A symmetric
-    positive definite (on the range of project), on arrays of any fixed
-    shape.  precond applies an SPD approximation of A^-1 (None: plain CG).
-    Without x0 the iteration starts at zero and skips applying A to it.
-    project, an orthogonal projector such as remove_mean, is applied to b,
-    x0, each A p and the result, so roundoff cannot drift into its
-    complement; each residual r - alpha A p is then in the range up to
-    roundoff and is not projected again.  Stops at ||r|| <= max(rtol ||b||,
-    atol); returns (x, iters).
+    positive definite, on arrays of any fixed shape.  A semidefinite A
+    also works when b is in its range and A maps into that range: every
+    residual then stays there up to roundoff.  precond applies an SPD
+    approximation of A^-1 (None: plain CG).  Without x0 the iteration
+    starts at zero and skips applying A to it.  Stops at
+    ||r|| <= max(rtol ||b||, atol); returns (x, iters).
     Raises CGNonFinite on a non-finite ||b||, and CGStall after maxiter
     iterations (default 20 * b.size) or on a non-positive curvature p.Ap."""
-    keep = project or (lambda w: w)
-    b = keep(b)
     with np.errstate(over="ignore"):  # an overflowing norm is raised below
         bnorm = np.linalg.norm(b)
     if not np.isfinite(bnorm):
@@ -346,8 +337,8 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None,
     if x0 is None:
         x, r = np.zeros_like(b), b.copy()
     else:
-        x = keep(np.array(x0, dtype=float))
-        r = keep(b - apply(x))
+        x = np.array(x0, dtype=float)
+        r = b - apply(x)
     tol = max(rtol * bnorm, atol)
     rr = float(np.vdot(r, r))
     if np.sqrt(rr) <= tol:
@@ -358,7 +349,7 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None,
     if maxiter is None:
         maxiter = 20 * b.size
     for it in range(1, maxiter + 1):
-        ap = keep(apply(p))
+        ap = apply(p)
         pap = float(np.vdot(p, ap))
         if not pap > 0.0:
             raise CGStall(f"CG met a non-positive curvature {pap:.3g} at "
@@ -368,7 +359,7 @@ def cg(apply, b, precond=None, rtol=1e-12, maxiter=None, x0=None, project=None,
         r -= alpha * ap
         rr = float(np.vdot(r, r))
         if np.sqrt(rr) <= tol:
-            return keep(x), it
+            return x, it
         z = r if precond is None else precond(r)
         rz_new = rr if precond is None else float(np.vdot(r, z))
         p = z + (rz_new / rz) * p

@@ -459,16 +459,17 @@ def _stiffness_solve(grid, b, rtol=1e-10):
     A z + grad p = b, div z = 0 for the componentwise stiffness A.
 
     CG on the pressure Schur complement S p = -div(A^-1 grad p), applied
-    through the per-grid factors of _stokes_factors (_schur_apply), with
-    the constants (its null space) projected out; then z = A^-1 (b - grad p)
-    and one Leray projection that pins div z to roundoff.  A^-1 itself
+    through the per-grid factors of _stokes_factors (_schur_apply).  S is
+    singular only on the constants, and needs no projector: it maps them
+    to 0, its outputs and the right-hand side are mean-free (Gx 1 = 0), and
+    only grad p is used.  Then z = A^-1 (b - grad p) and one Leray
+    projection that pins div z to roundoff.  A^-1 itself
     (grad_form_inverse) runs twice: for the right-hand side and for z."""
     bu, bv = _unpack(grid, b)
     rhs = -go.div_arrays(grid, *grad_form_inverse(grid, bu, bv))
     f = _stokes_factors(grid)
     try:
-        p, _ = go.cg(lambda q: _schur_apply(f, q), rhs, rtol=rtol,
-                     maxiter=20000, project=go.remove_mean)
+        p, _ = go.cg(lambda q: _schur_apply(f, q), rhs, rtol=rtol, maxiter=20000)
     except go.CGStall:
         raise NSError("Stokes pressure solve did not converge") from None
     gx, gy = go.grad_arrays(grid, p)

@@ -671,27 +671,6 @@ class TestStokesSolve:
         ns._stiffness_solve(grid, ns._pack(*random_interior(grid, 71)))
         assert len(calls) <= 2
 
-    def test_schur_cg_projects_once_per_iteration(self, monkeypatch):
-        # b, each S p and the returned x; the updated residual is already
-        # mean-free up to roundoff and is not projected again
-        counts = {"project": 0, "schur": 0}
-        remove_mean, schur_apply = go.remove_mean, ns._schur_apply
-
-        def counting_project(w):
-            counts["project"] += 1
-            return remove_mean(w)
-
-        def counting_schur(f, p):
-            counts["schur"] += 1
-            return schur_apply(f, p)
-
-        monkeypatch.setattr(go, "remove_mean", counting_project)
-        monkeypatch.setattr(ns, "_schur_apply", counting_schur)
-        grid = Grid(32, 32)
-        ns._stiffness_solve(grid, ns._pack(*random_interior(grid, 72)))
-        assert counts["schur"] > 10
-        assert counts["project"] <= counts["schur"] + 3
-
 
 class TestStokesEigenvalue:
     def test_matches_assembled_oracle_on_coarse_grid(self):
