@@ -20,7 +20,7 @@ read from a config file, a manifest or --seed is checked as it is read,
 whichever command then reads the config; the defaults and the presets are
 held to the table by a test.  Checks that need a built object, more than
 one key or one command stay with the code that needs them: the grid, the
-potential, the kernel, beta-margin, 0 < nu1 <= nu2, the mean cap and the
+potential, the kernel, beta-margin, nu1 <= nu2, the mean cap and the
 saturation of the built phi, the swirl's overflow, the finiteness of
 omega * horizon, the horizon / dt step count, init = file's init_file,
 eps-sweep's positive horizon and potential-table's eps > 0.
@@ -74,6 +74,7 @@ def eps_list(text):
 Row = namedtuple("Row", "default domain code")
 POSITIVE = Interval(0.0, math.inf, "()")
 NONNEGATIVE = Interval(0, math.inf, "[)")
+VISCOSITY = Interval(0.0, 1e100, "(]")
 
 
 def _free(**defaults):
@@ -91,8 +92,9 @@ TABLE = {
     "eps_grid": Row("1e-1,5e-2,2.5e-2,1.25e-2,6.25e-3", eps_list, "epsilon-range"),
     # KernelSpec checks the family, the width and the mass
     **_free(kernel_family="gaussian", kernel_width=0.1, kernel_j_l1=4.0),
-    # ViscositySpec checks 0 < nu1 <= nu2
-    **_free(nu1=0.01, nu2=0.02),
+    # far above any physical viscosity, far below the 1e300 at which the
+    # momentum CG underflows; ViscositySpec checks nu1 <= nu2
+    "nu1": Row(0.01, VISCOSITY, "viscosity"), "nu2": Row(0.02, VISCOSITY, "viscosity"),
     # initial order parameter; m0 caps |mean of phi0|
     "m0": Row(0.9, Interval(0.0, 1.0, "()"), "mean-cap"),
     "init": Row("constant-noise", ("constant-noise", "stripe", "bubble", "file"),

@@ -215,6 +215,8 @@ class TestRejectionCodes:
         ("horizon", "horizon = -0.1", "time"),
         ("snapshot_every", "snapshot_every = -1", "time"),
         ("seed", "seed = -2", "parse"),
+        ("nu1", "nu1 = 0", "viscosity"),
+        ("nu2", "nu2 = 1e101", "viscosity"),
         ("forcing-and-init_u-typos", "forcing = steadyy\ninit_u = swril", "parse"),
         ("velocity-typo-and-negative-period",
          "velocity = swril\nvelocity_period = -1", "parse"),
@@ -222,6 +224,9 @@ class TestRejectionCodes:
         ("init-bubble-negative-radius-and-width",
          "init = bubble\ninit_radius = -3\ninit_width = -1", "init"),
         ("velocity_period-negative", "velocity_period = -1", "parse"),
+        # the momentum CG met a non-positive curvature and exited 3
+        ("nu1-and-nu2-1e300", "nu1 = 1e300\nnu2 = 1e300\nhorizon = 0.01",
+         "viscosity"),
     ]
 
     def test_every_domain_has_a_case(self):
