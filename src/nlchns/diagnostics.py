@@ -27,6 +27,10 @@ identity_residual are the one energy formula and the one residual formula:
 the run series and both identities here, the coupled
 energy_identity_residuals and the transport-only
 ch_energy_identity_residual, evaluate them in the same float order.
+scheme_law_residuals is the balance the convex-split CH step satisfies
+with its own chemical potential, mu~ = a phi1 + F'(phi1) - J*phi0; its
+running prefix stays at roundoff, where that of the r_n above, with
+mu1 = a phi1 + F'(phi1) - J*phi1, can climb by O(dt).
 
 audit holds every check of ``nlchns diagnose`` (mass, saturation, energy
 direction, incompressibility, the gradient comparison bound per snapshot
@@ -208,6 +212,29 @@ def ch_energy_identity_residual(states, u, kd, pot, dt):
         power = convective_power(u, s1.phi.values, s1.mu.values) if u is not None else 0.0
         out[n] = identity_residual(energies[n], energies[n + 1], dt, 0.0,
                                    go.h1_seminorm(s1.mu) ** 2, power)
+    return out
+
+
+def scheme_law_residuals(states, u, kd, pot, dt):
+    """Per-step residuals of the energy law that the convex-split CH step
+    satisfies (Eyre 1998; Guan, Wang & Wise, Numer. Math. 128 (2014)) over
+    a list of CHState,
+
+        [E(phi1) - E(phi0)]/dt + ||grad mu~||^2 - <u phibar0, grad mu~>,
+
+    with the scheme's own chemical potential mu~ = a phi1 + F'(phi1) - J*phi0
+    (the convolution explicit, as the step takes it) and the transport flux
+    at phi0, as the step advects.  mu~ and ch_energy_identity_residual's
+    mu1 = a phi1 + F'(phi1) - J*phi1 differ by J*(phi1 - phi0), O(dt) with
+    no sign."""
+    energies = [energy_terms(s.phi, None, kd, pot, s.conv)[3] for s in states]
+    out = np.empty(len(states) - 1)
+    for n in range(len(states) - 1):
+        s0, s1 = states[n], states[n + 1]
+        mu = chemical_potential(s1.phi, kd, pot, s0.conv)
+        power = convective_power(u, s0.phi.values, mu.values) if u is not None else 0.0
+        out[n] = identity_residual(energies[n], energies[n + 1], dt, 0.0,
+                                   go.h1_seminorm(mu) ** 2, power)
     return out
 
 

@@ -4,10 +4,12 @@ translation semigroup, and the trajectory metric axioms."""
 import numpy as np
 import pytest
 
+from nlchns import cli
 from nlchns import diagnostics as dg
 from nlchns import grid_ops as go
 from nlchns import ns_step
 from nlchns.ch_step import chemical_potential, ch_step, init_state
+from nlchns.config import load_config
 from nlchns.grid_ops import Grid, ScalarField
 from nlchns.kernel import KernelSpec, build_kernel
 from nlchns.potential import PotentialSpec, build_F_eps
@@ -354,6 +356,26 @@ class TestAudit:
         envelope = checks["dissipative_envelope"]
         assert envelope["passed"] is False and envelope["status"] == "error"
         assert "did not converge" in envelope["error"]
+
+
+class TestSchemeLaw:
+    """The energy law of the convex-split step, with its own mu~, against
+    the series column's balance, with mu1."""
+
+    def test_bubble_prefix_stays_at_roundoff(self):
+        cfg = load_config(preset="bubble-ch")
+        stepper = cli._Transport(cfg, cli._physics(cfg))
+        dt = cfg["dt"]
+        states, column = [stepper.ch], []
+        stepper.row(0.0, dt)
+        for _, t in cli._steps(stepper, 50, dt):
+            states.append(stepper.ch)
+            column.append(stepper.row(t, dt)[-1])
+        law = dg.scheme_law_residuals(states, stepper.u_n, stepper.kd,
+                                      stepper.pot, dt)
+        assert np.max(dg.running_cumulative(law, dt)) <= dg.ENERGY_PREFIX_TOL
+        # the series column's prefix is above the tolerance from step 1
+        assert np.all(dg.running_cumulative(column, dt) > dg.ENERGY_PREFIX_TOL)
 
 
 def random_trajectory(seed, n=4, dt=0.5, grid=None):

@@ -39,6 +39,8 @@ TEST_ORACLES = (
                                     "checked by the acceptance suite"),
     ("energy_identity_residuals", "coupled energy identity per step, the "
                                   "oracle for the series residual column"),
+    ("scheme_law_residuals", "energy law of the convex-split CH step with "
+                             "its own chemical potential"),
     ("translate", "time shift of a trajectory, for the semigroup check"),
     ("observed_order", "convergence order fitted in the dt-refinement tests"),
     ("trajectory_metric", "the paper's metric on trajectories, criterion 12"),
