@@ -2,7 +2,8 @@
 byte-identical: a tree against itself reads identical, an edited series
 value is reported with its column's movement, --diagnose leaves out the
 eps-sweep outputs that diagnose does not read, the report commands are
-compared too, and the committed identity configs load."""
+compared too, and the committed identity configs load.  tools/code_lines.py
+counts code lines without docstrings, comments and blanks."""
 
 import importlib.util
 import pathlib
@@ -22,6 +23,7 @@ def load_tool(name):
 
 
 compare_runs = load_tool("compare_runs")
+code_lines = load_tool("code_lines")
 
 FAST_RUN = ("grid_nx = 16\ngrid_ny = 16\nkernel_width = 0.2\n"
             "horizon = 0.01\ninit_u = swirl\ninit_u_amplitude = 0.2\n")
@@ -98,3 +100,30 @@ def test_identity_configs_load():
     # the 128^2 configs take the scipy.fft arm of every DCT-II pair
     for name in ("coupled128", "bubble128"):
         assert min(cfgs[name]["grid_nx"], cfgs[name]["grid_ny"]) > go.DENSE_MAX_N
+
+
+SNIPPET = '''"""A module docstring
+over two lines."""
+
+import os  # a comment
+
+
+class Box:
+    """A class docstring."""
+
+    # a comment line
+    def size(self, x):
+        """A function docstring."""
+        total = (x +
+                 len(os.sep))
+        return "a string that is not a docstring"
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(capsys):
+    # import, class, def, both lines of the assignment, return
+    assert code_lines.code_lines(SNIPPET) == 6
+    assert code_lines.main([str(ROOT / "tools" / "code_lines.py")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].split()[0] == lines[1].split()[0]
+    assert lines[1].split()[1] == "total"
