@@ -30,13 +30,18 @@ transform pair is chosen once per step: up to grid_ops.DENSE_MAX_N dense
 1D matrix products over the workspace's cosine bases, on larger grids the
 scipy.fft pair, which only those grids import.  The Newton residual always
 takes the stencil, whose sums telescope, so the mass argument below holds
-on both.  Newton starts at psi = m(2 phi0 - phi_prev), the linear
-extrapolation of the last two states, which needs no inverse and lies
-O(dt^2) from phi1 on a smooth trajectory; the singular potential's start
-is clipped into |s| <= SINGULAR_EDGE first.  A state with no predecessor
-(the first step of a run) keeps its own phi as phi_prev, so
-2 phi0 - phi0 = phi0 exactly and it starts at psi = m(phi0).  W itself is
-a safeguarded pointwise Newton inside the bracket
+on both.  Newton starts at psi = m(s), where s is phi0 plus its backward
+differences over the kept history of up to HISTORY earlier states,
+s = phi0 + nabla phi0 + nabla^2 phi0 + nabla^3 phi0: the cubic
+extrapolation of the last four states, which needs no inverse and lies
+O(dt^4) from phi1 on a smooth trajectory; the singular potential's start
+is clipped into |s| <= SINGULAR_EDGE first.  A state from init_state has
+no history, so a run's first three steps take the plain, linear and
+quadratic starts by themselves.  A difference of equal arrays is an exact
+zero, so with no history, or a history equal to phi0, s = phi0 bit for
+bit.  The extrapolation assumes equal steps: a caller that changes dt
+passes dataclasses.replace(state, prev=()) and gets the plain start.  W
+itself is a safeguarded pointwise Newton inside the bracket
 |W(psi)| <= 2 |psi| / c0 that m(0) = 0 and m' >= c0 give up front; after
 a sweep's update delta it starts at p1 + W' delta, that sweep's own
 linear prediction of W(psi + delta).  This
@@ -65,8 +70,8 @@ from .grid_ops import ScalarField, face_phi
 
 log = logging.getLogger(__name__)
 
-# the preconditioner's own binding, imported at its first DCT (grids above
-# go.DENSE_MAX_N); the benchmark's ch_step.dct span wraps its dctn/idctn
+# the CG's transform pair on grids above go.DENSE_MAX_N, imported at its
+# first DCT there; the benchmark's ch_step.dct span wraps its dctn/idctn
 sfft = go.LazyModule("scipy.fft")
 
 SATURATION_GUARD = 1.0 - 1e-10
@@ -74,6 +79,7 @@ SINGULAR_EDGE = 1.0 - 1e-14  # the implicit map's reach under the singular F
 MASS_DEFECT_LIMIT = 1e-12
 NEWTON_MAX_OUTER = 50
 NEWTON_MAX_POINTWISE = 80
+HISTORY = 3  # earlier phis kept for the Newton start: a cubic extrapolation
 
 
 class CHError(Exception):
@@ -95,7 +101,7 @@ class CHState:
     conv: np.ndarray  # J*phi, computed once per accepted state
     mass0: float
     saturated: bool  # |phi| reached 1 somewhere (monitor, not error)
-    prev: np.ndarray  # the previous state's phi; phi's own values at a start
+    prev: tuple  # up to HISTORY earlier phis, newest first; () at a start
 
 
 def _accepted_state(phi, kd, pot, mass0, saturated, prev):
@@ -112,7 +118,7 @@ def init_state(phi, kd, pot):
     if abs(mass) >= 1.0:
         raise CHError(f"mean of phi must lie strictly inside (-1, 1), got {mass:.6g}")
     sat = bool(np.max(np.abs(phi.values)) >= 1.0)
-    return _accepted_state(phi, kd, pot, mass, sat, phi.values)
+    return _accepted_state(phi, kd, pot, mass, sat, ())
 
 
 def chemical_potential(phi, kd, pot, conv=None):
@@ -239,9 +245,17 @@ def ch_step(state, u, dt, kd, pot):
 
     tol = 1e-13 * np.sqrt(b.size) * max(1.0, float(np.max(np.abs(b))))
 
-    # Newton starts at 2 p0 - prev (p0 itself, bit for bit, when prev is p0);
-    # one fused pass gives psi = m(p1) and m'(p1)
-    p1 = 2.0 * p0 - state.prev
+    # Newton starts at p0 + nabla p0 + ... + nabla^k p0, k = len(prev), the
+    # differences formed in place in a table that loses one row per order
+    # (p0 itself, bit for bit, when prev is () or equals p0); one fused pass
+    # gives psi = m(p1) and m'(p1).  The kept arrays are shared, never written.
+    diffs = [a - b for a, b in zip((p0,) + state.prev, state.prev)]
+    p1 = p0.copy()
+    while diffs:
+        p1 += diffs[0]
+        for lo, hi in zip(diffs, diffs[1:]):
+            lo -= hi
+        diffs.pop()
     if pot.singular:
         p1 = np.clip(p1, -SINGULAR_EDGE, SINGULAR_EDGE)
     fp, fpp = pot.fprime_fsecond(p1)
@@ -302,7 +316,8 @@ def ch_step(state, u, dt, kd, pot):
         log.warning("phi reached |phi| >= 1 (monitor flag set)")
 
     return _accepted_state(ScalarField(grid, p1), kd, pot, state.mass0,
-                           saturated or state.saturated, p0)
+                           saturated or state.saturated,
+                           ((p0,) + state.prev)[:HISTORY])
 
 
 def fprime_l1(phi, pot):

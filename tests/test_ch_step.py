@@ -213,34 +213,96 @@ def newton_tol(grid):
     return 1e-13 * np.sqrt(grid.nx * grid.ny)
 
 
+def fused_arguments(monkeypatch, pot):
+    """Every argument of pot.fprime_fsecond from here on; a step's first
+    fused pass takes its Newton start."""
+    seen = []
+    fused = pot.fprime_fsecond
+
+    def recorded(s):
+        seen.append(s.copy())
+        return fused(s)
+
+    monkeypatch.setattr(pot, "fprime_fsecond", recorded)
+    return seen
+
+
 class TestExtrapolatedStart:
-    """Newton starts at 2 phi_n - phi_{n-1}; a state with no predecessor
-    keeps phi_n as phi_{n-1} and so starts at phi_n."""
+    """Newton starts at phi_n plus its backward differences over the kept
+    history, the cubic extrapolation of phi_n and its three predecessors;
+    a state from init_state has no history and so starts at phi_n."""
 
     @pytest.mark.parametrize("singular", [False, True])
     def test_only_the_start_changed(self, setup32, singular, monkeypatch):
-        # init_state's prev is phi itself and 2 p - p = p exactly (Sterbenz),
-        # so a run's first Newton solve starts at phi_n bit for bit
+        # init_state's prev is (), so a run's first Newton solve starts at
+        # phi_n bit for bit
         g, kd, pot, spec = setup32
         if singular:
             pot = SingularPotential(spec)
         st = ch.init_state(spinodal_phi(g, seed=2, amp=0.05), kd, pot)
-        assert st.prev is st.phi.values
-        starts = []
-        fused = pot.fprime_fsecond
-
-        def recorded(s):
-            starts.append(s.copy())
-            return fused(s)
-
-        monkeypatch.setattr(pot, "fprime_fsecond", recorded)
+        assert st.prev == ()
+        starts = fused_arguments(monkeypatch, pot)
         u = swirl(g, amp=0.2)
         first = ch.ch_step(st, u, 2e-3, kd, pot)
         assert np.array_equal(starts[0], st.phi.values)
-        assert first.prev is st.phi.values
-        same = dataclasses.replace(st, prev=st.phi.values.copy())
+        assert len(first.prev) == 1 and first.prev[0] is st.phi.values
+        # a history equal to phi_n differences to exact zeros
+        same = dataclasses.replace(st, prev=(st.phi.values.copy(),) * ch.HISTORY)
         assert np.array_equal(ch.ch_step(same, u, 2e-3, kd, pot).phi.values,
                               first.phi.values)
+        # the history grows to HISTORY arrays, newest first, then slides
+        states = [st, first]
+        for _ in range(ch.HISTORY + 1):
+            states.append(ch.ch_step(states[-1], u, 2e-3, kd, pot))
+        for n, later in enumerate(states[1:], start=1):
+            kept = [s.phi.values for s in states[n - 1::-1]][:ch.HISTORY]
+            assert len(later.prev) == len(kept)
+            assert all(a is b for a, b in zip(later.prev, kept))
+
+    @pytest.mark.parametrize("kind", ["constant", "spinodal"])
+    def test_history_equal_to_phi_starts_at_phi(self, setup32, kind,
+                                                monkeypatch):
+        # every backward difference of equal arrays is an exact zero
+        g, kd, pot, _ = setup32
+        phi = (ScalarField(g, np.full((32, 32), 0.3)) if kind == "constant"
+               else spinodal_phi(g, seed=6, amp=0.05))
+        st = ch.init_state(phi, kd, pot)
+        history = tuple(phi.values.copy() for _ in range(ch.HISTORY))
+        starts = fused_arguments(monkeypatch, pot)
+        ch.ch_step(dataclasses.replace(st, prev=history), None, 2e-3, kd, pot)
+        assert np.array_equal(starts[0], phi.values)
+
+    def test_step_writes_no_kept_array(self, setup32):
+        # phi and the arrays in prev are shared with the earlier states
+        g, kd, pot, _ = setup32
+        u = swirl(g, amp=0.2)
+        st = ch.init_state(spinodal_phi(g, seed=4), kd, pot)
+        for _ in range(ch.HISTORY + 2):
+            kept = (st.phi.values,) + st.prev
+            copies = [a.copy() for a in kept]
+            for a in kept:
+                a.flags.writeable = False  # an in-place write raises
+            st = ch.ch_step(st, u, 2e-3, kd, pot)
+            assert all(np.array_equal(a, c) for a, c in zip(kept, copies))
+
+    def test_empty_history_mid_run_is_the_plain_start(self, setup32,
+                                                       monkeypatch):
+        # the rule for a caller that changes dt: prev = () drops the
+        # extrapolation, which assumes equal steps
+        g, kd, pot, _ = setup32
+        st = ch.init_state(spinodal_phi(g, seed=5), kd, pot)
+        for _ in range(ch.HISTORY + 1):
+            st = ch.ch_step(st, None, 2e-3, kd, pot)
+        assert len(st.prev) == ch.HISTORY
+        starts = fused_arguments(monkeypatch, pot)
+        cut = ch.ch_step(dataclasses.replace(st, prev=()), None, 1e-3, kd, pot)
+        assert np.array_equal(starts[0], st.phi.values)
+        assert len(cut.prev) == 1 and cut.prev[0] is st.phi.values
+        starts.clear()
+        held = (st.phi.values,) * ch.HISTORY
+        same = ch.ch_step(dataclasses.replace(st, prev=held), None, 1e-3, kd, pot)
+        assert np.array_equal(starts[0], st.phi.values)
+        assert np.array_equal(same.phi.values, cut.phi.values)
 
     def test_warm_start_saves_inner_cg_work(self, setup32, monkeypatch):
         g, kd, pot, _ = setup32
@@ -254,25 +316,28 @@ class TestExtrapolatedStart:
 
         monkeypatch.setattr(go, "cg", counted)
 
-        def run(plain):
+        def run(depth):
+            # depth earlier phis kept: 0 the plain start, 1 the linear one
             iters.clear()
             st = ch.init_state(spinodal_phi(g), kd, pot)
             for _ in range(50):
-                if plain:
-                    st = dataclasses.replace(st, prev=st.phi.values)
+                st = dataclasses.replace(st, prev=st.prev[:depth])
                 st = ch.ch_step(st, None, 2e-3, kd, pot)
             return st, sum(iters)
 
-        warm, warm_iters = run(plain=False)
-        plain, plain_iters = run(plain=True)
-        # observed 686 against 895 CG iterations, a ratio of 0.77
+        warm, warm_iters = run(ch.HISTORY)
+        linear, linear_iters = run(1)
+        plain, plain_iters = run(0)
+        # observed 560 (cubic), 686 (linear) and 895 (plain) CG iterations
         assert warm_iters <= 0.8 * plain_iters
+        assert warm_iters <= 0.85 * linear_iters
         # observed 1.3e-11 apart (max) and 2e-19 in mean
-        assert np.max(np.abs(warm.phi.values - plain.phi.values)) \
-            <= 10 * newton_tol(g)
-        assert abs(warm.phi.mean() - plain.phi.mean()) <= 1e-16
+        for other in (linear, plain):
+            assert np.max(np.abs(warm.phi.values - other.phi.values)) \
+                <= 10 * newton_tol(g)
+            assert abs(warm.phi.mean() - other.phi.mean()) <= 1e-16
 
-    def test_singular_start_is_clipped_into_the_bracket(self):
+    def test_singular_start_is_clipped_into_the_bracket(self, monkeypatch):
         # the cauchy-sweep stripe (peak 0.999) with eps = 0, relaxed 3 steps
         g = Grid(32, 32)
         kd = build_kernel(KernelSpec("gaussian", 0.1, j_l1=6.0), g)
@@ -281,10 +346,16 @@ class TestExtrapolatedStart:
         for _ in range(3):
             st = ch.ch_step(st, None, 2e-3, kd, pot)
         phi = st.phi.values
-        prev = 0.95 * phi  # the extrapolant 1.05 phi
-        assert np.any(np.abs(2.0 * phi - prev) >= 1.0)
+        # differences 0.04, 0.03 and 0.01 phi: the cubic extrapolant 1.08 phi
+        prev = (0.96 * phi, 0.95 * phi, 0.96 * phi)
+        cubic = 4.0 * phi - 6.0 * prev[0] + 4.0 * prev[1] - prev[2]
+        assert np.any(np.abs(cubic) >= 1.0)
+        starts = fused_arguments(monkeypatch, pot)
         warm = ch.ch_step(dataclasses.replace(st, prev=prev), None, 2e-3, kd, pot)
-        plain = ch.ch_step(dataclasses.replace(st, prev=phi), None, 2e-3, kd, pot)
+        clipped = np.clip(cubic, -ch.SINGULAR_EDGE, ch.SINGULAR_EDGE)
+        assert np.max(np.abs(starts[0])) <= ch.SINGULAR_EDGE
+        assert np.max(np.abs(starts[0] - clipped)) <= 1e-15
+        plain = ch.ch_step(dataclasses.replace(st, prev=()), None, 2e-3, kd, pot)
         assert np.max(np.abs(warm.phi.values)) < 1.0
         # observed 1.0e-13 apart (max)
         assert np.max(np.abs(warm.phi.values - plain.phi.values)) \
