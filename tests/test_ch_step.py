@@ -708,7 +708,8 @@ class TestSpinodalRegression:
         assert 0.5 < peak < 1.0
 
 
-# Frozen from the run whose inner CG works on DCT-II coefficients and whose
+# Frozen from the run whose Newton starts at the cubic extrapolation of the
+# last four states, whose inner CG works on DCT-II coefficients and whose
 # pointwise inverse starts at the Newton prediction.  The pin tracks one
 # float trajectory: spinodal growth over 250 steps amplifies differences at
 # the Newton tolerance to a few 1e-10 relative (tightening that tolerance
@@ -717,8 +718,8 @@ class TestSpinodalRegression:
 # reaches the same two-plateau morphology (peak 0.882, deeper energy
 # -0.0190), confirming the numbers describe the flow rather than an
 # artifact.
-REGRESSION_ENERGY = -0.010611628784688593
-REGRESSION_PEAK = 0.7940762167847527
+REGRESSION_ENERGY = -0.010611628786365318
+REGRESSION_PEAK = 0.7940762167529679
 
 
 class TestTailRegimeRegression:
