@@ -249,7 +249,8 @@ def ch_step(state, u, dt, kd, pot):
     # differences formed in place in a table that loses one row per order
     # (p0 itself, bit for bit, when prev is () or equals p0); one fused pass
     # gives psi = m(p1) and m'(p1).  The kept arrays are shared, never written.
-    diffs = [a - b for a, b in zip((p0,) + state.prev, state.prev)]
+    history = (p0,) + state.prev
+    diffs = [new - old for new, old in zip(history, state.prev)]
     p1 = p0.copy()
     while diffs:
         p1 += diffs[0]
@@ -316,8 +317,7 @@ def ch_step(state, u, dt, kd, pot):
         log.warning("phi reached |phi| >= 1 (monitor flag set)")
 
     return _accepted_state(ScalarField(grid, p1), kd, pot, state.mass0,
-                           saturated or state.saturated,
-                           ((p0,) + state.prev)[:HISTORY])
+                           saturated or state.saturated, history[:HISTORY])
 
 
 def fprime_l1(phi, pot):
