@@ -41,17 +41,21 @@ the Leray projection is that core at dt = 1.
 The Stokes eigenvalue and the momentum residual's dual norm both need the
 inverse of the componentwise stiffness A = D^T D (grad_form_apply)
 restricted to solenoidal fields.  That is the Stokes problem
-A z + grad p = b, div z = 0, solved by CG on the pressure Schur complement
-S p = -div(A^-1 grad p).  A itself is inverted exactly by fast
+A z + grad p = b, div z = 0, solved directly through the pressure Schur
+complement S = -div(A^-1 grad).  A itself is inverted exactly by fast
 diagonalisation: each velocity block is a sum of two 1D tridiagonal
 stiffnesses, whose eigenpairs are cached by (n, h, end entry) and shared
 with the momentum preconditioner; both solve through
-grid_ops.tensor_solve.  The CG applies S without forming grad p,
-A^-1 grad p or its divergence: the 1D cell-to-face difference of each
-block's wall-normal axis is folded into that axis's eigenbasis once per
-grid, so S is four matrix products per velocity block.  S is
-spectrally equivalent to the identity on zero-mean pressures
-(the MAC pair is inf-sup stable), so the CG count does not grow with n.
+grid_ops.tensor_solve.  S is inverted exactly by the capacitance matrix
+method (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971): A is
+its free-slip counterpart, whose tangential 1D factors have the Neumann
+end entry 1, plus a diagonal term on the 2(nx-1) + 2(ny-1) tangential
+faces next to the walls.  The free-slip stiffness maps grad q to
+grad(-laplace q), so its Schur complement is the identity on zero-mean
+pressures, and S is the identity plus a correction of the wall faces'
+rank, which Woodbury's formula inverts with two Neumann solves and one
+product by the inverse of the capacitance matrix, an SPD matrix of that
+order assembled from the 1D factors and cached per grid.
 The eigenvalue is found by Lanczos on the Stokes inverse, with full
 reorthogonalisation, in 10-12 Stokes solves.
 """
@@ -197,32 +201,80 @@ def _block_factors(grid):
 
 
 class _StokesFactors(NamedTuple):
-    """The Stokes layer of one grid in the tensor eigenbasis of
-    _block_factors: per velocity block the two 1D eigenbases, the table of
-    eigenvalue sums, and the transfer factor from cell pressures into the
-    eigenbasis of the block's wall-normal axis."""
+    """The Stokes layer of one grid: per velocity block the two 1D
+    eigenbases of _block_factors and the table of eigenvalue sums, by which
+    grad_form_inverse divides, and the inverse of the capacitance matrix of
+    the pressure Schur complement (_capacitance_inverse)."""
     qx_u: np.ndarray
     qy_u: np.ndarray
     lam_u: np.ndarray
-    wx: np.ndarray  # Qx_u^T Gx, Gx the cell-to-interior-face difference
     qx_v: np.ndarray
     qy_v: np.ndarray
     lam_v: np.ndarray
-    wy: np.ndarray  # Qy_v^T Gy
+    minv: np.ndarray  # M^-1 over the wall faces: u walls first, then v walls
 
 
 @cache
 def _stokes_factors(grid):
     """_StokesFactors of grid, built at the first Stokes solve on it and
-    kept per grid: one eigenvalue costs about 200 Schur applications, and
-    rebuilding a broadcast eigenvalue sum costs more than the division it
-    feeds."""
+    kept per grid: one eigenvalue costs 10-12 Stokes solves, and rebuilding
+    a broadcast eigenvalue sum costs more than the division it feeds."""
     (ux, uy), (vx, vy) = _block_factors(grid)
-    gx = np.diff(np.eye(grid.nx), axis=0) / grid.hx
-    gy = np.diff(np.eye(grid.ny), axis=0) / grid.hy
     return _StokesFactors(
-        ux[1], uy[1], ux[0][:, None] + uy[0][None, :], ux[1].T @ gx,
-        vx[1], vy[1], vx[0][:, None] + vy[0][None, :], vy[1].T @ gy)
+        ux[1], uy[1], ux[0][:, None] + uy[0][None, :],
+        vx[1], vy[1], vx[0][:, None] + vy[0][None, :],
+        _capacitance_inverse(grid))
+
+
+def _wall_block(lam, q, c, dc, neumann, inv_eig2, h):
+    """The self block of the capacitance matrix over the faces of one
+    velocity component next to its two walls, wall line 0 first: per pair
+    of lines Q diag(f) Q^T - DC diag(g) DC^T, f and g the tangential sums
+    of the two lines' cosine rows against 1 / (lam + neumann) and
+    1 / eig^2, plus D^-1 = (h / WALL_SHEAR)^2 on the diagonal.  (lam, q)
+    are the Dirichlet eigenpairs of the wall-normal axis, c the tangential
+    cosine basis and dc the wall-normal cosine basis differenced onto the
+    faces; inv_eig2 is indexed (wall-normal, tangential) mode."""
+    ends = c[[0, -1]]
+    slip = 1.0 / (lam[:, None] + neumann[None, :])
+    rows = [[(q * (slip @ w)) @ q.T - (dc * (inv_eig2 @ w)) @ dc.T
+             for w in (ends[i] * ends[j] for j in range(2))] for i in range(2)]
+    block = np.block(rows)
+    return block + (h / go.WALL_SHEAR) ** 2 * np.eye(len(block))
+
+
+def _capacitance_blocks(grid):
+    """The SPD capacitance matrix M = D^-1 + W^T A_slip^-1 P W of
+    _schur_solve (P the Leray projection) as its blocks (muu, muv, mvv) over
+    the u and the v wall faces, assembled from 1D factors.  A_slip and
+    L = -laplace are diagonal in the cosine basis, so
+    M = D^-1 + W^T A_slip^-1 W - W^T grad L+^2 grad^T W needs only the rows
+    of the two wall lines: muu and mvv come from _wall_block, and muv is
+    -(DCx o cx_i) (1 / eig^2) (cy_j o DCy^T) per pair of a u wall line j and
+    a v wall line i."""
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    ws = go.workspace(grid)
+    inv_eig2 = 1.0 / ws.eig_nomean**2  # 0 at the constant mode
+    cx, cy = go._cosine_basis(nx), go._cosine_basis(ny)
+    dcx, dcy = np.diff(cx, axis=0) / hx, np.diff(cy, axis=0) / hy
+    muu = _wall_block(*_stiffness_eigh(nx - 1, hx, 2.0), cy, dcx, ws.eig[0, :],
+                      inv_eig2, hy)
+    mvv = _wall_block(*_stiffness_eigh(ny - 1, hy, 2.0), cx, dcy, ws.eig[:, 0],
+                      inv_eig2.T, hx)
+    muv = -np.block([[(dcx * cx[i]) @ inv_eig2 @ (dcy * cy[j]).T
+                      for i in (0, -1)] for j in (0, -1)])
+    return muu, muv, mvv
+
+
+def _capacitance_inverse(grid):
+    """M^-1 for the blocks of _capacitance_blocks, inverted as a 2 x 2 block
+    matrix, so no factorization is larger than 2 max(nx, ny) - 2."""
+    muu, muv, mvv = _capacitance_blocks(grid)
+    iuu = np.linalg.inv(muu)
+    t = iuu @ muv
+    ivv = np.linalg.inv(mvv - muv.T @ t)
+    x = t @ ivv
+    return np.block([[iuu + x @ t.T, -x], [-x.T, ivv]])
 
 
 def grad_form_inverse(grid, fu, fv):
@@ -237,16 +289,30 @@ def grad_form_inverse(grid, fu, fv):
     return u, v
 
 
-def _schur_apply(f, p):
-    """The pressure Schur complement S p = -div(A^-1 grad p) through the
-    factors f of _stokes_factors.  grad p is Gx p on the interior u faces
-    and p Gy^T on the interior v faces, and -div is its transpose, so per
-    block the grad, the fast-diagonalisation solve and the div fold into
-    four matrix products:
-    S p = Wx^T [(Wx p Qy_u) / lam_u] Qy_u^T + Qx_v [(Qx_v^T p Wy^T) / lam_v] Wy."""
-    su = f.wx.T @ ((f.wx @ p @ f.qy_u) / f.lam_u) @ f.qy_u.T
-    sv = f.qx_v @ ((f.qx_v.T @ p @ f.wy.T) / f.lam_v) @ f.wy
-    return su + sv
+def _schur_solve(grid, r):
+    """The zero-mean p with S p = r for the pressure Schur complement
+    S = -div(A^-1 grad) and a zero-mean r, exact to roundoff.
+
+    The no-slip stiffness is the free-slip one plus a diagonal term on the
+    tangential faces next to the walls, A = A_slip + W D W^T, with A_slip
+    the componentwise stiffness whose tangential 1D factor has the Neumann
+    end entry 1 and D the rest of the wall entry, WALL_SHEAR^2 / h^2.  The
+    Dirichlet face factor is Gx Gx^T and the Neumann cell factor Gx^T Gx, so
+    A_slip grad q = grad(L q) with L = -laplace, and the free-slip Schur
+    complement is the identity on zero-mean pressures.  Woodbury's formula
+    then inverts S exactly (the capacitance matrix method; Buzbee, Dorr,
+    George & Golub, SIAM J. Numer. Anal. 8, 1971):
+    S^-1 r = r + L+(-div(W c)), c = M^-1 W^T grad(L+ r),
+    with L+ the Neumann inverse and M^-1 from _capacitance_inverse."""
+    nx, ny = grid.nx, grid.ny
+    gx, gy = go.grad_arrays(grid, go.solve_neumann_direct(grid, r))
+    c = _stokes_factors(grid).minv @ np.concatenate(
+        (gx[1:-1, 0], gx[1:-1, -1], gy[0, 1:-1], gy[-1, 1:-1]))
+    wu, wv = np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))
+    cu, cv = np.split(c, [2 * (nx - 1)])
+    wu[1:-1, 0], wu[1:-1, -1] = np.split(cu, 2)
+    wv[0, 1:-1], wv[-1, 1:-1] = np.split(cv, 2)
+    return r - go.solve_neumann_direct(grid, go.div_arrays(grid, wu, wv))
 
 
 # ------------------------------------------------------------- advection
@@ -454,25 +520,19 @@ def project_divfree(grid, u, v):
     return u, v
 
 
-def _stiffness_solve(grid, b, rtol=1e-10):
+def _stiffness_solve(grid, b):
     """Solenoidal z with P A z = P b, on packed vectors: the Stokes problem
     A z + grad p = b, div z = 0 for the componentwise stiffness A.
 
-    CG on the pressure Schur complement S p = -div(A^-1 grad p), applied
-    through the per-grid factors of _stokes_factors (_schur_apply).  S is
-    singular only on the constants, and needs no projector: it maps them
-    to 0, its outputs and the right-hand side are mean-free (Gx 1 = 0), and
-    only grad p is used.  Then z = A^-1 (b - grad p) and one Leray
-    projection that pins div z to roundoff.  A^-1 itself
-    (grad_form_inverse) runs twice: for the right-hand side and for z."""
+    A direct solve: the pressure comes from the exact Schur complement
+    inverse _schur_solve, with S p = -div(A^-1 b) after the right-hand
+    side's roundoff mean is dropped (only grad p is used).  Then
+    z = A^-1 (b - grad p) and one Leray projection that pins div z to
+    roundoff.  A^-1 itself (grad_form_inverse) runs twice: for the
+    right-hand side and for z."""
     bu, bv = _unpack(grid, b)
     rhs = -go.div_arrays(grid, *grad_form_inverse(grid, bu, bv))
-    f = _stokes_factors(grid)
-    try:
-        p, _ = go.cg(lambda q: _schur_apply(f, q), rhs, rtol=rtol, maxiter=20000)
-    except go.CGStall:
-        raise NSError("Stokes pressure solve did not converge") from None
-    gx, gy = go.grad_arrays(grid, p)
+    gx, gy = go.grad_arrays(grid, _schur_solve(grid, rhs - rhs.mean()))
     zu, zv = grad_form_inverse(grid, bu - gx, bv - gy)
     return _pack(*project_divfree(grid, zu, zv))
 
@@ -492,8 +552,8 @@ def stokes_lambda1(grid, tol=1e-10, maxiter=50):
     """Smallest eigenvalue of the divergence-free constrained stiffness:
     the best constant in ||grad u||^2 >= lambda1 ||u||^2 over solenoidal
     no-slip fields.  Lanczos on the Stokes inverse (Lanczos 1950): each step
-    is one Stokes solve (_stiffness_solve: a pressure Schur-complement CG
-    over the exact stiffness inverse), and lambda1 is the inverse of the
+    is one Stokes solve (_stiffness_solve: the exact pressure Schur
+    complement inverse over the exact stiffness inverse), and lambda1 is the inverse of the
     largest Ritz value of the tridiagonal.  Every new vector is
     reorthogonalised twice against the stored ones, so the basis stays
     orthonormal to roundoff.  The Ritz value converges at the Chebyshev
@@ -515,7 +575,7 @@ def stokes_lambda1(grid, tol=1e-10, maxiter=50):
     alphas, betas = [], []
     lam = None
     for k in range(maxiter):
-        z = _stiffness_solve(grid, basis[k], rtol=1e-12)
+        z = _stiffness_solve(grid, basis[k])
         alphas.append(np.vdot(basis[k], z))
         q = basis[:k + 1]
         for _ in range(2):

@@ -605,7 +605,7 @@ class TestStokesSolve:
         u, v = random_interior(grid, 47)
         oracle = assembled_dual_norm(grid, u, v)
         assert ns.stiffness_dual_norm(grid, u, v) == pytest.approx(oracle,
-                                                                   rel=1e-8)
+                                                                   rel=1e-12)
 
     def test_gradient_fields_have_zero_dual_norm(self):
         # grad q is orthogonal to every solenoidal test field
@@ -614,13 +614,13 @@ class TestStokesSolve:
         gx, gy = go.grad_arrays(grid, q)
         u, v = random_interior(grid, 59)
         base = ns.stiffness_dual_norm(grid, u, v)
-        assert ns.stiffness_dual_norm(grid, gx, gy) <= 1e-6 * base
+        assert ns.stiffness_dual_norm(grid, gx, gy) <= 1e-12 * base
         assert ns.stiffness_dual_norm(grid, u + gx, v + gy) == pytest.approx(
-            base, rel=1e-9)
+            base, rel=1e-12)
 
     def test_solution_is_solenoidal(self):
-        # the Schur CG alone leaves div z near its rtol (1e-10 by default);
-        # the closing Leray projection pins it to roundoff
+        # the closing Leray projection pins div z to roundoff, whatever the
+        # pressure solve leaves
         grid = Grid(32, 24, 1.0, 1.3)
         u, v = random_interior(grid, 61)
         z = ns._stiffness_solve(grid, ns._pack(u, v))
@@ -630,46 +630,70 @@ class TestStokesSolve:
         assert np.abs(div).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [32, 64])
-    def test_schur_iterations_mesh_independent(self, n, monkeypatch):
-        # the Schur complement is spectrally equivalent to the identity on
-        # zero-mean pressures, so its CG count must not grow with n
-        counts = []
-        cg = go.cg
+    def test_each_solve_is_direct(self, n, monkeypatch):
+        # no CG: one stiffness inverse for the right-hand side and one for
+        # the closing velocity, two Neumann solves for the Schur complement
+        # and one for the closing Leray projection
+        calls = {"cg": 0, "grad_form_inverse": 0, "solve_neumann_direct": 0}
 
-        def counting(*args, **kwargs):
-            x, iters = cg(*args, **kwargs)
-            counts.append(iters)
-            return x, iters
+        def counting(module, name):
+            wrapped = getattr(module, name)
 
-        monkeypatch.setattr(go, "cg", counting)
-        ns.stokes_lambda1(Grid(n, n, 1.0, 1.0))
-        assert counts and max(counts) <= 30
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        counting(go, "cg")
+        counting(ns, "grad_form_inverse")
+        counting(go, "solve_neumann_direct")
+        grid = Grid(n, n, 1.0, 1.0)
+        ns._stiffness_solve(grid, ns._pack(*random_interior(grid, 71)))
+        assert calls == {"cg": 0, "grad_form_inverse": 2,
+                         "solve_neumann_direct": 3}
 
     @pytest.mark.parametrize("grid", [Grid(9, 14, 1.0, 1.4), Grid(20, 9),
-                                      Grid(64, 64)],
+                                      Grid(64, 64), Grid(97, 100)],
                              ids=lambda g: f"{g.nx}x{g.ny}")
     def test_schur_matches_composed_operator(self, grid):
-        # the non-square grids catch a swapped pair of transfer factors
-        p = np.random.default_rng(67).standard_normal((grid.nx, grid.ny))
+        # the direct Schur solve inverts S = -div(A^-1 grad) composed from
+        # its parts; the non-square grids catch a swapped pair of wall
+        # blocks, and 97x100, above DENSE_MAX_N, solves its Neumann
+        # problems with scipy.fft while the capacitance matrix is assembled
+        # from dense cosine columns
+        r = np.random.default_rng(67).standard_normal((grid.nx, grid.ny))
+        r -= r.mean()
+        p = ns._schur_solve(grid, r)
         gx, gy = go.grad_arrays(grid, p)
-        want = -go.div_arrays(grid, *ns.grad_form_inverse(grid, gx, gy))
-        got = ns._schur_apply(ns._stokes_factors(grid), p)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        got = -go.div_arrays(grid, *ns.grad_form_inverse(grid, gx, gy))
+        assert np.abs(got - r).max() <= 1e-13 * np.abs(r).max()
+        assert abs(p.mean()) <= 1e-15 * np.abs(p).max()
 
-    def test_schur_iterations_skip_the_stiffness_inverse(self, monkeypatch):
-        # one inverse for the right-hand side, one for the closing velocity;
-        # the Schur CG applies S through the precomputed factors
-        calls = []
-        inverse = ns.grad_form_inverse
-
-        def counting(*args):
-            calls.append(1)
-            return inverse(*args)
-
-        monkeypatch.setattr(ns, "grad_form_inverse", counting)
-        grid = Grid(64, 64)
-        ns._stiffness_solve(grid, ns._pack(*random_interior(grid, 71)))
-        assert len(calls) <= 2
+    @pytest.mark.parametrize("grid", [Grid(9, 14, 1.0, 1.4), Grid(20, 9)],
+                             ids=lambda g: f"{g.nx}x{g.ny}")
+    def test_capacitance_matches_brute_force_build(self, grid):
+        # M = D^-1 + W^T A_slip^-1 P W from dense matrices: A_slip is the
+        # assembled stiffness less its wall term 4 / h^2, and P the
+        # orthogonal projection onto the divergence null space
+        null, stiffness = divfree_stiffness(grid)
+        nx, ny = grid.nx, grid.ny
+        nu = (nx - 1) * ny
+        u_rows = np.arange(nx - 1) * ny
+        v_rows = nu + np.arange(ny - 1)
+        wall = np.concatenate((u_rows, u_rows + ny - 1,
+                               v_rows, v_rows + (nx - 1) * (ny - 1)))
+        dinv = np.repeat([grid.hy**2 / 4.0, grid.hx**2 / 4.0],
+                         [2 * (nx - 1), 2 * (ny - 1)])
+        slip = stiffness.copy()
+        slip[wall, wall] -= 1.0 / dinv
+        brute = np.diag(dinv) + np.linalg.solve(
+            slip, (null @ null.T)[:, wall])[wall]
+        muu, muv, mvv = ns._capacitance_blocks(grid)
+        m = np.block([[muu, muv], [muv.T, mvv]])
+        assert np.abs(m - brute).max() <= 1e-13 * np.abs(brute).max()
+        minv = ns._stokes_factors(grid).minv
+        assert np.abs(minv @ m - np.eye(len(m))).max() <= 1e-13
 
 
 class TestStokesEigenvalue:
@@ -717,7 +741,7 @@ class TestStokesEigenvalue:
         # beta vanishes after the first solve, whose Ritz value is exact
         calls = []
 
-        def scaled(grid, b, rtol):
+        def scaled(grid, b):
             calls.append(1)
             return 0.25 * b
 
@@ -725,6 +749,12 @@ class TestStokesEigenvalue:
         assert ns.stokes_lambda1(Grid(8, 8, 1.0, 1.0)) == pytest.approx(
             4.0, rel=1e-14)
         assert len(calls) == 1
+
+    def test_matches_the_schur_cg_value_at_128(self):
+        # the value of the pressure Schur-complement CG at rtol 1e-12 that
+        # the direct solve replaced
+        assert ns.stokes_lambda1(Grid(128, 128)) == pytest.approx(
+            52.746034247070106, rel=1e-12)
 
     def test_continuum_square_value(self):
         # first Stokes eigenvalue of the unit square is about 52.3447
