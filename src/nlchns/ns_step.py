@@ -47,15 +47,12 @@ diagonalisation: each velocity block is a sum of two 1D tridiagonal
 stiffnesses, whose eigenpairs are cached by (n, h, end entry) and shared
 with the momentum preconditioner; both solve through
 grid_ops.tensor_solve.  S is inverted exactly by the capacitance matrix
-method (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971): A is
-its free-slip counterpart, whose tangential 1D factors have the Neumann
-end entry 1, plus a diagonal term on the 2(nx-1) + 2(ny-1) tangential
-faces next to the walls.  The free-slip stiffness maps grad q to
-grad(-laplace q), so its Schur complement is the identity on zero-mean
-pressures, and S is the identity plus a correction of the wall faces'
-rank, which Woodbury's formula inverts with two Neumann solves and one
-product by the inverse of the capacitance matrix, an SPD matrix of that
-order assembled from the 1D factors and cached per grid.
+method (_schur_solve): A is its free-slip counterpart plus a diagonal
+term on the 2(nx-1) + 2(ny-1) tangential faces next to the walls, the
+free-slip Schur complement is the identity, and Woodbury's formula
+corrects it with two Neumann solves and one product by the inverse of a
+capacitance matrix of that order, assembled from the 1D factors and
+cached per grid.
 The eigenvalue is found by Lanczos on the Stokes inverse, with full
 reorthogonalisation, in 10-12 Stokes solves.
 """
@@ -237,10 +234,13 @@ def _wall_block(lam, q, c, dc, neumann, inv_eig2, h):
     faces; inv_eig2 is indexed (wall-normal, tangential) mode."""
     ends = c[[0, -1]]
     slip = 1.0 / (lam[:, None] + neumann[None, :])
-    rows = [[(q * (slip @ w)) @ q.T - (dc * (inv_eig2 @ w)) @ dc.T
-             for w in (ends[i] * ends[j] for j in range(2))] for i in range(2)]
-    block = np.block(rows)
-    return block + (h / go.WALL_SHEAR) ** 2 * np.eye(len(block))
+
+    def pair(w):
+        return (q * (slip @ w)) @ q.T - (dc * (inv_eig2 @ w)) @ dc.T
+
+    block = np.block([[pair(a * b) for b in ends] for a in ends])
+    block += (h / go.WALL_SHEAR) ** 2 * np.eye(len(block))
+    return block
 
 
 def _capacitance_blocks(grid):
@@ -562,8 +562,8 @@ def stokes_lambda1(grid, tol=1e-10, maxiter=50):
     the best constant in ||grad u||^2 >= lambda1 ||u||^2 over solenoidal
     no-slip fields.  Lanczos on the Stokes inverse (Lanczos 1950): each step
     is one Stokes solve (_stiffness_solve: the exact pressure Schur
-    complement inverse over the exact stiffness inverse), and lambda1 is the inverse of the
-    largest Ritz value of the tridiagonal.  Every new vector is
+    complement inverse over the exact stiffness inverse), and lambda1 is
+    the inverse of the largest Ritz value of the tridiagonal.  Every new vector is
     reorthogonalised twice against the stored ones, so the basis stays
     orthonormal to roundoff.  The Ritz value converges at the Chebyshev
     rate of the gap (Kaniel-Paige-Saad), in 10-12 solves from 10^2 to
